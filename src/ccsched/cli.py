@@ -42,16 +42,29 @@ def load_config(path: str | None) -> dict[str, str]:
     return config
 
 
-def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill defaults from the config file; explicit CLI flags win."""
-    config = load_config(getattr(args, "config", None))
+def config_defaults(subparser: argparse.ArgumentParser, config: dict[str, str]) -> dict:
+    """Config values cast like the subcommand's flags: each with its flag's
+    type, store_true flags from true/false, choices checked."""
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    defaults = {}
     for key, value in config.items():
-        if not hasattr(args, key):
+        action = actions.get(key)
+        if action is None:
             raise ParameterError(f"unknown config key: {key}")
-        if parser.get_default(key) == getattr(args, key):
-            default = parser.get_default(key)
-            caster = type(default) if default is not None else str
-            setattr(args, key, caster(value))
+        if action.nargs == 0:  # a flag without a value (store_true)
+            if value.lower() not in ("true", "false"):
+                raise ParameterError(f"config key {key}: expected true or false, got {value!r}")
+            defaults[key] = value.lower() == "true"
+            continue
+        try:
+            defaults[key] = action.type(value) if action.type else value
+        except ValueError:
+            raise ParameterError(
+                f"config key {key}: {value!r} is not a valid {action.type.__name__}"
+            ) from None
+        if action.choices is not None and defaults[key] not in action.choices:
+            raise ParameterError(f"config key {key}: {value!r} is not one of {action.choices}")
+    return defaults
 
 
 def parse_snr_grid(spec: str) -> list[float]:
@@ -139,7 +152,9 @@ def cmd_verify(args) -> int:
                 "trials": args.trials,
                 "combiner_policy": "haar",
                 "max_leakage": numeric.max_leakage,
+                "max_leakage_at": numeric.max_leakage_at,
                 "min_sigma": numeric.min_sigma,
+                "min_sigma_at": numeric.min_sigma_at,
                 "ok": numeric.ok,
             }
             ok = ok and numeric.ok
@@ -340,7 +355,12 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        apply_config(args, parser)
+        if args.config is not None:
+            # config values become the subcommand's defaults, so explicit flags win
+            subcommands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+            subparser = subcommands[args.command]
+            subparser.set_defaults(**config_defaults(subparser, load_config(args.config)))
+            args = parser.parse_args(argv)
         return args.func(args)
     except CcschedError as exc:
         error = {"error": {"type": type(exc).__name__, "reason": str(exc)}}

@@ -198,14 +198,27 @@ def table_from_json(text: str) -> ScheduleTable:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedTableError(f"invalid JSON: {exc}") from exc
-    required = {"omega", "t", "L", "G", "users", "delta", "delta_tilde", "m", "columns"}
-    missing = required - set(doc)
+    if not isinstance(doc, dict):
+        raise MalformedTableError("a table document must be a JSON object")
+    scalars = ("omega", "t", "L", "G", "delta", "delta_tilde", "m")
+    missing = set(scalars + ("users", "columns")) - set(doc)
     if missing:
         raise MalformedTableError(f"missing table fields: {sorted(missing)}")
+    wrong = [key for key in scalars if not _is_int(doc[key])]
+    if wrong:
+        raise MalformedTableError(f"table fields {wrong} must be integers")
+    if not (isinstance(doc["users"], list) and all(map(_is_int, doc["users"]))):
+        raise MalformedTableError("table field 'users' must be a list of integers")
+    if not (isinstance(doc["columns"], list) and all(
+        isinstance(col, list)
+        and all(isinstance(g, list) and all(map(_is_int, g)) for g in col)
+        for col in doc["columns"]
+    )):
+        raise MalformedTableError("table field 'columns' must list columns of integer groups")
     users = tuple(sorted(doc["users"]))
     if len(users) != doc["omega"]:
         raise MalformedTableError("omega does not match the user list")
-    t = int(doc["t"])
+    t = doc["t"]
     columns = []
     for raw_col in doc["columns"]:
         groups = [make_group(g, size=t + 1) for g in raw_col]
@@ -216,10 +229,14 @@ def table_from_json(text: str) -> ScheduleTable:
     return ScheduleTable(
         users=users,
         t=t,
-        L=int(doc["L"]),
-        G=int(doc["G"]),
+        L=doc["L"],
+        G=doc["G"],
         columns=tuple(columns),
-        delta=int(doc["delta"]),
-        delta_tilde=int(doc["delta_tilde"]),
-        m=int(doc["m"]),
+        delta=doc["delta"],
+        delta_tilde=doc["delta_tilde"],
+        m=doc["m"],
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

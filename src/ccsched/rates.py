@@ -21,11 +21,12 @@ import numpy as np
 from .errors import ParameterError, VerificationError
 from .model import ScheduleColumn, ScheduleTable
 from .verifier import (
+    TRIAL_BLOCK,
     BeamformerSolution,
     ChannelRealization,
     build_beamformers,
-    effective_matrix,
     decodability_check,
+    effective_matrix,
 )
 
 
@@ -39,33 +40,25 @@ def stream_coefficients(
     With per-stream power p, the stream's SINR is p / (N0*c + p*l): c is the
     squared norm of the zero-forcing row (noise amplification) and l the
     residual cross-group leakage power gain (machine-precision small for
-    nullspace beamformers, but carried exactly).
+    nullspace beamformers, but carried exactly).  On a batch of draws c and
+    l are arrays over the trials.
     """
-    streams = solution.stream_items()
-    if not streams:
+    if not solution.streams:
         raise ParameterError("column has no scheduled streams")
-    users = channels.users
-    beta = column.beta(users)
     coeffs: dict[tuple, tuple[float, float]] = {}
-    for k in users:
-        if beta[k] == 0:
+    for k in channels.users:
+        if solution.beta[k] == 0:
             continue
-        eff = effective_matrix(solution, channels, k)
+        eff, cross = effective_matrix(solution, channels, k)
         try:
             inv = np.linalg.inv(eff)
         except np.linalg.LinAlgError as exc:
             raise VerificationError(f"singular effective matrix at user {k}") from exc
-        own = [(g, inst) for g, inst, _ in streams if k in g]
-        other = [w for g, _, w in streams if k not in g]
-        combined = solution.combiners[k].conj().T @ channels.H[k]
-        if other:
-            leak = inv @ combined @ np.column_stack(other)
-            leak_gain = np.sum(np.abs(leak) ** 2, axis=1)
-        else:
-            leak_gain = np.zeros(len(own))
-        noise_gain = np.sum(np.abs(inv) ** 2, axis=1)
-        for row, (g, inst) in enumerate(own):
-            coeffs[(g, inst, k)] = (float(noise_gain[row]), float(leak_gain[row]))
+        # rows first, so that row i is a scalar for one draw and a trial array for a batch
+        noise_gain = np.sum(np.abs(inv) ** 2, axis=-1).T
+        leak_gain = np.sum(np.abs(inv @ cross) ** 2, axis=-1).T
+        for row, (g, inst) in enumerate(s for s in solution.streams if k in s[0]):
+            coeffs[(g, inst, k)] = (noise_gain[row], leak_gain[row])
     return coeffs
 
 
@@ -92,7 +85,7 @@ def stream_sinrs(
 ) -> dict[tuple, float]:
     """SINR of every (group, instance, member user) stream at total power."""
     coeffs = stream_coefficients(column, channels, solution)
-    return sinrs_from_coefficients(coeffs, len(solution.stream_items()), power_total, N0)
+    return sinrs_from_coefficients(coeffs, len(solution.streams), power_total, N0)
 
 
 def column_rate(sinrs: dict[tuple, float]) -> float:
@@ -146,24 +139,20 @@ def snr_sweep(
     n_users = len(table.users)
     theta = math.comb(n_users, table.t) * table.delta * table.delta_tilde
     n_cols = len(table.columns)
-    powers = [N0 * 10.0 ** (s / 10.0) for s in snr_grid_db]
+    powers = np.array([N0 * 10.0 ** (s / 10.0) for s in snr_grid_db])
 
     rates = np.zeros((len(powers), trials, n_cols))
-    for trial in range(trials):
-        for idx, column in enumerate(table.columns):
-            channels = ChannelRealization.draw(
-                table.users,
-                table.G,
-                table.L,
-                N0=N0,
-                seed=seed + 7919 * trial + idx,
-            )
+    for idx, column in enumerate(table.columns):
+        for first in range(0, trials, TRIAL_BLOCK):
+            last = min(first + TRIAL_BLOCK, trials)
+            seeds = [seed + 7919 * trial + idx for trial in range(first, last)]
+            channels = ChannelRealization.draw(table.users, table.G, table.L, N0=N0, seed=seeds)
             solution = build_beamformers(column, channels)
-            coeffs = stream_coefficients(column, channels, solution)
-            n_streams = len(solution.stream_items())
-            for p_idx, power in enumerate(powers):
-                sinrs = sinrs_from_coefficients(coeffs, n_streams, power, N0)
-                rates[p_idx, trial, idx] = column_rate(sinrs)
+            # (stream, c or l, trial) against the per-stream power of every grid point
+            coeffs = np.array(list(stream_coefficients(column, channels, solution).values()))
+            p = powers[:, None, None] / len(solution.streams)
+            worst = np.min(p / (N0 * coeffs[:, 0] + p * coeffs[:, 1]), axis=1)
+            rates[:, first:last, idx] = [[math.log2(1.0 + s) for s in row] for row in worst]
 
     points = []
     for p_idx, snr in enumerate(snr_grid_db):

@@ -9,7 +9,8 @@ Numeric side: a Monte-Carlo oracle that draws random channels, stacks the
 combined interference channel of every scheduled group, computes its
 nullspace by thresholded SVD, places one unit-norm beamformer per stream
 instance inside that nullspace, and verifies rank-nullity, interference
-leakage, and per-user invertibility of the effective channel.
+leakage, and per-user invertibility of the effective channel.  Every numeric
+array may carry a leading trial axis, so one call handles a batch of draws.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .errors import NullityDeficientError, ParameterError, VerificationError
 from .model import Group, ScheduleColumn, ScheduleTable
 
 RANK_RTOL = 1e-8
+# channel draws per batch of the numeric kernel; bounds its memory
+TRIAL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -90,81 +93,90 @@ def decodability_check(table: ScheduleTable, L: int | None = None, G: int | None
     )
 
 
+def _complex_normals(seed, shape: tuple, salt: int | None = None) -> np.ndarray:
+    """Per leading index of ``shape``, a real then an imaginary block of
+    standard normals from the generator of ``seed`` (mixed with ``salt`` if
+    given); a sequence of seeds stacks one draw per seed on a leading axis."""
+    def one(s):
+        rng = np.random.default_rng(s if salt is None else np.random.SeedSequence([s, salt]))
+        z = rng.standard_normal((shape[0], 2) + shape[1:])
+        return z[:, 0] + 1j * z[:, 1]
+
+    return one(seed) if np.ndim(seed) == 0 else np.stack([one(s) for s in seed])
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-user complex channel matrices, reproducible from the seed."""
+    """Per-user complex channel matrices, reproducible from the seed.
+
+    ``seed`` may be a sequence: the realization is then a batch with one draw
+    per seed, every array carries a leading trial axis, and each draw is bit
+    for bit the one its seed gives alone.
+    """
 
     users: tuple[int, ...]
     G: int
     L: int
     N0: float
-    seed: int
+    seed: int | tuple[int, ...]
     H: dict[int, np.ndarray] = field(compare=False, default_factory=dict)
-    _cache: dict = field(compare=False, repr=False, default_factory=dict)
 
     @staticmethod
-    def draw(users, G: int, L: int, N0: float = 1.0, seed: int = 0) -> "ChannelRealization":
+    def draw(users, G: int, L: int, N0: float = 1.0, seed=0) -> "ChannelRealization":
         """I.i.d. unit-variance complex Gaussian entries, users in sorted order."""
         users = tuple(sorted(users))
-        rng = np.random.default_rng(seed)
-        H = {}
-        for k in users:
-            H[k] = (rng.standard_normal((G, L)) + 1j * rng.standard_normal((G, L))) / np.sqrt(2)
-        return ChannelRealization(users, G, L, N0, seed, H)
+        seed = seed if np.ndim(seed) == 0 else tuple(seed)
+        h = _complex_normals(seed, (len(users), G, L)) / np.sqrt(2)
+        return ChannelRealization(users, G, L, N0, seed, dict(zip(users, np.moveaxis(h, -3, 0))))
 
     def haar_combiner_pool(self) -> dict[int, np.ndarray]:
         """One GxG random unitary per user (QR of a Gaussian draw); combiners
-        for any stream count are its leading columns.  Cached per realization."""
-        if "pool" not in self._cache:
-            rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x636F6D62]))
-            pool = {}
-            for k in self.users:
-                z = rng.standard_normal((self.G, self.G)) + 1j * rng.standard_normal((self.G, self.G))
-                q, rmat = np.linalg.qr(z)
-                # fix the phases so the factorization is unique
-                q = q * (np.diag(rmat) / np.abs(np.diag(rmat)))
-                pool[k] = q
-            self._cache["pool"] = pool
-        return self._cache["pool"]
+        for any stream count are its leading columns."""
+        z = _complex_normals(self.seed, (len(self.users), self.G, self.G), salt=0x636F6D62)
+        q, rmat = np.linalg.qr(z)
+        # fix the phases so the factorization is unique
+        d = np.diagonal(rmat, axis1=-2, axis2=-1)
+        q = q * (d / np.abs(d))[..., None, :]
+        return dict(zip(self.users, np.moveaxis(q, -3, 0)))
 
 
 def nullspace_basis(A: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
     """Orthonormal nullspace basis of A (thresholded SVD) in C^dim.
 
     Returns (basis, rank).  Singular values below RANK_RTOL times the largest
-    count as zero; an empty A means the nullspace is the whole space.
+    count as zero; an empty A means the nullspace is the whole space.  A stack
+    of matrices (leading batch axes) gets one batched SVD: the rank is then an
+    int array over the batch and the basis spans, in every matrix, the
+    directions past the largest rank of the stack.
     """
-    if A.size == 0:
-        return np.eye(dim, dtype=complex), 0
-    u, s, vh = np.linalg.svd(A)
-    tol = RANK_RTOL * s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol))
-    return vh[rank:].conj().T, rank
+    _, s, vh = np.linalg.svd(A)
+    rank = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    return _hermitian(vh[..., rank.max():, :]), int(rank) if rank.ndim == 0 else rank
 
 
 @dataclass(frozen=True)
 class BeamformerSolution:
-    """Receive combiners and per-stream transmit beamformers for one column."""
+    """Receive combiners and transmit beamformers for one column: ``stacked``
+    is (..., L, n), one beamformer per stream in ``streams`` (group, instance)
+    order, and ``beams[g]`` is the (..., L, theta_g) block of group g."""
 
     combiners: dict[int, np.ndarray]
     beams: dict[Group, np.ndarray]
     nullities: dict[Group, int]
     beta: dict[int, int]
-
-    def stream_items(self) -> list[tuple[Group, int, np.ndarray]]:
-        """(group, instance index, beamformer) for every scheduled stream."""
-        out = []
-        for g in sorted(self.beams):
-            w = self.beams[g]
-            for inst in range(w.shape[1]):
-                out.append((g, inst, w[:, inst]))
-        return out
+    streams: tuple[tuple[Group, int], ...]
+    stacked: np.ndarray
 
 
 def build_beamformers(
     column: ScheduleColumn,
     channels: ChannelRealization,
     combiner_policy: str = "haar",
+    cache: dict | None = None,
 ) -> BeamformerSolution:
     """Nullspace beamformers for one column under random channels.
 
@@ -173,75 +185,74 @@ def build_beamformers(
     "channel-aligned" policy).  For every scheduled group the interference
     channel of all outside users is stacked and the group's stream instances
     take the first theta orthonormal nullspace directions.
+
+    Nullspaces depend only on the outside users and their stream counts: a
+    caller passes one ``cache`` dict per realization and policy to share the
+    combiners and the nullspace of every outside-user profile across columns.
     """
-    users = channels.users
+    if combiner_policy not in ("haar", "channel-aligned"):
+        raise ParameterError(f"unknown combiner policy: {combiner_policy}")
+    users, L = channels.users, channels.L
     theta = column.theta()
     beta = column.beta(users)
-    if combiner_policy == "haar":
-        pool = channels.haar_combiner_pool()
-        combiners = {k: pool[k][:, : beta[k]] for k in users}
-    elif combiner_policy == "channel-aligned":
-        combiners = {}
-        for k in users:
-            u, _, _ = np.linalg.svd(channels.H[k])
-            combiners[k] = u[:, : beta[k]]
-    else:
-        raise ParameterError(f"unknown combiner policy: {combiner_policy}")
+    cache = {} if cache is None else cache
+    if "combiners" not in cache:
+        cache["combiners"] = channels.haar_combiner_pool() if combiner_policy == "haar" else {
+            k: np.linalg.svd(channels.H[k])[0] for k in users
+        }
+    combiners = {k: cache["combiners"][k][..., : beta[k]] for k in users}
 
-    # nullspaces depend only on the outside users and their stream counts, so
-    # they are shared across groups and columns of the same realization
-    cache = channels._cache.setdefault(("nullspace", combiner_policy), {})
     beams: dict[Group, np.ndarray] = {}
     nullities: dict[Group, int] = {}
     for g in sorted(theta):
         outside = [k for k in users if k not in g and beta[k] > 0]
         key = tuple((k, beta[k]) for k in outside)
-        if key in cache:
-            basis, rank = cache[key]
-        else:
-            if outside:
-                stacked = np.vstack([combiners[k].conj().T @ channels.H[k] for k in outside])
-            else:
-                stacked = np.empty((0, channels.L), dtype=complex)
-            basis, rank = nullspace_basis(stacked, channels.L)
-            cache[key] = (basis, rank)
-        nullity = channels.L - rank
-        expected = channels.L - sum(beta[k] for k in outside)
+        if key not in cache:
+            rows = [_hermitian(combiners[k]) @ channels.H[k] for k in outside]
+            rows = rows or [channels.H[users[0]][..., :0, :]]  # no outside user: (..., 0, L)
+            basis, rank = nullspace_basis(np.concatenate(rows, axis=-2), L)
+            cache[key] = basis, L - int(np.max(rank)), L - int(np.min(rank))
+        basis, nullity, widest = cache[key]  # smallest and largest nullity over the batch
+        expected = L - sum(beta[k] for k in outside)
         if nullity < theta[g]:
             raise NullityDeficientError(
                 f"group {g}: nullity {nullity} cannot host {theta[g]} stream instances"
             )
-        if nullity != expected:
+        if not nullity == widest == expected:
             raise NullityDeficientError(
-                f"group {g}: computed nullity {nullity} != rank-nullity value {expected} "
-                "(non-generic channel draw)"
+                f"group {g}: computed nullity (min {nullity}, max {widest}) != rank-nullity "
+                f"value {expected} (non-generic channel draw)"
             )
-        beams[g] = basis[:, : theta[g]]
-        nullities[g] = nullity
-    return BeamformerSolution(combiners, beams, nullities, dict(beta))
+        beams[g] = basis[..., : theta[g]]
+        nullities[g] = expected
+    streams = tuple((g, inst) for g in sorted(theta) for inst in range(theta[g]))
+    stacked = np.concatenate([beams[g] for g in sorted(theta)], axis=-1)
+    return BeamformerSolution(combiners, beams, nullities, dict(beta), streams, stacked)
 
 
 @dataclass(frozen=True)
 class NumericReport:
+    """Verdict with the worst margins and where they occur: ``min_sigma_at``
+    names trial and user, ``max_leakage_at`` trial, user and group (a table
+    report adds the 1-based column); None when no such quantity exists."""
+
     ok: bool
     max_leakage: float
     min_sigma: float
-    stream_counts_match: bool
     failures: tuple[tuple, ...]
+    max_leakage_at: dict | None
+    min_sigma_at: dict | None
 
 
 def effective_matrix(
     solution: BeamformerSolution, channels: ChannelRealization, k: int
-) -> np.ndarray:
-    """beta_k x beta_k matrix mapping user k's own streams through combiner."""
-    cols = [
-        solution.combiners[k].conj().T @ channels.H[k] @ w
-        for g, _, w in solution.stream_items()
-        if k in g
-    ]
-    if not cols:
-        return np.empty((0, 0), dtype=complex)
-    return np.column_stack(cols)
+) -> tuple[np.ndarray, np.ndarray]:
+    """User k's beta_k x beta_k effective matrix over its own streams, and its
+    gains from every other stream, (..., beta_k, n_other); both are columns
+    of one combiner^H H @ W product, in ``solution.streams`` order."""
+    own = np.array([k in g for g, _ in solution.streams])
+    gains = _hermitian(solution.combiners[k]) @ channels.H[k] @ solution.stacked
+    return gains[..., own], gains[..., ~own]
 
 
 def verify_numeric(
@@ -251,40 +262,38 @@ def verify_numeric(
     tol: float = 1e-9,
     sigma_tol: float = 1e-6,
 ) -> NumericReport:
-    """Check leakage, effective-matrix conditioning, and stream accounting."""
-    users = channels.users
-    beta = column.beta(users)
+    """Check leakage and effective-matrix conditioning at every user (and on
+    a batch, every trial).  Failures read (trial, kind, user, ...)."""
+    leaks, leak_keys = [], []
+    effs: dict[int, list] = {}  # users grouped by stream count, for one SVD per group
+    for k in channels.users:
+        if solution.beta[k] > 0:
+            eff, cross = effective_matrix(solution, channels, k)
+            leaks.append(np.linalg.norm(cross, axis=-2))
+            leak_keys += [(k, g, inst) for g, inst in solution.streams if k not in g]
+            effs.setdefault(solution.beta[k], []).append((k, eff))
     failures: list[tuple] = []
-    max_leakage = 0.0
-    for g, inst, w in solution.stream_items():
-        for k in users:
-            if k in g or beta[k] == 0:
-                continue
-            leak = float(np.linalg.norm(solution.combiners[k].conj().T @ channels.H[k] @ w))
-            max_leakage = max(max_leakage, leak)
-            if leak > tol:
-                failures.append(("leakage", k, g, inst, leak))
-    min_sigma = float("inf")
-    for k in users:
-        if beta[k] == 0:
-            continue
-        eff = effective_matrix(solution, channels, k)
-        sigma = float(np.linalg.svd(eff, compute_uv=False)[-1])
-        min_sigma = min(min_sigma, sigma)
-        if sigma <= sigma_tol:
-            failures.append(("sigma_min", k, sigma))
-    counts_match = all(
-        sum(1 for g, _, _ in solution.stream_items() if k in g) == beta[k] for k in users
-    )
-    if not counts_match:
-        failures.append(("stream_count",))
-    return NumericReport(
-        ok=not failures,
-        max_leakage=max_leakage,
-        min_sigma=min_sigma if min_sigma != float("inf") else 0.0,
-        stream_counts_match=counts_match,
-        failures=tuple(failures),
-    )
+    max_leakage, leak_at = 0.0, None
+    if leak_keys:
+        leak = np.concatenate(leaks, axis=-1).reshape(-1, len(leak_keys))
+        trial, j = np.unravel_index(np.argmax(leak), leak.shape)
+        max_leakage = float(leak[trial, j])
+        k, g, _ = leak_keys[j]
+        leak_at = {"trial": int(trial), "user": k, "group": list(g)}
+        for trial, j in zip(*np.nonzero(leak > tol)):
+            failures.append((int(trial), "leakage") + leak_keys[j] + (float(leak[trial, j]),))
+    min_sigma, sigma_at = float("inf"), None
+    for members in effs.values():
+        stack = np.stack([eff for _, eff in members], axis=-3)
+        sigma = np.linalg.svd(stack, compute_uv=False)[..., -1].reshape(-1, len(members))
+        trial, j = np.unravel_index(np.argmin(sigma), sigma.shape)
+        if sigma[trial, j] < min_sigma:
+            min_sigma = float(sigma[trial, j])
+            sigma_at = {"trial": int(trial), "user": members[j][0]}
+        for trial, j in zip(*np.nonzero(sigma <= sigma_tol)):
+            failures.append((int(trial), "sigma_min", members[j][0], float(sigma[trial, j])))
+    min_sigma = min_sigma if min_sigma != float("inf") else 0.0
+    return NumericReport(not failures, max_leakage, min_sigma, tuple(failures), leak_at, sigma_at)
 
 
 def verify_table_numeric(
@@ -295,32 +304,33 @@ def verify_table_numeric(
     sigma_tol: float = 1e-6,
     combiner_policy: str = "haar",
 ) -> NumericReport:
-    """Aggregate numeric verification over random channel seeds.
+    """Aggregate numeric verification over random channel seeds seed + trial.
 
     Every (column, trial) must pass; the report carries the worst leakage
-    and conditioning seen anywhere.
-    """
+    and conditioning seen anywhere and where they occur.  Trials run in
+    blocks of TRIAL_BLOCK draws whose nullspaces are shared by all columns.
+    Failures read (trial, column, kind, user, ...)."""
     report = decodability_check(table)
     if not report.ok:
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
-    max_leakage = 0.0
-    min_sigma = float("inf")
+    max_leakage, leak_at = 0.0, None
+    min_sigma, sigma_at = float("inf"), None
     failures: list[tuple] = []
-    for trial in range(trials):
-        channels = ChannelRealization.draw(
-            table.users, table.G, table.L, seed=seed + trial
-        )
-        for idx, column in enumerate(table.columns):
-            solution = build_beamformers(column, channels, combiner_policy)
+    for first in range(0, trials, TRIAL_BLOCK):
+        seeds = range(seed + first, seed + min(first + TRIAL_BLOCK, trials))
+        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
+        cache: dict = {}
+        for idx, column in enumerate(table.columns, start=1):
+            solution = build_beamformers(column, channels, combiner_policy, cache)
             rep = verify_numeric(column, channels, solution, tol, sigma_tol)
-            max_leakage = max(max_leakage, rep.max_leakage)
-            min_sigma = min(min_sigma, rep.min_sigma)
-            if not rep.ok:
-                failures.extend((trial, idx) + f for f in rep.failures)
-    return NumericReport(
-        ok=not failures,
-        max_leakage=max_leakage,
-        min_sigma=min_sigma if min_sigma != float("inf") else 0.0,
-        stream_counts_match=True,
-        failures=tuple(failures),
-    )
+            failures.extend((first + f[0], idx) + f[1:] for f in rep.failures)
+            # locations within the table: absolute trial, 1-based column
+            if rep.max_leakage > max_leakage:
+                max_leakage, leak_at = rep.max_leakage, dict(rep.max_leakage_at, column=idx)
+                leak_at["trial"] += first
+            if rep.min_sigma_at is not None and rep.min_sigma < min_sigma:
+                min_sigma, sigma_at = rep.min_sigma, dict(rep.min_sigma_at, column=idx)
+                sigma_at["trial"] += first
+    min_sigma = min_sigma if min_sigma != float("inf") else 0.0
+    return NumericReport(not failures, max_leakage, min_sigma, tuple(failures), leak_at, sigma_at)
+

@@ -1,0 +1,147 @@
+"""The trial-batched numeric kernel against one channel draw at a time, and
+against the per-stream loops it replaced."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ccsched.asymmetric import schedule_asymmetric
+from ccsched.cli import main
+from ccsched.errors import NullityDeficientError
+from ccsched.model import ScheduleColumn
+from ccsched.rates import stream_coefficients
+from ccsched.symmetric import schedule_symmetric
+from ccsched.verifier import (
+    ChannelRealization,
+    build_beamformers,
+    nullspace_basis,
+    verify_numeric,
+)
+
+DATA = Path(__file__).parent / "data"
+# channel gains are O(1), so an absolute tolerance on them is a relative one
+TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def example_tables():
+    ex1 = schedule_asymmetric(schedule_symmetric(10, 3, 1, 5, 2), m=2)[0]
+    ex2 = schedule_asymmetric(schedule_symmetric(11, 6, 2, 5, 3, min_columns=2), m=3)[0]
+    return {"example1": ex1, "example2": ex2}
+
+
+def reference_margins(column, channels, solution):
+    """Worst leakage and smallest effective singular value of one draw, each
+    with the user it occurs at, by the per-stream loops of the unbatched kernel."""
+    beta = column.beta(channels.users)
+    leak, sigma = (0.0, None), (math.inf, None)
+    for k in channels.users:
+        if beta[k] == 0:
+            continue
+        combined = solution.combiners[k].conj().T @ channels.H[k]
+        own = []
+        for g, inst in solution.streams:
+            gain = combined @ solution.beams[g][:, inst]
+            if k in g:
+                own.append(gain)
+            else:
+                leak = max(leak, (float(np.linalg.norm(gain)), k))
+        sigma = min(sigma, (float(np.linalg.svd(np.column_stack(own), compute_uv=False)[-1]), k))
+    return leak, sigma
+
+
+def test_draws_match_the_per_user_reference():
+    """One draw per user from a shared generator, as the unbatched kernel drew them."""
+    channels = ChannelRealization.draw((3, 1, 2), G=2, L=4, seed=9)
+    pool = channels.haar_combiner_pool()
+    rng = np.random.default_rng(9)
+    pool_rng = np.random.default_rng(np.random.SeedSequence([9, 0x636F6D62]))
+    for k in (1, 2, 3):
+        h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
+        assert np.array_equal(channels.H[k], h)
+        z = pool_rng.standard_normal((2, 2)) + 1j * pool_rng.standard_normal((2, 2))
+        q, r = np.linalg.qr(z)
+        assert np.array_equal(pool[k], q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("seeds", [range(3, 8), range(100, 103)])
+def test_batch_matches_single_draws(example_tables, name, seeds):
+    table = example_tables[name]
+    batch = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
+    singles = [ChannelRealization.draw(table.users, table.G, table.L, seed=s) for s in seeds]
+    batch_pool = batch.haar_combiner_pool()
+    for i, single in enumerate(singles):
+        pool = single.haar_combiner_pool()
+        for k in table.users:
+            # the draws themselves are bit for bit those of each seed alone
+            assert np.array_equal(batch.H[k][i], single.H[k])
+            assert np.array_equal(batch_pool[k][i], pool[k])
+    for column in table.columns:
+        sol = build_beamformers(column, batch)
+        rep = verify_numeric(column, batch, sol)
+        coeffs = stream_coefficients(column, batch, sol)
+        reports = []
+        for i, single in enumerate(singles):
+            one = build_beamformers(column, single)
+            assert one.nullities == sol.nullities
+            for g in one.beams:
+                assert one.beams[g].shape == sol.beams[g].shape[1:]
+                np.testing.assert_allclose(sol.beams[g][i], one.beams[g], rtol=0, atol=TOL)
+            single_rep = verify_numeric(column, single, one)
+            (leak, _), (sigma, sigma_user) = reference_margins(column, single, one)
+            assert single_rep.max_leakage == pytest.approx(leak, abs=TOL)
+            assert single_rep.min_sigma == pytest.approx(sigma, rel=TOL)
+            assert single_rep.min_sigma_at == {"trial": 0, "user": sigma_user}
+            reports.append(single_rep)
+            for key, (c, l) in stream_coefficients(column, single, one).items():
+                assert coeffs[key][0][i] == pytest.approx(c, rel=TOL)
+                assert coeffs[key][1][i] == pytest.approx(l, abs=TOL)
+        assert rep.ok
+        assert rep.max_leakage == pytest.approx(max(r.max_leakage for r in reports), abs=TOL)
+        assert rep.min_sigma == pytest.approx(min(r.min_sigma for r in reports), rel=TOL)
+        # the batch locates its worst margins where the single draws put them
+        at = rep.min_sigma_at
+        assert reports[at["trial"]].min_sigma_at == dict(at, trial=0)
+        at = rep.max_leakage_at
+        assert reports[at["trial"]].max_leakage_at == dict(at, trial=0)
+
+
+def test_nullspace_basis_batch_matches_single_matrices():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 3, 7)) + 1j * rng.standard_normal((6, 3, 7))
+    basis, rank = nullspace_basis(A, 7)
+    assert basis.shape == (6, 7, 4) and rank.tolist() == [3] * 6
+    for i in range(6):
+        one, one_rank = nullspace_basis(A[i], 7)
+        assert one_rank == 3 and isinstance(one_rank, int)
+        assert np.array_equal(basis[i], one)
+
+
+def test_overloaded_column_fails_inside_a_batch():
+    # 11 copies of one pair at L = 10: the nullspace cannot host them in any trial
+    col = ScheduleColumn.of([(1, 2)] * 11)
+    channels = ChannelRealization.draw((1, 2, 3), G=30, L=10, seed=range(5))
+    with pytest.raises(NullityDeficientError):
+        build_beamformers(col, channels)
+
+
+def test_one_degenerate_draw_fails_the_batch():
+    col = ScheduleColumn.of([(1,), (2,)])
+    channels = ChannelRealization.draw((1, 2), G=2, L=4, seed=range(4))
+    assert build_beamformers(col, channels).nullities == {(1,): 3, (2,): 3}
+    channels.H[2][1] = 0.0  # user 2 is silent in trial 1 only: its nullity there is 4
+    with pytest.raises(NullityDeficientError, match="non-generic"):
+        build_beamformers(col, channels)
+
+
+def test_rate_sweep_csv_golden(tmp_path, capsys):
+    """The Example 1 dof-14 sweep is byte for byte what the per-draw kernel wrote."""
+    out = tmp_path / "sweep.csv"
+    code = main(["rate-sweep", "--table", str(DATA / "example1_dof14.json"),
+                 "--trials", "20", "--seed", "5", "-o", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == (DATA / "example1_dof14_sweep_trials20_seed5.csv").read_bytes()

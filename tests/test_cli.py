@@ -5,6 +5,11 @@ import pytest
 from ccsched.cli import main, parse_snr_grid
 from ccsched.errors import ParameterError
 from ccsched.model import table_from_json
+from ccsched.verifier import (
+    ChannelRealization,
+    build_beamformers,
+    verify_numeric,
+)
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +65,41 @@ def test_verify_fails_on_bad_table(tmp_path, capsys):
     assert code == 4
     # the JSON verdict is printed before the error is raised
     assert '"FAIL"' in stdout
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("users", ["a", "b", 3, 4, 5]), ("t", "1"), ("columns", [[1, 2]]), ("omega", True)],
+)
+def test_verify_rejects_badly_typed_table(tmp_path, capsys, field, value):
+    doc = {"omega": 5, "t": 1, "L": 10, "G": 3, "users": [1, 2, 3, 4, 5],
+           "delta": 1, "delta_tilde": 1, "m": 0, "columns": [[[1, 2]]]}
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--table", str(bad))
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "MalformedTableError"
+
+
+def test_verify_numeric_locates_worst_margins(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    run_cli(capsys, "schedule", "--mode", "asym", "--omega", "5", "--t", "1", "--L", "10",
+            "--G", "3", "--beta", "2", "--m", "2", "-o", str(table))
+    code, out, _ = run_cli(capsys, "verify", "--table", str(table), "--numeric",
+                           "--trials", "40", "--seed", "1")
+    assert code == 0
+    numeric = json.loads(out)["numeric"]
+    assert set(numeric["min_sigma_at"]) == {"trial", "column", "user"}
+    assert set(numeric["max_leakage_at"]) == {"trial", "column", "user", "group"}
+    # the location names the draw and column that reproduce the worst sigma alone
+    at = numeric["min_sigma_at"]
+    parsed = table_from_json(table.read_text())
+    column = parsed.columns[at["column"] - 1]
+    channels = ChannelRealization.draw(parsed.users, parsed.G, parsed.L, seed=1 + at["trial"])
+    report = verify_numeric(column, channels, build_beamformers(column, channels))
+    assert report.min_sigma == pytest.approx(numeric["min_sigma"], rel=1e-12)
+    assert report.min_sigma_at["user"] == at["user"]
 
 
 def test_infeasible_m_is_parameter_error(capsys):
@@ -144,7 +184,44 @@ def test_config_cli_override(tmp_path, capsys):
                          "--snr", "0:10:20", "-o", str(out))
     assert code == 0
     # CLI --snr wins over the config, config supplies trials/seed
+    explicit = tmp_path / "explicit.csv"
+    run_cli(capsys, "rate-sweep", "--table", str(table), "--snr", "0:10:20",
+            "--trials", "4", "--seed", "2", "-o", str(explicit))
+    default = tmp_path / "default.csv"
+    run_cli(capsys, "rate-sweep", "--table", str(table), "--snr", "0:10:20", "--trials", "4",
+            "-o", str(default))
     assert len(out.read_text().strip().split("\n")) == 4
+    assert out.read_bytes() == explicit.read_bytes() != default.read_bytes()
+
+
+def test_config_sets_subcommand_values(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    cfg = tmp_path / "schedule.cfg"
+    cfg.write_text("mode = sym\nbeta = 2\n")
+    code, _, _ = run_cli(capsys, "schedule", "--config", str(cfg), "--omega", "5", "--t", "1",
+                         "--L", "10", "--G", "3", "-o", str(table))
+    assert code == 0
+    parsed = table_from_json(table.read_text())
+    assert parsed.m == 0
+    assert all(set(col.beta(parsed.users).values()) == {2} for col in parsed.columns)
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("trials = 1\nnumeric = true\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--table", str(table))
+    assert code == 0
+    assert json.loads(out)["numeric"]["trials"] == 1
+
+
+@pytest.mark.parametrize("line", ["trials = many", "numeric = maybe", "tol = small"])
+def test_config_badly_typed_value_exits_2(tmp_path, capsys, line):
+    table = tmp_path / "t.json"
+    run_cli(capsys, "schedule", "--mode", "sym", "--omega", "4", "--t", "1",
+            "--L", "11", "--G", "8", "--beta", "1", "-o", str(table))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg), "--table", str(table))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and line.split()[0] in error["reason"]
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

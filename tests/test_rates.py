@@ -48,7 +48,7 @@ def test_perfect_zf_leakage_negligible(ex1_tables):
     _, asym = ex1_tables
     col, ch, sol = _solution(asym, 0, seed=21)
     coeffs = stream_coefficients(col, ch, sol)
-    p = 1.0 / len(sol.stream_items())
+    p = 1.0 / len(sol.streams)
     for c, l in coeffs.values():
         assert l * p <= 1e-12 * p  # residual cross-group power is machine noise
 

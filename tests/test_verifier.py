@@ -111,7 +111,9 @@ def test_verify_numeric_passes_on_valid_column(ex1_table):
     assert rep.ok
     assert rep.max_leakage <= 1e-9
     assert rep.min_sigma > 1e-6
-    assert rep.stream_counts_match
+    # the worst margins are located: a single draw is trial 0
+    assert rep.min_sigma_at["trial"] == 0 and rep.min_sigma_at["user"] in ex1_table.users
+    assert rep.max_leakage_at["trial"] == 0 and tuple(rep.max_leakage_at["group"]) in col.groups
 
 
 def test_verify_numeric_monotone_in_tol(ex1_table):
