@@ -215,7 +215,9 @@ def balanced_greedy(
     beta * (overlap with the current set) - remaining quota,
     ties broken lexicographically.  When no candidate is feasible, a swap
     with a previously built set is attempted; swaps must keep both sets
-    inside the overlap threshold and linearly decodable.
+    inside the overlap threshold and linearly decodable.  When the swap fails
+    too, the greedy raises at once: nothing changed, so no later iteration
+    could do better.  I_max bounds the iterations spent on swaps.
     """
     donor_idx = donor_map(i, plan.S)
     host = baseline.columns[i - 1]
@@ -282,7 +284,8 @@ def balanced_greedy(
             if not candidates:
                 if try_swap(current):
                     continue
-                continue
+                # nothing changed, so every further iteration would stall alike
+                break
             if rng is not None and len(candidates) > 1:
                 candidates = list(candidates)
                 rng.shuffle(candidates)

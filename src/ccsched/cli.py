@@ -122,7 +122,17 @@ def cmd_schedule(args) -> int:
     return 0
 
 
+def check_draw_flags(args) -> None:
+    """Channel draws need at least one trial and seeds numpy accepts."""
+    if args.trials < 1:
+        raise ParameterError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be non-negative, got {args.seed}")
+
+
 def cmd_verify(args) -> int:
+    if args.numeric:
+        check_draw_flags(args)
     table = table_from_json(Path(args.table).read_text())
     table.validate()
     report = decodability_check(table)
@@ -146,7 +156,7 @@ def cmd_verify(args) -> int:
             doc["numeric"] = {"skipped": "symbolic check failed"}
         else:
             numeric = verify_table_numeric(
-                table, trials=args.trials, seed=args.seed, tol=args.tol
+                table, trials=args.trials, seed=args.seed, tol=args.tol, symbolic=report
             )
             doc["numeric"] = {
                 "trials": args.trials,
@@ -187,6 +197,7 @@ def cmd_dof_region(args) -> int:
 
 
 def cmd_rate_sweep(args) -> int:
+    check_draw_flags(args)
     table = table_from_json(Path(args.table).read_text())
     table.validate()
     points = snr_sweep(table, parse_snr_grid(args.snr), trials=args.trials, seed=args.seed)

@@ -28,7 +28,7 @@ class NoDonorError(ParameterError):
 
 
 class ConstructionError(CcschedError):
-    """A combinatorial search (partition / greedy selection) ran out of moves."""
+    """A combinatorial construction (greedy selection, assembly) ran out of moves."""
 
     exit_code = 3
 

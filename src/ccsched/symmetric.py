@@ -1,15 +1,16 @@
 """Reference symmetric scheduling: hat-parameters, feasible stream counts,
-base partition search, and replication/regrouping into the reference table.
+base partition construction, and replication/regrouping into the reference
+table.
 
 The base partition splits all C(omega, t+1) groups into S_hat columns of
 B_hat groups so that every user appears exactly beta_hat times per column.
-Existence is guaranteed at these sizes; we construct one deterministically by
-backtracking over lexicographically ordered groups.
+Baranyai's theorem guarantees one for every shape, and its stage-wise
+max-flow proof builds it directly (``resolution_partition``): the cost
+depends only on the shape.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,19 +174,22 @@ class _Dinic:
                 flow += pushed
 
 
-def resolution_partition(omega: int, size: int) -> list[list[Group]]:
-    """All size-subsets of [omega] split into parallel classes (size | omega).
+def resolution_partition(omega: int, size: int, degree: int = 1) -> list[list[Group]]:
+    """All size-subsets of [omega] split into classes of omega*degree/size
+    parts in which every element appears exactly ``degree`` times.
 
-    Stage-wise construction: elements are added one at a time, and a max-flow
-    decides, for every class, which of its partial parts receives the new
+    Degree 1 gives parallel classes (size | omega).  Stage-wise construction
+    (Baranyai): elements are added one at a time, and a max-flow decides, for
+    every class, which ``degree`` of its partial parts receive the new
     element.  Demands require each subset A of the processed prefix to appear
-    as a part in exactly C(omega-j, size-|A|) classes; the uniform fractional
-    assignment meets them, so an integral flow always exists and the
-    construction never backtracks.
+    as a part in exactly C(omega-j, size-|A|) places; giving every part the
+    new element with weight (size-|A|)/(omega-j) meets them fractionally, so
+    an integral flow always exists and the construction never backtracks.
     """
-    assert omega % size == 0
-    parts_per_class = omega // size
-    n_classes = math.comb(omega - 1, size - 1)
+    parts_per_class, rem = divmod(omega * degree, size)
+    if rem or not parts_per_class or math.comb(omega, size) % parts_per_class:
+        raise ParameterError(f"no degree-{degree} classes of {size}-subsets of [{omega}]")
+    n_classes = math.comb(omega, size) // parts_per_class
     classes: list[dict[frozenset, int]] = [
         {frozenset(): parts_per_class} for _ in range(n_classes)
     ]
@@ -200,27 +204,25 @@ def resolution_partition(omega: int, size: int) -> list[list[Group]]:
         dst = src + 1
         net = _Dinic(dst + 1)
         for c, cls in enumerate(classes):
-            net.add(src, c, 1)
+            net.add(src, c, degree)
             for A, mult in sorted(cls.items(), key=lambda kv: tuple(sorted(kv[0]))):
                 if len(A) < size:
                     net.add(c, n_classes + index[A], mult)
         for A in growable:
             net.add(n_classes + index[A], dst, math.comb(omega - j - 1, size - len(A) - 1))
         pushed = net.maxflow(src, dst)
-        assert pushed == n_classes, "stage flow must saturate every class"
+        assert pushed == n_classes * degree, "stage flow must saturate every class"
         for c, cls in enumerate(classes):
-            chosen = None
             for v, _, rev in net.adj[c]:
-                # the unit this class pushed shows up on the reverse edge
-                if n_classes <= v < src and net.adj[v][rev][1] > 0:
+                # the units this class pushed show up on the reverse edge
+                moved = net.adj[v][rev][1] if n_classes <= v < src else 0
+                if moved:
                     chosen = growable[v - n_classes]
-                    break
-            assert chosen is not None
-            cls[chosen] -= 1
-            if cls[chosen] == 0:
-                del cls[chosen]
-            grown = chosen | {x}
-            cls[grown] = cls.get(grown, 0) + 1
+                    cls[chosen] -= moved
+                    if cls[chosen] == 0:
+                        del cls[chosen]
+                    grown = chosen | {x}
+                    cls[grown] = cls.get(grown, 0) + moved
     result = []
     for cls in classes:
         groups: list[Group] = []
@@ -230,128 +232,13 @@ def resolution_partition(omega: int, size: int) -> list[list[Group]]:
     return result
 
 
-class _Exhausted(Exception):
-    """Internal: one bounded partition attempt ran out of nodes."""
-
-
-def _partition_attempt(
-    groups: list[Group], omega: int, b_hat: int, beta_hat: int, s_hat: int, node_cap: int
-) -> list[list[Group]] | None:
-    """One bounded run of the column-at-a-time search.
-
-    Columns are completed one by one.  Inside a column, we branch on the
-    exact set of groups covering the lowest user whose per-column count is
-    still below beta_hat; every valid column is generated exactly once, so
-    the enumeration is complete.  Columns are anchored at the first unused
-    group, which breaks the column-permutation symmetry.
-    """
-    n = len(groups)
-    used = [False] * n
-    by_user = {u: [i for i, g in enumerate(groups) if u in g] for u in range(1, omega + 1)}
-    columns: list[list[int]] = []
-    nodes = 0
-
-    def column_candidates(counts: dict[int, int], chosen: list[int]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise _Exhausted()
-        if len(chosen) == b_hat:
-            yield list(chosen)
-            return
-        u0 = next(u for u in range(1, omega + 1) if counts[u] < beta_hat)
-        need = beta_hat - counts[u0]
-        avail = [
-            i
-            for i in by_user[u0]
-            if not used[i]
-            and i not in chosen
-            and all(counts[v] < beta_hat for v in groups[i])
-        ]
-        if len(avail) < need:
-            return
-        for combo in itertools.combinations(avail, need):
-            ok = True
-            touched = []
-            for i in combo:
-                if any(counts[v] >= beta_hat for v in groups[i]):
-                    ok = False
-                    break
-                for v in groups[i]:
-                    counts[v] += 1
-                touched.append(i)
-            if ok:
-                chosen.extend(combo)
-                yield from column_candidates(counts, chosen)
-                del chosen[-need:]
-            for i in touched:
-                for v in groups[i]:
-                    counts[v] -= 1
-
-    def solve() -> bool:
-        if len(columns) == s_hat:
-            return True
-        counts = dict.fromkeys(range(1, omega + 1), 0)
-        for col in column_candidates(counts, []):
-            for i in col:
-                used[i] = True
-            columns.append(col)
-            if solve():
-                return True
-            columns.pop()
-            for i in col:
-                used[i] = False
-        return False
-
-    try:
-        found = solve()
-    except _Exhausted:
-        return None
-    if not found:
-        return None
-    return [[groups[i] for i in sorted(col)] for col in columns]
-
-
-def build_base_partition(
-    omega: int, t: int, attempts: int = 64, node_cap: int = 300_000
-) -> list[ScheduleColumn]:
-    """Partition all groups into S_hat columns, beta_hat-regular per column.
-
-    Three deterministic routes, most structured first: when beta_hat = 1 the
-    columns are parallel classes and the stage-wise flow construction builds
-    them outright; when beta_hat exceeds B_hat/2 the complementary problem
-    (group size omega-t-1) is sparser and is solved instead, complementing
-    every group on the way back; otherwise a column-at-a-time backtracking
-    search runs, with rapid seeded restarts (runtimes are heavy-tailed, so
-    many short attempts beat one long run).
-    """
-    import random
-
+def build_base_partition(omega: int, t: int) -> list[ScheduleColumn]:
+    """Partition all groups into S_hat columns, beta_hat-regular per column,
+    by the stage-wise flow construction (no search, same result every run)."""
     hat = hat_params(omega, t)
-    size = t + 1
-    if hat.beta_hat == 1:
-        return [ScheduleColumn.of(col) for col in resolution_partition(omega, size)]
-    if hat.beta_hat > hat.B_hat - hat.beta_hat and 1 <= omega - size:
-        comp = build_base_partition(omega, omega - size - 1, attempts, node_cap)
-        full = set(range(1, omega + 1))
-        return [
-            ScheduleColumn.of(tuple(sorted(full - set(g))) for g in col.groups)
-            for col in comp
-        ]
-    base = enumerate_groups(range(1, omega + 1), t)
-    for attempt in range(attempts):
-        groups = list(base)
-        cap = node_cap
-        if attempt:
-            random.Random(1000003 * omega + 101 * t + attempt).shuffle(groups)
-            cap = node_cap // 3 if attempt % 4 else node_cap
-        result = _partition_attempt(groups, omega, hat.B_hat, hat.beta_hat, hat.S_hat, cap)
-        if result is not None:
-            return [ScheduleColumn.of(col) for col in result]
-    raise ConstructionError(
-        f"base partition search exhausted for omega={omega}, t={t} "
-        f"(attempts={attempts}, node_cap={node_cap})"
-    )
+    return [
+        ScheduleColumn.of(col) for col in resolution_partition(omega, t + 1, hat.beta_hat)
+    ]
 
 
 def validate_base_partition(columns: list[ScheduleColumn], omega: int, t: int) -> None:

@@ -303,14 +303,17 @@ def verify_table_numeric(
     tol: float = 1e-9,
     sigma_tol: float = 1e-6,
     combiner_policy: str = "haar",
+    symbolic: SymbolicReport | None = None,
 ) -> NumericReport:
     """Aggregate numeric verification over random channel seeds seed + trial.
 
     Every (column, trial) must pass; the report carries the worst leakage
     and conditioning seen anywhere and where they occur.  Trials run in
     blocks of TRIAL_BLOCK draws whose nullspaces are shared by all columns.
-    Failures read (trial, column, kind, user, ...)."""
-    report = decodability_check(table)
+    Failures read (trial, column, kind, user, ...).  A table failing the
+    symbolic check is refused; pass ``symbolic``, the table's own
+    ``decodability_check`` report, to skip running that check again."""
+    report = symbolic if symbolic is not None else decodability_check(table)
     if not report.ok:
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
     max_leakage, leak_at = 0.0, None

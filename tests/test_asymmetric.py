@@ -245,6 +245,32 @@ def test_balanced_greedy_deterministic_under_seed(ex1_baseline):
     assert c == d
 
 
+@pytest.mark.parametrize("seed", [None, 5])
+def test_balanced_greedy_stall_fails_fast(monkeypatch, seed):
+    # (L, G, t, omega) = (12, 4, 1, 6), beta = 2, m = 2, tau = 1: the second
+    # set stalls with a built set to swap against; the swap fails too
+    import ccsched.asymmetric as asym
+
+    baseline = schedule_symmetric(12, 4, 1, 6, 2, min_columns=2)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return linear_feasible_check(*args)
+
+    monkeypatch.setattr(asym, "linear_feasible_check", counting)
+    counts = []
+    for I_max in (50, 5000):
+        plan = solve_plan(B=6, S=len(baseline.columns), m=2, G=4, beta=2, omega=6, t=1,
+                          tau=1, I_max=I_max)
+        calls.clear()
+        with pytest.raises(ConstructionError, match="greedy stalled"):
+            balanced_greedy(1, plan, baseline, seed=seed)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert counts[0] < 50
+
+
 def test_assemble_example1(ex1_baseline):
     table, plan, colls = schedule_asymmetric(ex1_baseline, m=2)
     assert len(table.columns) == 10

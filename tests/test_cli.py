@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +261,59 @@ def test_reproduce_determinism(tmp_path, capsys):
     a = (tmp_path / "r1" / "example1.json").read_bytes()
     b = (tmp_path / "r2" / "example1.json").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["verify", "rate-sweep"])
+@pytest.mark.parametrize("flags,reason", [
+    (["--seed", "-5"], "--seed must be non-negative"),
+    (["--trials", "0"], "--trials must be at least 1"),
+    (["--trials", "-3"], "--trials must be at least 1"),
+])
+def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
+    table = tmp_path / "t.json"
+    run_cli(capsys, "schedule", "--mode", "sym", "--omega", "4", "--t", "1",
+            "--L", "11", "--G", "8", "--beta", "1", "-o", str(table))
+    argv = [command, "--table", str(table)] + (["--numeric"] if command == "verify" else [])
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ParameterError"
+    assert reason in doc["error"]["reason"]
+
+
+def test_verify_numeric_runs_one_symbolic_check(tmp_path, capsys, monkeypatch):
+    import ccsched.cli
+    import ccsched.verifier
+
+    table = tmp_path / "t.json"
+    run_cli(capsys, "schedule", "--mode", "sym", "--omega", "4", "--t", "1",
+            "--L", "11", "--G", "8", "--beta", "2", "-o", str(table))
+    calls = []
+    original = ccsched.verifier.decodability_check
+
+    def counting(table, *args):
+        calls.append(1)
+        return original(table, *args)
+
+    monkeypatch.setattr(ccsched.cli, "decodability_check", counting)
+    monkeypatch.setattr(ccsched.verifier, "decodability_check", counting)
+    code, _, _ = run_cli(capsys, "verify", "--table", str(table), "--numeric", "--trials", "2")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_reproduce_all_matches_golden_digests(tmp_path, capsys):
+    # the Fig. 3 artifacts and summary.txt are fixed results; example1 and
+    # example2 follow the base partition construction of their (5, t) shapes
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "reproduce_all_seed0.sha256.json").read_text()
+    )
+    code, _, _ = run_cli(capsys, "reproduce", "--case", "all", "--seed", "0",
+                         "-o", str(tmp_path / "art"))
+    assert code == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "art").iterdir())
+    }
+    assert digests == golden

@@ -103,18 +103,33 @@ def test_reference_instance_passes_partition_validator():
     validate_base_partition(cols, 5, 2)
 
 
-@pytest.mark.parametrize(
-    "omega,t",
-    [(5, 1), (5, 2), (4, 1), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (8, 4), (10, 1)],
-)
+# every shape up to 16 users whose group count stays at most 5000
+PARTITION_SHAPES = [
+    (omega, t)
+    for omega in range(1, 17)
+    for t in range(omega)
+    if math.comb(omega, t + 1) <= 5000
+]
+
+
+@pytest.mark.parametrize("omega,t", PARTITION_SHAPES)
 def test_base_partition_valid_across_shapes(omega, t):
+    # the flow construction needs no search, whatever the shape
     validate_base_partition(build_base_partition(omega, t), omega, t)
 
 
 def test_base_partition_deterministic():
-    a = build_base_partition(7, 2)
-    b = build_base_partition(7, 2)
-    assert [c.groups for c in a] == [c.groups for c in b]
+    for omega, t in [(5, 1), (5, 2), (7, 2), (7, 3), (8, 2), (9, 3), (11, 4)]:
+        a = build_base_partition(omega, t)
+        b = build_base_partition(omega, t)
+        assert [c.groups for c in a] == [c.groups for c in b]
+
+
+def test_resolution_partition_rejects_impossible_degree():
+    with pytest.raises(ParameterError):
+        resolution_partition(5, 2)  # 2 does not divide 5
+    with pytest.raises(ParameterError):
+        resolution_partition(6, 4, degree=4)  # 6 parts do not divide C(6, 4) = 15
 
 
 @pytest.mark.parametrize("omega,size", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4)])
