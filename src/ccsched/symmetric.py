@@ -174,21 +174,23 @@ class _Dinic:
                 flow += pushed
 
 
-def resolution_partition(omega: int, size: int, degree: int = 1) -> list[list[Group]]:
-    """All size-subsets of [omega] split into classes of omega*degree/size
-    parts in which every element appears exactly ``degree`` times.
+def resolution_partition(omega: int, size: int) -> list[list[Group]]:
+    """All size-subsets of [omega] split into classes of omega/gcd(size, omega)
+    parts in which every element appears exactly size/gcd(size, omega) times.
 
-    Degree 1 gives parallel classes (size | omega).  Stage-wise construction
-    (Baranyai): elements are added one at a time, and a max-flow decides, for
-    every class, which ``degree`` of its partial parts receive the new
-    element.  Demands require each subset A of the processed prefix to appear
-    as a part in exactly C(omega-j, size-|A|) places; giving every part the
-    new element with weight (size-|A|)/(omega-j) meets them fractionally, so
-    an integral flow always exists and the construction never backtracks.
+    When size divides omega these are parallel classes.  Stage-wise
+    construction (Baranyai): elements are added one at a time, and a max-flow
+    decides, for every class, which ``degree`` of its partial parts receive
+    the new element.  Demands require each subset A of the processed prefix
+    to appear as a part in exactly C(omega-j, size-|A|) places; giving every
+    part the new element with weight (size-|A|)/(omega-j) meets them
+    fractionally, so an integral flow always exists and the construction
+    never backtracks.
     """
-    parts_per_class, rem = divmod(omega * degree, size)
-    if rem or not parts_per_class or math.comb(omega, size) % parts_per_class:
-        raise ParameterError(f"no degree-{degree} classes of {size}-subsets of [{omega}]")
+    if not 0 < size <= omega:
+        raise ParameterError(f"need 0 < size <= omega, got size={size}, omega={omega}")
+    g = math.gcd(size, omega)
+    degree, parts_per_class = size // g, omega // g
     n_classes = math.comb(omega, size) // parts_per_class
     classes: list[dict[frozenset, int]] = [
         {frozenset(): parts_per_class} for _ in range(n_classes)
@@ -235,10 +237,7 @@ def resolution_partition(omega: int, size: int, degree: int = 1) -> list[list[Gr
 def build_base_partition(omega: int, t: int) -> list[ScheduleColumn]:
     """Partition all groups into S_hat columns, beta_hat-regular per column,
     by the stage-wise flow construction (no search, same result every run)."""
-    hat = hat_params(omega, t)
-    return [
-        ScheduleColumn.of(col) for col in resolution_partition(omega, t + 1, hat.beta_hat)
-    ]
+    return [ScheduleColumn.of(col) for col in resolution_partition(omega, t + 1)]
 
 
 def validate_base_partition(columns: list[ScheduleColumn], omega: int, t: int) -> None:

@@ -125,13 +125,6 @@ def test_base_partition_deterministic():
         assert [c.groups for c in a] == [c.groups for c in b]
 
 
-def test_resolution_partition_rejects_impossible_degree():
-    with pytest.raises(ParameterError):
-        resolution_partition(5, 2)  # 2 does not divide 5
-    with pytest.raises(ParameterError):
-        resolution_partition(6, 4, degree=4)  # 6 parts do not divide C(6, 4) = 15
-
-
 @pytest.mark.parametrize("omega,size", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4)])
 def test_resolution_partition_parallel_classes(omega, size):
     # the flow construction yields disjoint classes covering every subset once
