@@ -102,12 +102,13 @@ def solve_plan(
     if tau is None:
         tau = t
     if m == 0:
-        return AsymPlan(B, S, 0, 1, 0, 1, S, tau, I_max or 50)
+        return AsymPlan(B, S, 0, 1, 0, 1, S, tau, 50 if I_max is None else I_max)
     for d in range(1, d_cap + 1):
         if (d * m) % B == 0:
             r = d * m // B
             delta_tilde = (B + m) * d // B
-            plan = AsymPlan(B, S, m, d, r, delta_tilde, d * S, tau, I_max or 50 * m)
+            I_max = 50 * m if I_max is None else I_max
+            plan = AsymPlan(B, S, m, d, r, delta_tilde, d * S, tau, I_max)
             plan.check()
             return plan
     raise SearchFailureError(f"no integral plan with d <= {d_cap} for B={B}, m={m}")

@@ -112,6 +112,10 @@ def build_table(args) -> ScheduleTable:
 
 
 def cmd_schedule(args) -> int:
+    if args.imax is not None and args.imax < 1:
+        raise ParameterError(f"--imax must be at least 1, got {args.imax}")
+    if args.tau is not None and args.tau < 0:
+        raise ParameterError(f"--tau must be non-negative, got {args.tau}")
     if args.beta is None:
         betas = feasible_beta_set(args.L, args.G, args.t, args.omega, args.delta_max)
         if not betas:
@@ -123,11 +127,15 @@ def cmd_schedule(args) -> int:
 
 
 def check_draw_flags(args) -> None:
-    """Channel draws need at least one trial and seeds numpy accepts."""
+    """Channel draws need at least one trial and seeds numpy accepts; a
+    leakage tolerance, where the command takes one, must be finite and
+    positive, or the leakage check would pass everything (inf, nan)."""
     if args.trials < 1:
         raise ParameterError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
         raise ParameterError(f"--seed must be non-negative, got {args.seed}")
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ParameterError(f"--tol must be a finite positive number, got {args.tol}")
 
 
 def cmd_verify(args) -> int:

@@ -60,6 +60,9 @@ def ex2_reference_baseline():
 def test_solve_plan_example1():
     plan = solve_plan(B=5, S=2, m=2, G=3, beta=2, omega=5, t=1)
     assert (plan.d, plan.r, plan.delta_tilde, plan.S_tilde) == (5, 2, 7, 10)
+    # only an absent cap takes the default 50*m; an explicit one is kept
+    assert plan.I_max == 100
+    assert solve_plan(B=5, S=2, m=2, G=3, beta=2, omega=5, t=1, I_max=0).I_max == 0
 
 
 def test_solve_plan_example2():

@@ -2,6 +2,7 @@
 against the per-stream loops it replaced."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +11,17 @@ import pytest
 from ccsched.asymmetric import schedule_asymmetric
 from ccsched.cli import main
 from ccsched.errors import NullityDeficientError
-from ccsched.model import ScheduleColumn
+from ccsched.model import ScheduleColumn, table_from_json
 from ccsched.rates import stream_coefficients
 from ccsched.symmetric import schedule_symmetric
 from ccsched.verifier import (
+    FLUSH_COLUMNS,
+    TRIAL_BLOCK,
     ChannelRealization,
     build_beamformers,
     nullspace_basis,
     verify_numeric,
+    verify_table_numeric,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -145,3 +149,74 @@ def test_rate_sweep_csv_golden(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out.read_bytes() == (DATA / "example1_dof14_sweep_trials20_seed5.csv").read_bytes()
+
+
+@pytest.mark.parametrize("table,flags,golden", [
+    # 40 trials cross a trial block; 280 columns cross many flushes
+    ("example1_dof14.json", ["--trials", "40", "--seed", "3"],
+     "example1_dof14_verify_trials40_seed3.json"),
+    ("fig3_omega8_t3_dof24.json", ["--trials", "4"], "fig3_omega8_t3_dof24_verify_trials4.json"),
+])
+def test_verify_numeric_output_golden(capsys, table, flags, golden):
+    """`verify --numeric` prints byte for byte what the one-column-at-a-time oracle printed."""
+    code = main(["verify", "--table", str(DATA / table), "--numeric", *flags])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+def fold_column_reports(table, trials, seed, tol, sigma_tol):
+    """The table verdict by per-column ``verify_numeric`` reports, folded in
+    scan order (trial block, column, then trial, user and stream within the
+    column report): a later cell replaces the worst only when strictly worse."""
+    max_leakage, leak_at, min_sigma, sigma_at = 0.0, None, math.inf, None
+    failures = []
+    for first in range(0, trials, TRIAL_BLOCK):
+        seeds = range(seed + first, seed + min(first + TRIAL_BLOCK, trials))
+        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
+        for idx, column in enumerate(table.columns, start=1):
+            solution = build_beamformers(column, channels)
+            rep = verify_numeric(column, channels, solution, tol, sigma_tol)
+            failures += [(first + f[0], idx) + f[1:] for f in rep.failures]
+            at = rep.max_leakage_at
+            if at is not None and (leak_at is None or rep.max_leakage > max_leakage):
+                max_leakage, leak_at = rep.max_leakage, dict(at, trial=first + at["trial"], column=idx)
+            at = rep.min_sigma_at
+            if at is not None and rep.min_sigma < min_sigma:
+                min_sigma, sigma_at = rep.min_sigma, dict(at, trial=first + at["trial"], column=idx)
+    return max_leakage, leak_at, min_sigma, sigma_at, failures
+
+
+@pytest.fixture(scope="module")
+def scan_tables():
+    example1 = table_from_json((DATA / "example1_dof14.json").read_text())
+    return {
+        "fig3_witness": table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text()),
+        # every column four times: each cell has exact ties in the other
+        # copies, at least one of them in a later flush
+        "repeated_example1": replace(
+            example1, columns=example1.columns * 4, delta=4 * example1.delta
+        ),
+    }
+
+
+@pytest.mark.parametrize("name,trials", [
+    ("fig3_witness", 2),
+    ("repeated_example1", TRIAL_BLOCK + 3),
+])
+def test_table_scan_matches_folded_column_reports(scan_tables, name, trials):
+    table = scan_tables[name]
+    assert len(table.columns) > FLUSH_COLUMNS
+    # tolerances at the typical margins, so that both kinds of failure occur
+    tol, sigma_tol = 1e-15, 0.05
+    rep = verify_table_numeric(table, trials=trials, seed=11, tol=tol, sigma_tol=sigma_tol)
+    max_leakage, leak_at, min_sigma, sigma_at, failures = fold_column_reports(
+        table, trials, 11, tol, sigma_tol
+    )
+    assert rep.max_leakage == max_leakage and rep.max_leakage_at == leak_at
+    assert rep.min_sigma == min_sigma and rep.min_sigma_at == sigma_at
+    assert {f[2] for f in failures} == {"leakage", "sigma_min"}
+    assert sorted(rep.failures) == sorted(failures)
+    assert rep.ok is False
+    if name == "repeated_example1":
+        # ties go to the first copy of the column
+        assert leak_at["column"] <= 10 and sigma_at["column"] <= 10

@@ -282,6 +282,37 @@ def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
     assert reason in doc["error"]["reason"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_tol_must_be_finite_positive(capsys, tol):
+    table = Path(__file__).parent / "data" / "example1_dof14.json"
+    code, out, err = run_cli(capsys, "verify", "--table", str(table), "--numeric",
+                             "--trials", "2", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ParameterError"
+    assert "--tol must be a finite positive number" in doc["error"]["reason"]
+
+
+@pytest.mark.parametrize("flags,reason", [
+    (["--imax", "0"], "--imax must be at least 1"),
+    (["--imax", "-1"], "--imax must be at least 1"),
+    (["--tau", "-1"], "--tau must be non-negative"),
+])
+def test_schedule_greedy_flags_exit_2(tmp_path, capsys, flags, reason):
+    out = tmp_path / "t.json"
+    code, _, err = run_cli(
+        capsys,
+        "schedule", "--mode", "asym", "--omega", "5", "--t", "1", "--L", "10",
+        "--G", "3", "--beta", "2", "--m", "2", "-o", str(out), *flags,
+    )
+    assert code == 2
+    assert not out.exists()
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ParameterError"
+    assert reason in doc["error"]["reason"]
+
+
 def test_verify_numeric_runs_one_symbolic_check(tmp_path, capsys, monkeypatch):
     import ccsched.cli
     import ccsched.verifier

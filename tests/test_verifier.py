@@ -165,6 +165,18 @@ def test_verify_table_numeric_rejects_symbolic_failures():
         verify_table_numeric(table, trials=1, symbolic=decodability_check(table))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("name", ["tol", "sigma_tol"])
+def test_tolerances_must_be_finite_positive(ex1_table, name, bad):
+    # nan or inf would pass every cell; 0 or less would fail every one
+    with pytest.raises(ParameterError, match=name):
+        verify_table_numeric(ex1_table, trials=1, **{name: bad})
+    ch = ChannelRealization.draw(ex1_table.users, G=3, L=10, seed=1)
+    col = ex1_table.columns[0]
+    with pytest.raises(ParameterError, match=name):
+        verify_numeric(col, ch, build_beamformers(col, ch), **{name: bad})
+
+
 def test_channel_realization_deterministic():
     a = ChannelRealization.draw((1, 2, 3), G=2, L=4, seed=9)
     b = ChannelRealization.draw((1, 2, 3), G=2, L=4, seed=9)
