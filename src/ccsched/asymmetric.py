@@ -230,13 +230,17 @@ def balanced_greedy(
     distinct_donor = sorted(donor_theta)
     if plan.m > len(distinct_donor):
         raise ConstructionError(
-            f"m={plan.m} exceeds the {len(distinct_donor)} distinct donor groups"
+            f"m={plan.m} exceeds the {len(distinct_donor)} distinct donor groups",
+            structural=True,
         )
     rng = random.Random(seed) if seed is not None else None
 
     quota = {g: plan.r * donor_theta[g] for g in distinct_donor}
     if any(q > plan.d for q in quota.values()):
-        raise ConstructionError("quota exceeds d: some donor group cannot be placed distinctly")
+        # r*theta > d is m*theta > B, whatever d is
+        raise ConstructionError(
+            "quota exceeds d: some donor group cannot be placed distinctly", structural=True
+        )
     collection: list[list[Group]] = []
 
     def overlap(a: Group, b: Group) -> int:
@@ -302,7 +306,10 @@ def balanced_greedy(
         if len(current) < plan.m:
             raise ConstructionError(
                 f"greedy stalled at column {i}: built {len(current)}/{plan.m} groups "
-                f"after {iterations} iterations (tau={plan.tau})"
+                f"after {iterations} iterations (tau={plan.tau})",
+                # the first pick of the first set is linear_feasible_check(host, [],
+                # donor) alone, and there is no earlier set to swap with
+                structural=not collection and not current,
             )
         collection.append(sorted(current))
     coll = CandidateCollection(i, donor_idx, tuple(tuple(a) for a in collection))
@@ -348,7 +355,6 @@ def assemble_table(
         delta=baseline.delta,
         delta_tilde=plan.delta_tilde,
         m=plan.m,
-        eta=baseline.eta,
     )
     table.validate()
     report = decodability_check(table)

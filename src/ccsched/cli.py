@@ -67,22 +67,49 @@ def config_defaults(subparser: argparse.ArgumentParser, config: dict[str, str]) 
     return defaults
 
 
+# SNR grids: a sweep's arrays grow with the point count, and above ~3082 dB
+# the linear power 10**(snr/10) overflows a float
+MAX_SNR_POINTS = 1000
+MAX_SNR_DB = 3000.0
+
+
 def parse_snr_grid(spec: str) -> list[float]:
-    """Either "start:step:stop" (inclusive) or a comma-separated list."""
+    """Either "start:step:stop" (inclusive) or a comma-separated list, in dB.
+
+    Every number must be finite and at most MAX_SNR_DB, and the grid must
+    hold 1..MAX_SNR_POINTS points; anything else raises ParameterError.
+    """
+
+    def number(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParameterError(f"bad SNR grid {spec!r}: {text!r} is not a number") from None
+        if not (math.isfinite(value) and value <= MAX_SNR_DB):
+            raise ParameterError(
+                f"bad SNR grid {spec!r}: {text!r} is not a finite value up to {MAX_SNR_DB:g} dB"
+            )
+        return value
+
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParameterError(f"bad SNR grid {spec!r}: expected start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = map(number, parts)
         if step <= 0:
             raise ParameterError("SNR grid step must be positive")
+        if (stop - start) / step >= MAX_SNR_POINTS:
+            raise ParameterError(f"bad SNR grid {spec!r}: more than {MAX_SNR_POINTS} points")
         grid = []
         value = start
         while value <= stop + 1e-9:
             grid.append(round(value, 9))
             value += step
-        return grid
-    return [float(p) for p in spec.split(",")]
+    else:
+        grid = [number(p) for p in spec.split(",")]
+    if not 1 <= len(grid) <= MAX_SNR_POINTS:
+        raise ParameterError(f"bad SNR grid {spec!r}: {len(grid)} points, expected 1 to {MAX_SNR_POINTS}")
+    return grid
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -206,14 +233,14 @@ def cmd_dof_region(args) -> int:
 
 def cmd_rate_sweep(args) -> int:
     check_draw_flags(args)
+    grid = parse_snr_grid(args.snr)
     table = table_from_json(Path(args.table).read_text())
     table.validate()
-    points = snr_sweep(table, parse_snr_grid(args.snr), trials=args.trials, seed=args.seed)
+    points = snr_sweep(table, grid, trials=args.trials, seed=args.seed)
     dof = dof_of_table(table)
     if not isinstance(dof, int):
         raise VerificationError(f"non-uniform per-column stream totals: {dof}")
-    theta = math.comb(len(table.users), table.t) * table.delta * table.delta_tilde
-    write_text(args.output, sweep_to_csv(points, dof, theta))
+    write_text(args.output, sweep_to_csv(points, dof, table.subpacketization))
     return 0
 
 

@@ -24,11 +24,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .asymmetric import derive_seed, max_additions, schedule_asymmetric
-from .errors import CcschedError, ParameterError
+from .errors import (
+    CcschedError,
+    ConstructionError,
+    InfeasibleMError,
+    ParameterError,
+    SearchFailureError,
+)
 from .model import ScheduleColumn, ScheduleTable
 from .symmetric import (
     DEFAULT_DELTA_MAX,
@@ -99,25 +104,21 @@ def windowed_pattern_table(
     theta_vec = [base + 1] * extra + [base] * (w - extra)
     if total_streams - min(theta_vec) > G:
         return None
+    # the distinct cyclic rotations, in first-shift order; with period p there
+    # are p of them, and each position of a window sees one period's sum
+    rotations = list(dict.fromkeys(tuple(theta_vec[s:] + theta_vec[:s]) for s in range(w)))
     users = tuple(range(1, omega + 1))
     columns = []
     for window in itertools.combinations(users, w):
-        seen = set()
-        for shift in range(w):
-            rotated = theta_vec[shift:] + theta_vec[:shift]
+        # window minus its j-th user, for j from the last: canonical group order
+        dropped = [window[:j] + window[j + 1 :] for j in reversed(range(w))]
+        for rotated in rotations:
             groups = []
-            for j, mult in enumerate(rotated):
-                g = tuple(sorted(set(window) - {window[j]}))
+            for g, mult in zip(dropped, reversed(rotated)):
                 groups.extend([g] * mult)
-            col = ScheduleColumn.of(groups)
-            if col not in seen:
-                seen.add(col)
-                columns.append(col)
-    totals = Counter()
-    for col in columns:
-        totals.update(col.groups)
-    counts = set(totals.values())
-    assert len(counts) == 1, "window rotations must cover all groups uniformly"
+            columns.append(ScheduleColumn(tuple(groups)))
+    # each group lies in omega-t-1 windows, and in each once per rotation at
+    # its dropped user's position: total_streams*p/w times
     table = ScheduleTable(
         users=users,
         t=t,
@@ -125,7 +126,7 @@ def windowed_pattern_table(
         G=G,
         columns=tuple(columns),
         delta=1,
-        delta_tilde=counts.pop(),
+        delta_tilde=(omega - t - 1) * total_streams * len(rotations) // w,
         m=0,
     )
     table.validate()
@@ -176,7 +177,11 @@ def clique_window_table(
 
 
 def _donor_attempts(baseline: ScheduleTable, m: int, budget: RegionBudget, label: str):
-    """Yield donor-greedy tables over the retry ladder; exhausts silently."""
+    """Yield donor-greedy tables over the retry ladder; exhausts silently.
+
+    The ladder ends at the first failure that no rung can change: a rejected
+    plan, or a greedy failure marked structural.
+    """
     t = baseline.t
     for tau in range(t, t + budget.taus_extra + 1):
         for reseed in range(budget.reseeds + 1):
@@ -188,6 +193,11 @@ def _donor_attempts(baseline: ScheduleTable, m: int, budget: RegionBudget, label
                     )
                     yield table
                     return
+                except (InfeasibleMError, SearchFailureError):
+                    return
+                except ConstructionError as exc:
+                    if exc.structural:
+                        return
                 except CcschedError:
                     continue
 

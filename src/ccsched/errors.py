@@ -28,9 +28,17 @@ class NoDonorError(ParameterError):
 
 
 class ConstructionError(CcschedError):
-    """A combinatorial construction (greedy selection, assembly) ran out of moves."""
+    """A combinatorial construction (greedy selection, assembly) ran out of moves.
+
+    ``structural`` marks a failure that the baseline table and the addition
+    count fix alone: no overlap threshold, seed or plan scaling avoids it.
+    """
 
     exit_code = 3
+
+    def __init__(self, message: str, structural: bool = False) -> None:
+        super().__init__(message)
+        self.structural = structural
 
 
 class SearchFailureError(ConstructionError):

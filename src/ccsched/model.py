@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MalformedTableError, ParameterError
@@ -133,7 +133,6 @@ class ScheduleTable:
     delta: int = 1
     delta_tilde: int = 1
     m: int = 0
-    eta: int = field(default=1, compare=False)
 
     @property
     def omega(self) -> int:
@@ -147,6 +146,12 @@ class ScheduleTable:
     def subpacketization_factor(self) -> int:
         """Delivery-phase splitting factor contributed by this table."""
         return self.delta * self.delta_tilde
+
+    @property
+    def subpacketization(self) -> int:
+        """Theta = C(omega, t) * delta * delta_tilde: subpackets per file over
+        the served users, the normalization of every column's delivery time."""
+        return math.comb(self.omega, self.t) * self.subpacketization_factor
 
     def group_totals(self) -> Counter:
         total: Counter = Counter()
@@ -173,23 +178,47 @@ class ScheduleTable:
 
 def total_subpacketization(params: SystemParams, table: ScheduleTable) -> int:
     """Final number of fragments per file: placement times delivery splitting."""
-    return math.comb(params.K, params.t) * table.delta * table.delta_tilde
+    return math.comb(params.K, params.t) * table.subpacketization_factor
 
 
 def table_to_json(table: ScheduleTable) -> str:
-    """Serialize to the interchange schema used by every CLI command."""
-    doc = {
+    """Serialize to the interchange schema used by every CLI command.
+
+    The text is exactly ``json.dumps(doc, indent=2) + "\n"``, laid out here
+    directly: with ``indent`` set, ``json`` falls back to its pure-Python
+    encoder, and every group's text is built once per table instead.
+    """
+    group_text: dict[Group, str] = {}
+    columns = []
+    for col in table.columns:
+        items = []
+        for g in col.groups:
+            text = group_text.get(g)
+            if text is None:
+                text = group_text[g] = _json_array(map(str, g), 3)
+            items.append(text)
+        columns.append(_json_array(items, 2))
+    fields = {
         "omega": table.omega,
         "t": table.t,
         "L": table.L,
         "G": table.G,
-        "users": list(table.users),
+        "users": _json_array(map(str, table.users), 1),
         "delta": table.delta,
         "delta_tilde": table.delta_tilde,
         "m": table.m,
-        "columns": [[list(g) for g in col.groups] for col in table.columns],
+        "columns": _json_array(columns, 1),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields.items()) + "\n}\n"
+
+
+def _json_array(items: Iterable[str], depth: int) -> str:
+    """Encoded ``items`` as a JSON array at nesting ``depth``, in indent=2 layout."""
+    items = list(items)
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
 def table_from_json(text: str) -> ScheduleTable:

@@ -137,7 +137,7 @@ def snr_sweep(
         raise VerificationError(f"table fails the symbolic check: {report.witnesses[0]}")
     snr_grid_db = [float(s) for s in snr_grid_db]
     n_users = len(table.users)
-    theta = math.comb(n_users, table.t) * table.delta * table.delta_tilde
+    theta = table.subpacketization
     n_cols = len(table.columns)
     powers = np.array([N0 * 10.0 ** (s / 10.0) for s in snr_grid_db])
 

@@ -289,9 +289,7 @@ def regroup(
     for idx, col in enumerate(sequence):
         merged[idx % n_out].extend(col.groups)
     columns = tuple(ScheduleColumn.of(c) for c in merged)
-    table = ScheduleTable(
-        users=users, t=t, L=L, G=G, columns=columns, delta=delta, eta=eta
-    )
+    table = ScheduleTable(users=users, t=t, L=L, G=G, columns=columns, delta=delta)
     table.validate()
     return table
 

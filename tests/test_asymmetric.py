@@ -267,11 +267,28 @@ def test_balanced_greedy_stall_fails_fast(monkeypatch, seed):
         plan = solve_plan(B=6, S=len(baseline.columns), m=2, G=4, beta=2, omega=6, t=1,
                           tau=1, I_max=I_max)
         calls.clear()
-        with pytest.raises(ConstructionError, match="greedy stalled"):
+        with pytest.raises(ConstructionError, match="greedy stalled") as exc:
             balanced_greedy(1, plan, baseline, seed=seed)
+        # another tau, seed or d could change the first set: not structural
+        assert not exc.value.structural
         counts.append(len(calls))
     assert counts[0] == counts[1]
     assert counts[0] < 50
+
+
+@pytest.mark.parametrize("shape,beta,m,match", [
+    ((11, 8, 1, 4), 1, 3, "exceeds the 2 distinct donor groups"),
+    ((10, 7, 1, 4), 4, 5, "quota exceeds d"),
+    ((13, 6, 2, 7), 3, 1, "built 0/1 groups after 1 iterations"),
+])
+def test_rung_independent_failures_are_structural(shape, beta, m, match):
+    """Too few donor groups, m*theta > B, and a first pick with no linearly
+    feasible donor group fail for every tau, seed and d alike."""
+    baseline = schedule_symmetric(*shape, beta, min_columns=2)
+    for tau, seed, d_factor in ((None, None, 1), (shape[2] + 1, 3, 3)):
+        with pytest.raises(ConstructionError, match=match) as exc:
+            schedule_asymmetric(baseline, m, tau=tau, seed=seed, d_factor=d_factor)
+        assert exc.value.structural
 
 
 def test_assemble_example1(ex1_baseline):

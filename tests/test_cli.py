@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -238,10 +239,49 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 def test_parse_snr_grid():
     assert parse_snr_grid("0:5:15") == [0, 5, 10, 15]
     assert parse_snr_grid("3,7") == [3.0, 7.0]
-    with pytest.raises(ParameterError):
-        parse_snr_grid("0:-5:10")
-    with pytest.raises(ParameterError):
-        parse_snr_grid("0:5")
+    assert parse_snr_grid("-20:10:0") == [-20, -10, 0]
+    for bad in ("0:-5:10", "0:5", "0:0:10", "10:5:0", "0:0.001:10", "5,", "1e308"):
+        with pytest.raises(ParameterError):
+            parse_snr_grid(bad)
+
+
+@pytest.mark.parametrize("snr,reason", [
+    ("abc", "is not a number"),
+    ("nan,5", "is not a finite value"),
+    ("inf", "is not a finite value"),
+    ("0:nan:10", "is not a finite value"),
+    ("0:5:inf", "is not a finite value"),
+    ("4000", "up to 3000 dB"),
+    ("0:1e-9:10", "more than 1000 points"),
+    ("10:5:0", "0 points"),
+])
+def test_rate_sweep_bad_snr_exits_2(capsys, snr, reason):
+    table = str(Path(__file__).parent / "data" / "example1_dof14.json")
+    code, out, err = run_cli(capsys, "rate-sweep", "--table", table, f"--snr={snr}",
+                             "--trials", "2", "-o", "-")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and reason in error["reason"]
+
+
+def test_dof_region_matches_golden_digests(tmp_path, capsys):
+    """Region CSVs and witness tables are fixed results: digests of each
+    file that `dof-region -o region.csv` writes, at seed 0."""
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "dof_region_seed0.sha256.json").read_text()
+    )
+    for key, want in golden.items():
+        L, G, t, omega = re.fullmatch(r"L(\d+)_G(\d+)_t(\d+)_omega(\d+)", key).groups()
+        out = tmp_path / key / "region.csv"
+        code, _, _ = run_cli(capsys, "dof-region", "--L", L, "--G", G, "--t", t,
+                             "--omega", omega, "--seed", "0", "-o", str(out))
+        assert code == 0
+        digests = {
+            str(path.relative_to(out.parent)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.parent.rglob("*"))
+            if path.is_file()
+        }
+        assert digests == want, key
 
 
 def test_reproduce_example2(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import itertools
+from collections import Counter
+
 import pytest
 
+import ccsched.dof as dof_module
 from ccsched.dof import (
     RegionBudget,
     asymmetric_region,
@@ -9,6 +13,7 @@ from ccsched.dof import (
 )
 from ccsched.verifier import decodability_check
 from ccsched.asymmetric import dof_of_table
+from ccsched.model import ScheduleColumn
 
 
 def test_symmetric_region_reference_values():
@@ -74,6 +79,46 @@ def test_windowed_pattern_table_structure():
         assert len(col.groups) == 10
 
 
+def _windowed_columns_by_rotation(t, omega, total_streams):
+    """Reference: every window under every cyclic shift of the profile,
+    each column sorted, repeats within a window dropped; plus the uniform
+    group count."""
+    w = t + 2
+    base, extra = divmod(total_streams, w)
+    theta_vec = [base + 1] * extra + [base] * (w - extra)
+    columns = []
+    for window in itertools.combinations(range(1, omega + 1), w):
+        seen = set()
+        for shift in range(w):
+            rotated = theta_vec[shift:] + theta_vec[:shift]
+            groups = []
+            for j, mult in enumerate(rotated):
+                groups.extend([tuple(u for u in window if u != window[j])] * mult)
+            col = ScheduleColumn.of(groups)
+            if col not in seen:
+                seen.add(col)
+                columns.append(col)
+    counts = set(Counter(g for col in columns for g in col.groups).values())
+    assert len(counts) == 1
+    return tuple(columns), counts.pop()
+
+
+@pytest.mark.parametrize("t,omega", [(1, 4), (1, 5), (2, 5), (2, 6), (3, 7), (2, 7), (4, 7)])
+def test_windowed_pattern_table_matches_rotation_reference(t, omega):
+    """The directly emitted columns and the arithmetic delta_tilde equal the
+    sort-and-dedupe over every rotation, for periodic and aperiodic profiles."""
+    built = 0
+    for total_streams in range(1, 3 * (t + 2) + 2):
+        table = windowed_pattern_table(3 * (t + 2), 3 * (t + 2), t, omega, total_streams)
+        if table is None:
+            continue
+        columns, count = _windowed_columns_by_rotation(t, omega, total_streams)
+        assert table.columns == columns
+        assert (table.delta, table.delta_tilde) == (1, count)
+        built += 1
+    assert built >= t + 2
+
+
 def test_windowed_pattern_respects_caps():
     # per-user cap: 10 instances on a 3-user window needs beta 7 <= G
     assert windowed_pattern_table(11, 6, 1, 4, total_streams=10) is None
@@ -96,3 +141,27 @@ def test_region_with_budget_seed_is_deterministic():
     assert a.asymmetric_dofs == b.asymmetric_dofs
     for dof in a.witnesses:
         assert a.witnesses[dof].table.columns == b.witnesses[dof].table.columns
+
+
+def test_donor_ladder_stops_at_rung_independent_failures(monkeypatch):
+    """On (11, 8, 3, 8) every donor failure is structural: a rejected plan,
+    too few donor groups, or a first pick with no feasible donor group.  No
+    (tau, reseed, d_factor) rung can change those, so each m costs one
+    attempt: 8 here, where retrying all 18 rungs took 110."""
+    calls = []
+    failed = []
+
+    def counting(*args, **kwargs):
+        calls.append((args[0], args[1]))
+        try:
+            return schedule_asymmetric(*args, **kwargs)
+        except Exception:
+            failed.append(args[1])
+            raise
+
+    schedule_asymmetric = dof_module.schedule_asymmetric
+    monkeypatch.setattr(dof_module, "schedule_asymmetric", counting)
+    region = asymmetric_region(11, 8, 3, 8, RegionBudget(seed=7))
+    assert list(region.asymmetric_dofs) == list(range(8, 41, 4))
+    assert len(calls) == 8 and len(failed) == 6
+    assert len(set(calls)) == len(calls)  # one attempt per (beta, m)

@@ -130,6 +130,9 @@ def test_total_subpacketization():
         delta_tilde=8,
     )
     assert total_subpacketization(params2, table2) == 10 * 8 == 80
+    # Theta over the served users: C(omega, t) * delta * delta_tilde
+    assert table.subpacketization == math.comb(5, 1) * 7
+    assert table2.subpacketization == math.comb(5, 2) * 8
 
 
 def test_table_validate_conservation():

@@ -1,12 +1,19 @@
 """Property tests for the structural invariants the schedulers promise."""
 
+import json
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from ccsched.asymmetric import donor_map, solve_plan
 from ccsched.errors import InfeasibleMError
-from ccsched.model import ScheduleColumn, column_multiplicities, enumerate_groups
+from ccsched.model import (
+    ScheduleColumn,
+    ScheduleTable,
+    column_multiplicities,
+    enumerate_groups,
+    table_to_json,
+)
 from ccsched.symmetric import (
     build_base_partition,
     feasible_beta_set,
@@ -113,3 +120,38 @@ def test_plan_arithmetic(B, S, m, G, t):
     assert plan.m * plan.S_tilde == plan.B * (plan.delta_tilde * plan.S - plan.S_tilde)
     assert plan.r * plan.B == plan.d * plan.m
     assert plan.S_tilde == plan.d * plan.S
+
+
+ints = st.integers(-(10**12), 10**12)
+groups = st.lists(ints, max_size=4).map(tuple)
+tables = st.builds(
+    ScheduleTable,
+    users=st.lists(ints, max_size=6).map(tuple),
+    t=ints,
+    L=ints,
+    G=ints,
+    columns=st.lists(st.lists(groups, max_size=5).map(lambda c: ScheduleColumn(tuple(c))), max_size=5)
+    .map(tuple),
+    delta=ints,
+    delta_tilde=ints,
+    m=ints,
+)
+
+
+@given(tables)
+@settings(max_examples=200, deadline=None)
+def test_table_to_json_is_json_dumps_indent_2(table):
+    """The direct writer gives the bytes of the json module's indent=2 layout,
+    empty lists, negative and repeated groups included."""
+    doc = {
+        "omega": table.omega,
+        "t": table.t,
+        "L": table.L,
+        "G": table.G,
+        "users": list(table.users),
+        "delta": table.delta,
+        "delta_tilde": table.delta_tilde,
+        "m": table.m,
+        "columns": [[list(g) for g in col.groups] for col in table.columns],
+    }
+    assert table_to_json(table) == json.dumps(doc, indent=2) + "\n"
