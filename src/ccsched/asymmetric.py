@@ -133,35 +133,25 @@ def linear_feasible_check(
 ) -> list[Group]:
     """Donor groups whose addition to host+pending keeps both antenna bounds.
 
-    For each candidate T the multiset U = host + pending + {T} is scored:
-    b(k) = per-user stream count, c(T') = multiplicity, and
-    n(T') = c(T') + sum of b(k) over users outside T'.  T is feasible when
-    max b <= G and max n <= L.
+    Over host + pending: b(k) streams per user, c(T') multiplicities, n streams
+    in all, n(T') = c(T') + n - sum of b over T'.  Adding T raises b by one on T,
+    n(T) by one and every other n(T') by |T| - |T & T'|; T is feasible when
+    then max b <= G and max n <= L.
     """
-    users = sorted(set(served_users))
-    base_b = Counter()
-    base_c = Counter()
-    for g in list(host.groups) + list(pending):
-        base_c[g] += 1
-        for k in g:
-            base_b[k] += 1
-    feasible = []
-    for cand in sorted(set(donor_groups)):
-        b = base_b.copy()
-        c = base_c.copy()
-        c[cand] += 1
-        for k in cand:
-            b[k] += 1
-        if max(b.values()) > G:
-            continue
-        total = sum(b.values())
-        ok = all(
-            c[g] + (total - sum(b[k] for k in g)) <= L
-            for g in c
-        )
-        if ok:
-            feasible.append(cand)
-    return feasible
+    groups = list(host.groups) + list(pending)
+    b = Counter(k for g in groups for k in g)
+    c = Counter(groups)
+    n = sum(b.values())
+    if max(b.values(), default=0) > G:
+        return []
+    lhs = {g: c[g] + n - sum(b[k] for k in g) for g in c}
+    return [
+        cand
+        for cand in sorted(set(donor_groups))
+        if all(b[k] < G for k in cand)
+        and c[cand] + 1 + n - sum(b[k] for k in cand) <= L
+        and all(v + len(cand) - len(set(cand) & set(g)) <= L for g, v in lhs.items() if g != cand)
+    ]
 
 
 @dataclass(frozen=True)
@@ -251,8 +241,7 @@ def balanced_greedy(
             return False
         if any(overlap(x, y) > plan.tau for idx, x in enumerate(groups) for y in groups[idx + 1 :]):
             return False
-        rest, last = groups[:-1], groups[-1]
-        return last in linear_feasible_check(host, rest, [last], L, G, users)
+        return bool(linear_feasible_check(host, groups[:-1], groups[-1:], L, G, users))
 
     def try_swap(current: list[Group]) -> bool:
         for b_idx, b_set in enumerate(collection):
@@ -324,12 +313,7 @@ def build_collections(
 ) -> list[CandidateCollection]:
     """One candidate collection per baseline column, independently seeded."""
     return [
-        balanced_greedy(
-            i,
-            plan,
-            baseline,
-            derive_seed(seed, f"column{i}") if seed is not None else None,
-        )
+        balanced_greedy(i, plan, baseline, derive_seed(seed, f"column{i}"))
         for i in range(1, plan.S + 1)
     ]
 

@@ -1,9 +1,10 @@
 """Command-line front end: schedule construction, verification, DoF region
 enumeration, rate sweeps, and the bundled reproduction runner.
 
-All randomness flows from one global seed through SHA-256 of
-"<seed>:<task label>" (see ``asymmetric.derive_seed``); identical
-(config, seed) runs produce byte-identical artifacts.  Parameter problems
+``--seed`` sets only the channel draws: seed + trial in ``verify --numeric``,
+and seed + 7919*trial + column index in ``rate-sweep``.  Construction
+outputs do not depend on it, so identical (config, seed) runs produce
+byte-identical artifacts.  Parameter problems and unreadable input files
 exit 2, construction failures 3, verification failures 4, with a
 machine-readable JSON reason on stderr.
 """
@@ -32,6 +33,8 @@ def load_config(path: str | None) -> dict[str, str]:
         return {}
     config = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        if "\0" in raw:  # no file name or flag value holds one
+            raise ParameterError(f"{path}:{lineno}: NUL character")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -412,8 +415,10 @@ def main(argv=None) -> int:
         error = {"error": {"type": type(exc).__name__, "reason": str(exc)}}
         print(json.dumps(error), file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(json.dumps({"error": {"type": "OSError", "reason": str(exc)}}), file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        # an input file that is missing, unreadable or not UTF-8 text
+        kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(json.dumps({"error": {"type": kind, "reason": str(exc)}}), file=sys.stderr)
         return 2
 
 

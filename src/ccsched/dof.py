@@ -37,6 +37,7 @@ from .errors import (
 from .model import ScheduleColumn, ScheduleTable
 from .symmetric import (
     DEFAULT_DELTA_MAX,
+    build_base_partition,
     feasible_beta_set,
     plan_symmetric,
     schedule_symmetric,
@@ -218,11 +219,15 @@ def asymmetric_region(
     """
     witnesses: dict[int, DofWitness] = {}
     sym_dofs = []
-    for beta in feasible_beta_set(L, G, t, omega, budget.delta_max):
+    betas = feasible_beta_set(L, G, t, omega, budget.delta_max)
+    # one base partition per region: every symmetric witness and baseline
+    # below is a regrouping of it
+    base = build_base_partition(omega, t) if betas else None
+    for beta in betas:
         dof_ref = omega * beta
         sym_dofs.append(dof_ref)
         if dof_ref not in witnesses:
-            table = schedule_symmetric(L, G, t, omega, beta, budget.delta_max)
+            table = schedule_symmetric(L, G, t, omega, beta, budget.delta_max, base=base)
             witnesses[dof_ref] = DofWitness("sym", beta, 0, dof_ref, table)
         plan = plan_symmetric(L, G, t, omega, beta, budget.delta_max)
         B = plan.B
@@ -236,7 +241,7 @@ def asymmetric_region(
             if baseline is None:
                 try:
                     baseline = schedule_symmetric(
-                        L, G, t, omega, beta, budget.delta_max, min_columns=2
+                        L, G, t, omega, beta, budget.delta_max, min_columns=2, base=base
                     )
                 except ParameterError:
                     baseline = False

@@ -55,6 +55,8 @@ class SymmetricPlan:
 
 def hat_params(omega: int, t: int) -> HatParams:
     """Integer triple describing the base partition for (omega, t)."""
+    if t < 0:
+        raise ParameterError(f"t must be non-negative, got t={t}")
     if omega < t + 1:
         raise ParameterError(f"need omega >= t+1, got omega={omega}, t={t}")
     g = math.gcd(t + 1, omega)
@@ -67,6 +69,8 @@ def hat_params(omega: int, t: int) -> HatParams:
 
 def _eta_bound(L: int, G: int, t: int, omega: int, hat: HatParams) -> int:
     """Largest eta allowed by the transmit- and receive-antenna constraints."""
+    if L < 1 or G < 1:
+        raise ParameterError(f"L and G must be at least 1, got L={L}, G={G}")
     tx = Fraction(L * hat.S_hat, 1 + (omega - t - 1) * hat.S_hat * hat.beta_hat)
     rx = Fraction(G, hat.beta_hat)
     return int(min(tx, rx))
@@ -84,7 +88,7 @@ def feasible_beta_set(
 
     Members are eta*beta_hat for every eta meeting the antenna bounds and
     admitting an integer regrouping with delta <= delta_max.  An empty list is
-    a valid result, not an error.
+    a valid result, not an error; L or G below 1 or a negative t is one.
     """
     if delta_max < 1:
         raise ParameterError("delta_max must be at least 1")
@@ -302,10 +306,13 @@ def schedule_symmetric(
     beta: int,
     delta_max: int = DEFAULT_DELTA_MAX,
     min_columns: int = 1,
+    base: list[ScheduleColumn] | None = None,
 ) -> ScheduleTable:
-    """Build the reference table for a feasible beta."""
+    """Build the reference table for a feasible beta, regrouping ``base`` when
+    the caller already holds the (omega, t) base partition."""
     plan = plan_symmetric(L, G, t, omega, beta, delta_max, min_columns)
-    base = build_base_partition(omega, t)
+    if base is None:
+        base = build_base_partition(omega, t)
     return regroup(
         base, plan.eta, plan.delta, L=L, G=G, users=tuple(range(1, omega + 1)), t=t
     )

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NullityDeficientError, ParameterError, VerificationError
+from .errors import MalformedTableError, NullityDeficientError, ParameterError, VerificationError
 from .model import Group, ScheduleColumn, ScheduleTable
 
 RANK_RTOL = 1e-8
@@ -63,40 +63,53 @@ def check_column(
 ) -> tuple[list[Witness], int]:
     """Witnesses of violated conditions in one column, plus the minimum
     transmit-side slack (L minus the largest left-hand side over groups)."""
-    theta = col.theta()
-    beta = col.beta(users)
-    total = sum(beta.values())
-    witnesses = []
-    min_slack = L
-    for g, mult in sorted(theta.items()):
-        lhs = mult + total - sum(beta[k] for k in g)
-        min_slack = min(min_slack, L - lhs)
-        if lhs > L:
-            witnesses.append(Witness(column_index, "tx", g, lhs, L))
-    for k in sorted(beta):
-        if beta[k] > G:
-            witnesses.append(Witness(column_index, "rx", (k,), beta[k], G))
-    return witnesses, min_slack
+    report = decodability_check(ScheduleTable(tuple(users), 0, L, G, (col,)))
+    return [replace(w, column=column_index) for w in report.witnesses], report.min_slack
 
 
 def decodability_check(table: ScheduleTable, L: int | None = None, G: int | None = None) -> SymbolicReport:
-    """Symbolic decodability verdict for every column of a table."""
-    L = table.L if L is None else L
-    G = table.G if G is None else G
-    all_witnesses: list[Witness] = []
-    per_column = []
-    min_slack = L
-    for idx, col in enumerate(table.columns, start=1):
-        witnesses, slack = check_column(col, table.users, L, G, idx)
-        per_column.append(not witnesses)
-        all_witnesses.extend(witnesses)
-        min_slack = min(min_slack, slack)
-    return SymbolicReport(
-        ok=not all_witnesses,
-        witnesses=tuple(all_witnesses),
-        per_column=tuple(per_column),
-        min_slack=min_slack,
-    )
+    """Symbolic decodability verdict for every column of a table, in array passes.
+
+    Each distinct group gets an id in sorted order and a row of user indices,
+    padded with a user U that decodes nothing.  One bincount gives the
+    per-(column, user) stream counts beta and np.unique the (column, group)
+    multiplicities; a group's tx left-hand side is its multiplicity plus the
+    column's streams minus its members' streams.  Witnesses come per column:
+    tx by sorted group, then rx by user.
+    """
+    L, G = table.L if L is None else L, table.G if G is None else G
+    served, n = sorted(set(table.users)), len(table.columns)
+    slots = [g for col in table.columns for g in col.groups]
+    distinct = sorted(set(slots))
+    U, D, width = len(served), len(distinct), max(map(len, distinct), default=0)
+    user_index = {k: i for i, k in enumerate(served)}
+    try:
+        rows = [[user_index[k] for k in g] + [U] * (width - len(g)) for g in distinct]
+    except KeyError:
+        k = next(k for g in slots for k in g if k not in user_index)
+        raise MalformedTableError(f"user {k} not in served set {served}") from None
+    members = np.array(rows, dtype=np.intp).reshape(D, width)
+    gid = np.fromiter(map({g: i for i, g in enumerate(distinct)}.__getitem__, slots), np.intp, len(slots))
+    col = np.repeat(np.arange(n), [len(c.groups) for c in table.columns])
+    beta = np.bincount((col[:, None] * (U + 1) + members[gid]).ravel(), minlength=n * (U + 1))
+    beta = beta.reshape(n, U + 1) * (np.arange(U + 1) < U)  # the padding user decodes nothing
+    key, mult = np.unique(col * max(D, 1) + gid, return_counts=True)
+    pcol, pgid = np.divmod(key, max(D, 1))
+    lhs = mult + beta.sum(axis=1)[pcol] - beta[pcol[:, None], members[pgid]].sum(axis=1)
+    tx = np.flatnonzero(lhs > L)
+    rx_col, rx_user = np.nonzero(beta[:, :U] > G)
+    found = [
+        Witness(c + 1, "tx", distinct[g], v, L)
+        for c, g, v in zip(pcol[tx].tolist(), pgid[tx].tolist(), lhs[tx].tolist())
+    ] + [
+        Witness(c + 1, "rx", (served[k],), v, G)
+        for c, k, v in zip(rx_col.tolist(), rx_user.tolist(), beta[rx_col, rx_user].tolist())
+    ]
+    found.sort(key=lambda w: (w.column, w.condition == "rx"))  # stable: keeps each kind's order
+    bad = np.zeros(n, dtype=bool)
+    bad[pcol[tx]] = bad[rx_col] = True
+    # min_slack is the least of L and every L - lhs
+    return SymbolicReport(not found, tuple(found), tuple((~bad).tolist()), L - int(lhs.max(initial=0)))
 
 
 def _complex_normals(seed, shape: tuple, salt: int | None = None) -> np.ndarray:

@@ -353,6 +353,34 @@ def test_schedule_greedy_flags_exit_2(tmp_path, capsys, flags, reason):
     assert reason in doc["error"]["reason"]
 
 
+@pytest.mark.parametrize("command", [
+    ["feasible-beta"],
+    ["schedule", "--mode", "sym"],
+    ["schedule", "--mode", "sym", "--beta", "2"],
+    ["schedule", "--mode", "asym", "--beta", "2", "--m", "2"],
+    ["dof-region"],
+])
+@pytest.mark.parametrize("shape,reason", [
+    (("10", "3", "-1", "5"), "t must be non-negative"),
+    (("10", "3", "-2", "5"), "t must be non-negative"),
+    (("0", "3", "1", "5"), "L and G must be at least 1"),
+    (("-3", "3", "1", "5"), "L and G must be at least 1"),
+    (("10", "0", "1", "5"), "L and G must be at least 1"),
+])
+def test_antenna_and_gain_flags_exit_2(tmp_path, capsys, command, shape, reason):
+    L, G, t, omega = shape
+    out = tmp_path / "out"
+    argv = command + ["--L", L, "--G", G, "--t", t, "--omega", omega]
+    if command[0] != "feasible-beta":
+        argv += ["-o", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ParameterError"
+    assert reason in doc["error"]["reason"]
+
+
 def test_verify_numeric_runs_one_symbolic_check(tmp_path, capsys, monkeypatch):
     import ccsched.cli
     import ccsched.verifier

@@ -165,3 +165,24 @@ def test_donor_ladder_stops_at_rung_independent_failures(monkeypatch):
     assert list(region.asymmetric_dofs) == list(range(8, 41, 4))
     assert len(calls) == 8 and len(failed) == 6
     assert len(set(calls)) == len(calls)  # one attempt per (beta, m)
+
+
+@pytest.mark.parametrize("shape", [(11, 8, 3, 8), (21, 8, 3, 9)])
+def test_base_partition_built_once_per_region(monkeypatch, shape):
+    """Every symmetric witness and donor baseline of a region regroups one
+    (omega, t) base partition; building it per table took 2 calls on each."""
+    import ccsched.symmetric as symmetric_module
+
+    calls = []
+    build_base_partition = symmetric_module.build_base_partition
+
+    def counting(*args):
+        calls.append(args)
+        return build_base_partition(*args)
+
+    monkeypatch.setattr(symmetric_module, "build_base_partition", counting)
+    monkeypatch.setattr(dof_module, "build_base_partition", counting, raising=False)
+    L, G, t, omega = shape
+    region = asymmetric_region(L, G, t, omega)
+    assert calls == [(omega, t)]
+    assert region.symmetric_dofs

@@ -1,16 +1,19 @@
-"""Fuzzing the command-line boundary: mutated table JSON and arbitrary SNR
-grids must end in exit code 0, 2, 3 or 4, with a JSON reason on stderr for
-every failure, and never in a Python traceback."""
+"""Fuzzing the command-line boundary: mutated table JSON, arbitrary SNR
+grids and arbitrary config files must end in exit code 0, 2, 3 or 4, with a
+JSON reason on stderr for every failure, and never in a Python traceback."""
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccsched.cli import main
+from ccsched.model import table_to_json
+from ccsched.symmetric import schedule_symmetric
 
 # the frozen Example 1 table: 10 columns of 7 groups over 5 users
 SEED_DOC = json.loads((Path(__file__).parent / "data" / "example1_dof14.json").read_text())
@@ -93,3 +96,54 @@ def test_arbitrary_snr_grid(snr):
     assert_clean_exit(code, err)
     if code == 0:
         assert out.startswith("snr_db,")
+
+
+# every flag of the four commands, a spelling with a hyphen, and unknown keys
+CONFIG_KEYS = [
+    "L", "G", "t", "omega", "delta_max", "delta-max", "seed", "mode", "beta", "m", "tau",
+    "imax", "output", "table", "numeric", "trials", "tol", "snr", "witness_dir", "config",
+    "case", "bogus",
+]
+# no digit in any script and no path separator: a value can neither size a
+# construction nor name a file outside the working directory
+words = st.text(st.characters(blacklist_categories=("Cs", "Nd"), blacklist_characters="/\\"), max_size=8)
+config_values = small_ints.map(str) | words | st.sampled_from(
+    ["true", "False", "sym", "asym", "-", "nan", "inf", "-1e-9", "1e-6", "0:5:35", "0,20", '"7"', "'x'", "a\0b"]
+)
+config_lines = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS) | words, st.sampled_from([" = ", "=", " : "]), config_values)
+    .map("".join),
+    words,
+    st.just("# a comment"),
+)
+# a 3-column symmetric table: a config may leave the draw counts at their
+# defaults (100 and 200 trials), which the Example 1 table makes slow
+SMALL_TABLE = table_to_json(schedule_symmetric(11, 8, 1, 4, 1))
+COMMANDS = (
+    ["schedule", "--L", "10", "--G", "3", "--t", "1", "--omega", "5"],
+    ["verify", "--table", "small.json"],
+    ["dof-region", "--L", "11", "--G", "8", "--t", "1", "--omega", "4"],
+    ["rate-sweep", "--table", "small.json"],
+)
+
+
+@given(st.lists(config_lines, max_size=6), st.binary(max_size=4))
+@example(["output = a\0b", "witness_dir = a\0b"], b"")
+@example(["seed = 1"], b"\xff")
+@settings(max_examples=100, deadline=None)
+def test_arbitrary_config_file(lines, tail):
+    """A config file of key = value lines (and some that are not), perhaps
+    ending in bytes that are not UTF-8; relative output paths stay in a
+    scratch working directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "small.json").write_text(SMALL_TABLE)
+        config = Path(tmp) / "run.cfg"
+        config.write_bytes("\n".join(lines).encode() + b"\n" + tail)
+        os.chdir(tmp)
+        try:
+            for command in COMMANDS:
+                code, _, err = run_main(command + ["--config", str(config)])
+                assert_clean_exit(code, err)
+        finally:
+            os.chdir(cwd)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ccsched.errors import NullityDeficientError, ParameterError, VerificationError
+from ccsched.errors import MalformedTableError, NullityDeficientError, ParameterError, VerificationError
 from ccsched.model import ScheduleColumn, ScheduleTable
 from ccsched.symmetric import schedule_symmetric
 from ccsched.asymmetric import schedule_asymmetric
@@ -13,6 +14,8 @@ from ccsched.verifier import (
     decodability_check,
     verify_numeric,
     verify_table_numeric,
+    SymbolicReport,
+    Witness,
 )
 
 
@@ -201,3 +204,89 @@ def test_check_column_slack():
     witnesses, slack = check_column(col, (1, 2, 3, 4), L=5, G=2)
     # each group: outside-sum 2 plus multiplicity 1 -> lhs 3, slack 2
     assert not witnesses and slack == 2
+
+
+def _reference_check_column(col, users, L, G, column_index):
+    """The per-column loop the table-level certifier replaced."""
+    theta = col.theta()
+    beta = col.beta(users)
+    total = sum(beta.values())
+    witnesses = []
+    min_slack = L
+    for g, mult in sorted(theta.items()):
+        lhs = mult + total - sum(beta[k] for k in g)
+        min_slack = min(min_slack, L - lhs)
+        if lhs > L:
+            witnesses.append(Witness(column_index, "tx", g, lhs, L))
+    for k in sorted(beta):
+        if beta[k] > G:
+            witnesses.append(Witness(column_index, "rx", (k,), beta[k], G))
+    return witnesses, min_slack
+
+
+def _reference_decodability_check(table, L=None, G=None):
+    L = table.L if L is None else L
+    G = table.G if G is None else G
+    witnesses, per_column, min_slack = [], [], L
+    for idx, col in enumerate(table.columns, start=1):
+        found, slack = _reference_check_column(col, table.users, L, G, idx)
+        per_column.append(not found)
+        witnesses.extend(found)
+        min_slack = min(min_slack, slack)
+    return SymbolicReport(not witnesses, tuple(witnesses), tuple(per_column), min_slack)
+
+
+@st.composite
+def random_tables(draw):
+    """Tables over a few users with repeated groups of mixed sizes, empty
+    columns, canonical or raw group order, and loads around L and G."""
+    users = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True))
+    group = st.lists(st.sampled_from(sorted(users)), min_size=1, max_size=4, unique=True).map(
+        lambda g: tuple(sorted(g))
+    )
+    pool = draw(st.lists(group, min_size=1, max_size=6))
+    columns = []
+    for groups in draw(st.lists(st.lists(st.sampled_from(pool), max_size=9), max_size=6)):
+        columns.append(ScheduleColumn.of(groups) if draw(st.booleans()) else ScheduleColumn(tuple(groups)))
+    return ScheduleTable(
+        users=tuple(users), t=1, L=draw(st.integers(0, 12)), G=draw(st.integers(0, 6)),
+        columns=tuple(columns),
+    )
+
+
+@given(random_tables(), st.none() | st.integers(-1, 14), st.none() | st.integers(-1, 8))
+@settings(max_examples=400, deadline=None)
+def test_table_certifier_matches_per_column_reference(table, L, G):
+    assert decodability_check(table, L, G) == _reference_decodability_check(table, L, G)
+    for idx, col in enumerate(table.columns, start=3):
+        want = _reference_check_column(col, table.users, table.L, table.G, idx)
+        assert check_column(col, table.users, table.L, table.G, idx) == want
+
+
+def test_table_certifier_orders_witnesses_per_column():
+    # column 1 fails tx on (1, 2) and (3,) and rx on users 1 and 2; column 2
+    # is empty; column 3 passes; a repeated group and mixed sizes throughout
+    cols = (
+        ScheduleColumn.of([(1, 2)] * 3 + [(3,), (1, 2, 3)]),
+        ScheduleColumn(()),
+        ScheduleColumn.of([(1, 3), (4,)]),
+    )
+    table = ScheduleTable(users=(1, 2, 3, 4), t=1, L=3, G=3, columns=cols)
+    report = decodability_check(table)
+    assert report == _reference_decodability_check(table)
+    assert [(w.column, w.condition, w.subject) for w in report.witnesses] == [
+        (1, "tx", (1, 2)), (1, "tx", (3,)), (1, "rx", (1,)), (1, "rx", (2,)),
+    ]
+    assert report.per_column == (False, True, True)
+    assert report.min_slack == 3 - 9
+    empty = ScheduleTable(users=(1, 2), t=1, L=4, G=2, columns=())
+    assert decodability_check(empty) == SymbolicReport(True, (), (), 4)
+
+
+def test_table_certifier_rejects_users_outside_the_served_set():
+    col = ScheduleColumn.of([(1, 2), (2, 5)])
+    table = ScheduleTable(users=(1, 2, 3), t=1, L=9, G=9, columns=(col,))
+    with pytest.raises(MalformedTableError, match="user 5"):
+        decodability_check(table)
+    with pytest.raises(MalformedTableError, match="user 5"):
+        check_column(col, table.users, 9, 9)
