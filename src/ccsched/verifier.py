@@ -1,6 +1,6 @@
 """Linear decodability certification.
 
-Symbolic side: per-column check of the two antenna conditions,
+Symbolic side: the two antenna conditions, checked on every column of a table at once,
   tx: for every scheduled group, the streams of users outside it plus the
       group's own multiplicity fit inside the transmit antenna count;
   rx: no user decodes more streams than it has receive antennas.

@@ -255,7 +255,7 @@ def random_tables(draw):
 
 
 @given(random_tables(), st.none() | st.integers(-1, 14), st.none() | st.integers(-1, 8))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_table_certifier_matches_per_column_reference(table, L, G):
     assert decodability_check(table, L, G) == _reference_decodability_check(table, L, G)
     for idx, col in enumerate(table.columns, start=3):
