@@ -329,8 +329,16 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors (a missing or unknown flag, a bad flag value) raise
+    ParameterError, so they exit 2 with a JSON reason like any bad input."""
+
+    def error(self, message: str):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ccsched",
         description="multicast schedule construction and verification for "
         "cache-aided multi-antenna downlinks",
@@ -400,16 +408,35 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+def parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``; the values of a ``--config`` file become the
+    subcommand's defaults, so explicit flags win and the file may supply
+    required flags."""
+    subcommands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    required = [a for p in subcommands.values() for a in p._actions if a.required]
     try:
-        if args.config is not None:
-            # config values become the subcommand's defaults, so explicit flags win
-            subcommands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
-            subparser = subcommands[args.command]
-            subparser.set_defaults(**config_defaults(subparser, load_config(args.config)))
-            args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
+    except ParameterError:
+        # a required flag may be in the config file: find the file with no
+        # flag required, and fail as before when there is none
+        for action in required:
+            action.required = False
+        args = parser.parse_args(argv)
+        if args.config is None:
+            raise
+    if args.config is None:
+        return args
+    subparser = subcommands[args.command]
+    config = config_defaults(subparser, load_config(args.config))
+    subparser.set_defaults(**config)
+    for action in required:
+        action.required = action.dest not in config
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    try:
+        args = parse_args(make_parser(), argv)
         return args.func(args)
     except CcschedError as exc:
         error = {"error": {"type": type(exc).__name__, "reason": str(exc)}}

@@ -130,8 +130,11 @@ def snr_sweep(
     mean rate is exactly non-decreasing in SNR.  Per-column rates are
     averaged over trials first; the symmetric rate then follows from the
     time-accounting identity applied to those means.  ``std_rsym`` is the
-    standard deviation of the per-trial symmetric rates.
+    standard deviation of the per-trial symmetric rates.  ``trials`` must be
+    at least 1.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
     report = decodability_check(table)
     if not report.ok:
         raise VerificationError(f"table fails the symbolic check: {report.witnesses[0]}")

@@ -11,6 +11,9 @@ nullspace by thresholded SVD, places one unit-norm beamformer per stream
 instance inside that nullspace, and verifies rank-nullity, interference
 leakage, and per-user invertibility of the effective channel.  Every numeric
 array may carry a leading trial axis, so one call handles a batch of draws.
+A whole table is certified by a kernel planned once per table, with one
+nullspace per outside-user profile and one stacked product per (user, stream
+count) and chunk of columns.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +32,8 @@ from .model import Group, ScheduleColumn, ScheduleTable
 RANK_RTOL = 1e-8
 # channel draws per batch of the numeric kernel; bounds its memory
 TRIAL_BLOCK = 32
-# columns whose margins are reduced together; bounds the memory of the
-# gathered effective matrices (a whole Fig. 3 table at once raised the
-# oracle's peak RSS by 17 % for a 2-3 % faster run)
+# columns per chunk of the oracle's table plan: a chunk's beams, gains and
+# margins are formed together, so it bounds their memory
 FLUSH_COLUMNS = 16
 
 
@@ -191,6 +195,60 @@ class BeamformerSolution:
     stacked: np.ndarray
 
 
+def _combiner_pool(channels: ChannelRealization, combiner_policy: str, cache: dict) -> dict:
+    """Per user, a G x G matrix whose leading columns are its combiners for
+    any stream count, kept in ``cache["combiners"]``: random orthonormal
+    columns ("haar"), or the left singular vectors of the user's channel
+    ("channel-aligned")."""
+    if combiner_policy not in ("haar", "channel-aligned"):
+        raise ParameterError(f"unknown combiner policy: {combiner_policy}")
+    if "combiners" not in cache:
+        cache["combiners"] = channels.haar_combiner_pool() if combiner_policy == "haar" else {
+            k: np.linalg.svd(channels.H[k])[0] for k in channels.users
+        }
+    return cache["combiners"]
+
+
+def _combined(channels: ChannelRealization, cache: dict, k: int, b: int) -> np.ndarray:
+    """User k's combined channel combiner^H H over its first b combiners,
+    (..., b, L), formed once per (user, stream count) in ``cache``."""
+    key = ("combined", k, b)
+    if key not in cache:
+        cache[key] = _hermitian(cache["combiners"][k][..., :b]) @ channels.H[k]
+    return cache[key]
+
+
+def _group_beams(group: Group, theta: int, profile: tuple, channels: ChannelRealization, cache: dict):
+    """The first ``theta`` nullspace directions, (..., L, theta), for the
+    stream instances of ``group``.
+
+    ``profile`` holds the (user, stream count) pairs of the users outside the
+    group that decode streams.  The nullspace of their stacked combined
+    channels depends on nothing else, so it is computed once per profile in
+    ``cache``.  Raises NullityDeficientError when it cannot host theta
+    instances, or when its dimension anywhere in the batch is not the
+    rank-nullity value L minus the profile's streams.
+    """
+    L = channels.L
+    if profile not in cache:
+        rows = [_combined(channels, cache, k, b) for k, b in profile]
+        rows = rows or [channels.H[channels.users[0]][..., :0, :]]  # no outside user: (..., 0, L)
+        basis, rank = nullspace_basis(np.concatenate(rows, axis=-2), L)
+        cache[profile] = basis, L - int(np.max(rank)), L - int(np.min(rank))
+    basis, nullity, widest = cache[profile]  # smallest and largest nullity over the batch
+    expected = L - sum(b for _, b in profile)
+    if nullity < theta:
+        raise NullityDeficientError(
+            f"group {group}: nullity {nullity} cannot host {theta} stream instances"
+        )
+    if not nullity == widest == expected:
+        raise NullityDeficientError(
+            f"group {group}: computed nullity (min {nullity}, max {widest}) != rank-nullity "
+            f"value {expected} (non-generic channel draw)"
+        )
+    return basis[..., :theta]
+
+
 def build_beamformers(
     column: ScheduleColumn,
     channels: ChannelRealization,
@@ -209,43 +267,21 @@ def build_beamformers(
     caller passes one ``cache`` dict per realization and policy to share the
     combiners and the nullspace of every outside-user profile across columns.
     """
-    if combiner_policy not in ("haar", "channel-aligned"):
-        raise ParameterError(f"unknown combiner policy: {combiner_policy}")
+    cache = {} if cache is None else cache
+    pool = _combiner_pool(channels, combiner_policy, cache)
     users, L = channels.users, channels.L
     theta = column.theta()
     beta = column.beta(users)
-    cache = {} if cache is None else cache
-    if "combiners" not in cache:
-        cache["combiners"] = channels.haar_combiner_pool() if combiner_policy == "haar" else {
-            k: np.linalg.svd(channels.H[k])[0] for k in users
-        }
-    combiners = {k: cache["combiners"][k][..., : beta[k]] for k in users}
-
+    combiners = {k: pool[k][..., : beta[k]] for k in users}
     beams: dict[Group, np.ndarray] = {}
     nullities: dict[Group, int] = {}
     for g in sorted(theta):
-        outside = [k for k in users if k not in g and beta[k] > 0]
-        key = tuple((k, beta[k]) for k in outside)
-        if key not in cache:
-            rows = [_hermitian(combiners[k]) @ channels.H[k] for k in outside]
-            rows = rows or [channels.H[users[0]][..., :0, :]]  # no outside user: (..., 0, L)
-            basis, rank = nullspace_basis(np.concatenate(rows, axis=-2), L)
-            cache[key] = basis, L - int(np.max(rank)), L - int(np.min(rank))
-        basis, nullity, widest = cache[key]  # smallest and largest nullity over the batch
-        expected = L - sum(beta[k] for k in outside)
-        if nullity < theta[g]:
-            raise NullityDeficientError(
-                f"group {g}: nullity {nullity} cannot host {theta[g]} stream instances"
-            )
-        if not nullity == widest == expected:
-            raise NullityDeficientError(
-                f"group {g}: computed nullity (min {nullity}, max {widest}) != rank-nullity "
-                f"value {expected} (non-generic channel draw)"
-            )
-        beams[g] = basis[..., : theta[g]]
-        nullities[g] = expected
+        profile = tuple((k, beta[k]) for k in users if k not in g and beta[k] > 0)
+        beams[g] = _group_beams(g, theta[g], profile, channels, cache)
+        nullities[g] = L - sum(b for _, b in profile)
     streams = tuple((g, inst) for g in sorted(theta) for inst in range(theta[g]))
-    stacked = np.concatenate([beams[g] for g in sorted(theta)], axis=-1)
+    batch = channels.H[users[0]].shape[:-2]
+    stacked = np.concatenate([beams[g] for g in sorted(theta)] or [np.zeros(batch + (L, 0))], axis=-1)
     return BeamformerSolution(combiners, beams, nullities, dict(beta), streams, stacked)
 
 
@@ -273,110 +309,201 @@ def effective_matrix(
     With the ``cache`` of ``build_beamformers`` the combiner^H H factor is
     kept there and shared by every column giving user k the same stream count.
     """
-    key = ("combined", k, solution.beta[k])
-    cache = {} if cache is None else cache
-    if key not in cache:
-        cache[key] = _hermitian(solution.combiners[k]) @ channels.H[k]
+    cache = {"combiners": solution.combiners} if cache is None else cache
     own = np.array([k in g for g, _ in solution.streams])
-    gains = cache[key] @ solution.stacked
+    gains = _combined(channels, cache, k, solution.beta[k]) @ solution.stacked
     return gains[..., own], gains[..., ~own]
 
 
+class _StreamSet(NamedTuple):
+    """The columns of one chunk with the same number n of streams and the
+    same layout of beams."""
+
+    columns: np.ndarray  # (C,) 0-based column indices
+    beams: np.ndarray  # (C, n) direction-library index of every stream
+    # the layout of each column's own stack of beams (BeamformerSolution.stacked):
+    # np.concatenate makes L the fast axis when a group repeats and C order
+    # otherwise, and a BLAS product rounds by layout, so the set's beams follow it
+    l_fast: bool
+    # per (user position u, stream count b > 0): the rows of the R columns
+    # that give the user b streams (a slice when all do), arange(R)[:, None],
+    # and the indices of its own (R, b) and cross (R, n - b) streams, each in
+    # stream order
+    entries: tuple[tuple[int, int, np.ndarray | slice, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+class _TablePlan(NamedTuple):
+    """Everything the numeric oracle needs of a table that no draw changes."""
+
+    users: tuple[int, ...]
+    columns: tuple[tuple[Group, ...], ...]  # sorted groups: one entry per stream
+    # (group, theta, profile) for the first group of each distinct (outside-user
+    # profile, theta) pair in scan order: its nullity checks stand for all
+    checks: tuple[tuple[Group, int, tuple], ...]
+    # the direction library of a trial block: the leading directions of each profile
+    directions: tuple[tuple[tuple, int], ...]
+    sets: tuple[_StreamSet, ...]
+
+
+def _plan_table(columns, users: tuple[int, ...]) -> _TablePlan:
+    """Stream order, outside-user profiles and per-(user, stream count) index
+    arrays of every column, in array passes over the table's group slots;
+    chunks of FLUSH_COLUMNS columns are split into stream sets by stream
+    total and layout."""
+    cols = tuple(tuple(sorted(c.groups)) for c in columns)
+    U, n = len(users), np.array([len(c) for c in cols], dtype=np.intp)
+    slots = [g for c in cols for g in c]
+    distinct = sorted(set(slots))
+    index = {k: i for i, k in enumerate(users)}
+    member = np.zeros((len(distinct), U), dtype=bool)
+    for d, g in enumerate(distinct):
+        member[d, [index[k] for k in g]] = True
+    gid = np.fromiter(map({g: i for i, g in enumerate(distinct)}.__getitem__, slots), np.intp, len(slots))
+    col = np.repeat(np.arange(len(cols)), n)
+    decodes = member[gid]  # (slot, user)
+    s, u = np.nonzero(decodes)
+    beta = np.bincount(col[s] * U + u, minlength=len(cols) * U).reshape(len(cols), U)
+    # a run of equal groups in a column holds the group's theta instances
+    head = np.ones(len(slots), dtype=bool)
+    head[1:] = (gid[1:] != gid[:-1]) | (col[1:] != col[:-1])
+    heads = np.flatnonzero(head)
+    run = np.cumsum(head) - 1
+    theta = np.diff(np.append(heads, len(slots)))
+    # a group's profile: the stream counts of the users outside it; an id per
+    # distinct profile from one lexicographic sort (np.unique(axis=0) is slower)
+    outside = beta[col[heads]] * ~member[gid[heads]]
+    by = np.lexsort(outside.T[::-1])
+    new = np.ones(len(by), dtype=bool)
+    new[1:] = (outside[by[1:]] != outside[by[:-1]]).any(axis=1)
+    pid = np.empty(len(by), dtype=np.intp)
+    pid[by] = np.cumsum(new) - 1
+    keys = [tuple((users[i], b) for i, b in enumerate(row) if b) for row in outside[by[new]].tolist()]
+    _, firsts = np.unique(pid * (len(slots) + 1) + theta, return_index=True)
+    checks = tuple(
+        (distinct[gid[heads[r]]], int(theta[r]), keys[pid[r]]) for r in np.sort(firsts).tolist()
+    )
+    take = np.zeros(len(keys), dtype=np.intp)
+    np.maximum.at(take, pid, theta)
+    direction = (np.cumsum(take) - take)[pid[run]] + np.arange(len(slots)) - heads[run]
+    l_fast = np.zeros(len(cols), dtype=bool)
+    l_fast[col[heads[theta > 1]]] = True
+    starts, step, sets = np.cumsum(n) - n, int(beta.max(initial=0)) + 1, []
+    for c0 in range(0, len(cols), FLUSH_COLUMNS):
+        block = np.arange(c0, min(c0 + FLUSH_COLUMNS, len(cols)))
+        kind = 2 * n[block] + l_fast[block]
+        for total, fast in (divmod(k, 2) for k in sorted(set(kind.tolist()))):
+            rows_all = block[kind == 2 * total + fast]
+            stream = starts[rows_all][:, None] + np.arange(total)
+            # (user, row) pairs with streams, by user and stream count, rows ascending
+            pair_user, pair_row = np.nonzero(beta[rows_all].T)
+            pair_key = pair_user * step + beta[rows_all][pair_row, pair_user]
+            grouped = np.argsort(pair_key, kind="stable")
+            pair_key, pair_user, pair_row = pair_key[grouped].tolist(), pair_user[grouped], pair_row[grouped]
+            # per pair: own streams first, then cross ones, each in stream order
+            order = np.argsort(~decodes[stream[pair_row], pair_user[:, None]], axis=1, kind="stable")
+            bounds = [i for i, k in enumerate(pair_key) if i == 0 or k != pair_key[i - 1]]
+            r, entries = np.arange(len(rows_all))[:, None], []
+            for lo, hi in zip(bounds, bounds[1:] + [len(pair_key)]):
+                user, b = divmod(pair_key[lo], step)
+                at = slice(None) if hi - lo == len(rows_all) else pair_row[lo:hi]
+                entries.append((user, b, at, r[: hi - lo], order[lo:hi, :b], order[lo:hi, b:]))
+            if entries:
+                sets.append(_StreamSet(rows_all, direction[stream], bool(fast), tuple(entries)))
+    return _TablePlan(users, cols, checks, tuple(zip(keys, take.tolist())), tuple(sets))
+
+
+def _streams(groups: tuple[Group, ...]) -> list[tuple[Group, int]]:
+    """(group, instance) of every stream of a column with sorted groups."""
+    return [(g, i - groups.index(g)) for i, g in enumerate(groups)]
+
+
 class _MarginScan:
-    """Worst leakage and conditioning over the (column, trial) cells of a scan.
+    """Worst leakage and conditioning over the cells of a scan, and every
+    failing cell.
 
-    Columns are gathered and reduced FLUSH_COLUMNS at a time: one SVD per
-    stream count and one argmax/argmin per margin.  Ties go to the first
-    cell in scan order: column, then trial, then user and stream.  A column
-    added without an index reports failures and locations without one."""
+    A conditioning cell is a (column, trial, user); a leakage cell adds one of
+    the user's cross streams.  Each stream set is reduced in array passes:
+    one SVD per stream count, and one argmax/argmin per margin over arrays in
+    (column, trial, user, stream) order, padded with -inf/+inf.  Ties go to
+    the first cell in scan order: trial block, column, trial, user, stream.
+    An unnamed scan reports failures and locations without the column."""
 
-    def __init__(self, tol: float, sigma_tol: float) -> None:
+    def __init__(self, tol: float, sigma_tol: float, named: bool = True) -> None:
         for name, value in (("tol", tol), ("sigma_tol", sigma_tol)):
             if not (math.isfinite(value) and value > 0):
                 raise ParameterError(f"{name} must be a finite positive number, got {value}")
-        self.tol, self.sigma_tol = tol, sigma_tol
-        # per margin kind: (value, (column, trial, label)) of the worst cell so far
+        self.tol, self.sigma_tol, self.named = tol, sigma_tol, named
+        # per margin kind: (value, scan position, trial, column, label) of the worst cell so far
         self.worst: dict[str, tuple | None] = {"leakage": None, "sigma_min": None}
         self.failures: list[tuple] = []
-        self._columns = 0
-        # pending segments: ((column, first trial, labels), values or stream count)
-        self._leaks: list[tuple] = []
-        self._groups: list[tuple] = []
-        self._effs: dict[int, list[np.ndarray]] = {}  # by stream count, for one SVD each
 
-    def add(self, channels, solution, cache=None, column=None, first: int = 0) -> None:
-        """Gather one column's margins; trials of its draws count from ``first``."""
-        norms, leak_keys = [], []
-        groups: dict[int, tuple[int, list]] = {}  # stream count -> (first stack index, users)
-        for k in channels.users:
-            b = solution.beta[k]
-            if b > 0:
-                eff, cross = effective_matrix(solution, channels, k, cache)
-                norms.append(np.linalg.norm(cross, axis=-2))
-                leak_keys += [(k, g, inst) for g, inst in solution.streams if k not in g]
-                effs = self._effs.setdefault(b, [])
-                groups.setdefault(b, (len(effs), []))[1].append((k,))
-                effs.append(eff)
-        if leak_keys:
-            leak = np.concatenate(norms, axis=-1).reshape(-1, len(leak_keys))
-            self._leaks.append(((column, first, leak_keys), leak))
-        self._groups += [((column, first, users), (b, at)) for b, (at, users) in groups.items()]
-        self._columns += 1
-        if self._columns == FLUSH_COLUMNS:
-            self.flush()
+    def add(self, plan: _TablePlan, streams: _StreamSet, beams: np.ndarray, combined, first: int) -> None:
+        """Fold the margins of one stream set, given its (C, trials, L, n)
+        beams and ``combined(k, b)``; its trials count from ``first``."""
+        C, T, _, n = beams.shape
+        leak = np.full((C, T, len(plan.users), n), -np.inf)
+        sigma = np.full((C, T, len(plan.users)), np.inf)
+        effs: dict[int, list] = {}  # by stream count, for one SVD each
+        for u, b, rows, r, own, cross in streams.entries:
+            gains = combined(plan.users[u], b) @ beams[rows]  # (R, T, b, n)
+            # cross gains as (R, n - b, T, b): each norm sums along the contiguous
+            # combiner axis, in the order the norm of one column's gains sums
+            leak[rows, :, u, : n - b] = np.linalg.norm(gains[r, :, :, cross], axis=-1).swapaxes(1, 2)
+            effs.setdefault(b, []).append((u, rows, gains[r, :, :, own].transpose(0, 2, 3, 1)))
+        for parts in effs.values():
+            smallest = np.linalg.svd(np.concatenate([e for *_, e in parts]), compute_uv=False)[..., -1]
+            at = 0
+            for u, rows, e in parts:
+                sigma[rows, :, u] = smallest[at : at + len(e)]
+                at += len(e)
+        self._fold("leakage", plan, streams, first, leak, leak > self.tol)
+        self._fold("sigma_min", plan, streams, first, sigma, sigma <= self.sigma_tol)
 
-    def flush(self) -> None:
-        """Reduce the gathered columns into the running worst margins."""
-        sigmas = {
-            b: np.linalg.svd(np.stack(effs, axis=-3), compute_uv=False)[..., -1]
-            for b, effs in self._effs.items()
-        }
-        sigma = [
-            (tag, sigmas[b][..., at : at + len(tag[2])].reshape(-1, len(tag[2])))
-            for tag, (b, at) in self._groups
-        ]
-        self._fold("leakage", self._leaks, np.argmax, operator.gt, lambda v: v > self.tol)
-        self._fold("sigma_min", sigma, np.argmin, operator.lt, lambda v: v <= self.sigma_tol)
-        self._leaks, self._groups, self._effs, self._columns = [], [], {}, 0
+    # per margin kind: the padding value, the pick of the first worst cell, and
+    # whether a value is worse than another
+    _WORST = {"leakage": (-np.inf, np.argmax, operator.gt), "sigma_min": (np.inf, np.argmin, operator.lt)}
 
-    def _fold(self, kind, segments, pick, better, failing) -> None:
-        """Fold the worst of (labels, (trials, members) values) segments in
-        scan order into ``worst[kind]``: ``pick`` finds its first occurrence,
-        ``better`` must hold strictly to replace an earlier flush's worst."""
-        if not segments:
+    def _fold(self, kind, plan, streams, first, values, failing) -> None:
+        """Fold one set's margins into ``worst[kind]``: its first worst cell
+        replaces the worst so far when worse, or equal and earlier in scan
+        order.  Failing cells join the failures."""
+        pad, pick, better = self._WORST[kind]
+        i = int(pick(values))
+        value = float(values.flat[i])
+        if value == pad:  # padding only: the set has no such cell
             return
-        flat = np.concatenate([values.ravel() for _, values in segments])
-        ends = np.cumsum([values.size for _, values in segments])
-
-        def cell(i):
-            s = int(np.searchsorted(ends, i, side="right"))
-            (column, first, labels), values = segments[s]
-            trial, j = divmod(int(i) - int(ends[s]) + values.size, values.shape[1])
-            return column, first + trial, labels[j]
-
-        i = pick(flat)
+        cell = self._cell(plan, streams, first, values.shape, i)
         worst = self.worst[kind]
-        if worst is None or better(flat[i], worst[0]):
-            self.worst[kind] = float(flat[i]), cell(i)
-        for i in np.flatnonzero(failing(flat)):
-            column, trial, label = cell(i)
-            at = (trial,) if column is None else (trial, column)
-            self.failures.append(at + (kind,) + label + (float(flat[i]),))
+        if worst is None or better(value, worst[0]) or (value == worst[0] and cell[0] < worst[1]):
+            self.worst[kind] = (value, *cell)
+        for i in np.flatnonzero(failing).tolist():
+            _, trial, column, label = self._cell(plan, streams, first, values.shape, i)
+            at = (trial, column) if self.named else (trial,)
+            self.failures.append(at + (kind,) + label + (float(values.flat[i]),))
+
+    @staticmethod
+    def _cell(plan, streams, first, shape, i) -> tuple:
+        """(scan position, trial, 1-based column, label) of flat index i."""
+        r, t, u, *j = (int(x) for x in np.unravel_index(i, shape))
+        column, k = int(streams.columns[r]), plan.users[u]
+        label = (k,)
+        if j:  # the j-th stream that user k does not decode
+            label += [s for s in _streams(plan.columns[column]) if k not in s[0]][j[0]]
+        return (first, column, t, u, *j), first + t, column + 1, label
 
     def report(self) -> NumericReport:
-        """Flush the rest; a margin with no cell reads 0.0 at location None."""
-        self.flush()
+        """The verdict; a margin with no cell reads 0.0 at location None."""
         margins, locations = [], []
         for kind in ("leakage", "sigma_min"):
             if self.worst[kind] is None:
                 margins.append(0.0)
                 locations.append(None)
                 continue
-            value, (column, trial, label) = self.worst[kind]
+            value, _, trial, column, label = self.worst[kind]
             at = {"trial": trial, "user": label[0]}
             if kind == "leakage":
                 at["group"] = list(label[1])
-            if column is not None:
+            if self.named:
                 at["column"] = column
             margins.append(value)
             locations.append(at)
@@ -391,10 +518,15 @@ def verify_numeric(
     sigma_tol: float = 1e-6,
 ) -> NumericReport:
     """Check leakage and effective-matrix conditioning at every user (and on
-    a batch, every trial).  Failures read (trial, kind, user, ...).  ``tol``
-    and ``sigma_tol`` must be finite and positive."""
-    scan = _MarginScan(tol, sigma_tol)
-    scan.add(channels, solution)
+    a batch, every trial): the table kernel's margin scan over this one
+    column and the solution's beams.  Failures read (trial, kind, user, ...).
+    ``tol`` and ``sigma_tol`` must be finite and positive."""
+    scan = _MarginScan(tol, sigma_tol, named=False)
+    plan = _plan_table((column,), channels.users)
+    beams = solution.stacked[None] if solution.stacked.ndim == 3 else solution.stacked[None, None]
+    combined = partial(_combined, channels, {"combiners": solution.combiners})
+    for streams in plan.sets:
+        scan.add(plan, streams, beams, combined, 0)
     return scan.report()
 
 
@@ -411,23 +543,39 @@ def verify_table_numeric(
 
     Every (column, trial) must pass; the report carries the worst leakage
     and conditioning seen anywhere and where they occur, the first in
-    (trial block, column, trial) order on ties.  Trials run in blocks of
-    TRIAL_BLOCK draws whose nullspaces and combined channels are shared by
-    all columns; margins are reduced FLUSH_COLUMNS columns at a time.
-    Failures read (trial, column, kind, user, ...).  ``tol`` and
-    ``sigma_tol`` must be finite and positive.  A table failing the
-    symbolic check is refused; pass ``symbolic``, the table's own
-    ``decodability_check`` report, to skip running that check again."""
+    (trial block, column, trial, user, stream) order on ties.  The table is
+    planned once: stream order, outside-user profiles, and per chunk of
+    FLUSH_COLUMNS columns and stream total the index arrays of every (user,
+    stream count).  Trials then run in blocks of TRIAL_BLOCK draws, each with
+    one nullspace per distinct profile and one stacked matmul per (user,
+    stream count) and stream set.  Failures read (trial, column, kind, user,
+    ...).  ``trials`` must be at least 1 and ``tol`` and ``sigma_tol`` finite
+    and positive.  A table failing the symbolic check is refused; pass
+    ``symbolic``, the table's own ``decodability_check`` report, to skip
+    running that check again."""
     scan = _MarginScan(tol, sigma_tol)
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
     report = symbolic if symbolic is not None else decodability_check(table)
     if not report.ok:
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
+    plan = _plan_table(table.columns, tuple(sorted(table.users)))
     for first in range(0, trials, TRIAL_BLOCK):
         seeds = range(seed + first, seed + min(first + TRIAL_BLOCK, trials))
         channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
         cache: dict = {}
-        for idx, column in enumerate(table.columns, start=1):
-            solution = build_beamformers(column, channels, combiner_policy, cache)
-            scan.add(channels, solution, cache, column=idx, first=first)
-        scan.flush()  # the next block may hold fewer draws, which do not stack with these
+        _combiner_pool(channels, combiner_policy, cache)
+        for group, theta, profile in plan.checks:
+            _group_beams(group, theta, profile, channels, cache)
+        if not plan.sets:  # no column carries a stream
+            break
+        # (trial, direction, L): the directions of every profile, each contiguous
+        library = np.concatenate([cache[p][0][..., :m].swapaxes(-1, -2) for p, m in plan.directions], axis=-2)
+        trial_rows = np.arange(len(seeds))[:, None] * library.shape[-2]
+        combined = partial(_combined, channels, cache)
+        for streams in plan.sets:
+            beams = library.reshape(-1, table.L)[streams.beams[:, None, :] + trial_rows].swapaxes(-1, -2)
+            if not streams.l_fast:
+                beams = np.ascontiguousarray(beams)
+            scan.add(plan, streams, beams, combined, first)
     return scan.report()

@@ -1,17 +1,19 @@
 """The trial-batched numeric kernel against one channel draw at a time, and
 against the per-stream loops it replaced."""
 
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ccsched.asymmetric import schedule_asymmetric
 from ccsched.cli import main
 from ccsched.errors import NullityDeficientError
-from ccsched.model import ScheduleColumn, table_from_json
+from ccsched.model import ScheduleColumn, ScheduleTable, table_from_json
 from ccsched.rates import stream_coefficients
 from ccsched.symmetric import schedule_symmetric
 from ccsched.verifier import (
@@ -19,6 +21,8 @@ from ccsched.verifier import (
     TRIAL_BLOCK,
     ChannelRealization,
     build_beamformers,
+    decodability_check,
+    effective_matrix,
     nullspace_basis,
     verify_numeric,
     verify_table_numeric,
@@ -141,6 +145,28 @@ def test_one_degenerate_draw_fails_the_batch():
         build_beamformers(col, channels)
 
 
+def test_table_scan_names_the_first_deficient_group(monkeypatch):
+    """A draw in which one user is silent fails the table at the first group,
+    in scan order, whose nullspace that user shapes, as building the columns
+    one after another does."""
+    table = table_from_json((DATA / "example1_dof14.json").read_text())
+    draw = ChannelRealization.draw
+
+    def silent(*args, **kwargs):
+        channels = draw(*args, **kwargs)
+        channels.H[3][1] = 0.0  # user 3 is silent in trial 1
+        return channels
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
+    channels, cache = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4)), {}
+    with pytest.raises(NullityDeficientError, match="non-generic") as want:
+        for column in table.columns:
+            build_beamformers(column, channels, cache=cache)
+    with pytest.raises(NullityDeficientError) as got:
+        verify_table_numeric(table, trials=4)
+    assert str(got.value) == str(want.value)
+
+
 def test_rate_sweep_csv_golden(tmp_path, capsys):
     """The Example 1 dof-14 sweep is byte for byte what the per-draw kernel wrote."""
     out = tmp_path / "sweep.csv"
@@ -164,25 +190,55 @@ def test_verify_numeric_output_golden(capsys, table, flags, golden):
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
+def column_report(channels, solution, tol, sigma_tol):
+    """One column's worst margins, their locations and its failures, by the
+    per-user effective matrices of the one-column-at-a-time oracle: cells in
+    (trial, user, stream) order, the first of equal values wins."""
+    leaks, leak_labels, sigmas, sigma_labels = [], [], [], []
+    for k in channels.users:
+        if solution.beta[k] > 0:
+            eff, cross = effective_matrix(solution, channels, k)
+            leaks.append(np.linalg.norm(cross, axis=-2))
+            leak_labels += [(k, g, inst) for g, inst in solution.streams if k not in g]
+            sigmas.append(np.linalg.svd(eff, compute_uv=False)[..., -1:])
+            sigma_labels.append((k,))
+    worst, failures = [], []
+    for kind, parts, labels, pick, failing in (
+        ("leakage", leaks, leak_labels, np.argmax, lambda v: v > tol),
+        ("sigma_min", sigmas, sigma_labels, np.argmin, lambda v: v <= sigma_tol),
+    ):
+        if not labels:
+            worst.append((None, None))
+            continue
+        values = np.concatenate(parts, axis=-1).reshape(-1, len(labels))  # (trial, cell)
+        trial, cell = divmod(int(pick(values)), len(labels))
+        at = {"trial": trial, "user": labels[cell][0]}
+        if kind == "leakage":
+            at["group"] = list(labels[cell][1])
+        worst.append((float(values[trial, cell]), at))
+        failing_cells = zip(*np.nonzero(failing(values)))
+        failures += [(t, kind) + labels[c] + (float(values[t, c]),) for t, c in failing_cells]
+    return worst, failures
+
+
 def fold_column_reports(table, trials, seed, tol, sigma_tol):
-    """The table verdict by per-column ``verify_numeric`` reports, folded in
-    scan order (trial block, column, then trial, user and stream within the
-    column report): a later cell replaces the worst only when strictly worse."""
+    """The table verdict by per-column reports, folded in scan order (trial
+    block, column, then trial, user and stream within the column report): a
+    later cell replaces the worst only when strictly worse."""
     max_leakage, leak_at, min_sigma, sigma_at = 0.0, None, math.inf, None
     failures = []
     for first in range(0, trials, TRIAL_BLOCK):
         seeds = range(seed + first, seed + min(first + TRIAL_BLOCK, trials))
         channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
+        cache = {}
         for idx, column in enumerate(table.columns, start=1):
-            solution = build_beamformers(column, channels)
-            rep = verify_numeric(column, channels, solution, tol, sigma_tol)
-            failures += [(first + f[0], idx) + f[1:] for f in rep.failures]
-            at = rep.max_leakage_at
-            if at is not None and (leak_at is None or rep.max_leakage > max_leakage):
-                max_leakage, leak_at = rep.max_leakage, dict(at, trial=first + at["trial"], column=idx)
-            at = rep.min_sigma_at
-            if at is not None and rep.min_sigma < min_sigma:
-                min_sigma, sigma_at = rep.min_sigma, dict(at, trial=first + at["trial"], column=idx)
+            solution = build_beamformers(column, channels, cache=cache)
+            ((leak, at), (sigma, sat)), found = column_report(channels, solution, tol, sigma_tol)
+            failures += [(first + f[0], idx) + f[1:] for f in found]
+            if at is not None and (leak_at is None or leak > max_leakage):
+                max_leakage, leak_at = leak, dict(at, trial=first + at["trial"], column=idx)
+            if sat is not None and sigma < min_sigma:
+                min_sigma, sigma_at = sigma, dict(sat, trial=first + sat["trial"], column=idx)
     return max_leakage, leak_at, min_sigma, sigma_at, failures
 
 
@@ -196,12 +252,24 @@ def scan_tables():
         "repeated_example1": replace(
             example1, columns=example1.columns * 4, delta=4 * example1.delta
         ),
+        # stream totals 1, 2, 7, 9 and 10 side by side, users without
+        # streams, and users with G = 8 streams and one or two cross streams
+        "mixed_totals": replace(example1, L=12, G=8, columns=(
+            ScheduleColumn.of([(1, 2)] * 7 + [(1, 3), (2, 3)]),
+            ScheduleColumn.of([(1, 2)]),
+            ScheduleColumn.of([(1, 2)] * 6 + [(1, 3), (1, 4), (2, 3), (2, 5)]),
+            *example1.columns[:3],
+            ScheduleColumn.of([(3, 4), (4, 5)]),
+        ) * 4),
     }
 
 
 @pytest.mark.parametrize("name,trials", [
     ("fig3_witness", 2),
     ("repeated_example1", TRIAL_BLOCK + 3),
+    ("mixed_totals", TRIAL_BLOCK + 5),
+    # a last block of one draw
+    ("fig3_witness", TRIAL_BLOCK + 1),
 ])
 def test_table_scan_matches_folded_column_reports(scan_tables, name, trials):
     table = scan_tables[name]
@@ -217,6 +285,37 @@ def test_table_scan_matches_folded_column_reports(scan_tables, name, trials):
     assert {f[2] for f in failures} == {"leakage", "sigma_min"}
     assert sorted(rep.failures) == sorted(failures)
     assert rep.ok is False
-    if name == "repeated_example1":
+    if name != "fig3_witness":
         # ties go to the first copy of the column
-        assert leak_at["column"] <= 10 and sigma_at["column"] <= 10
+        copies = len(table.columns) // 4
+        assert leak_at["column"] <= copies and sigma_at["column"] <= copies
+
+
+@st.composite
+def decodable_tables(draw):
+    """Small tables of columns that pass the symbolic check, at any antenna
+    counts: repeated groups, stream totals that differ between columns, and
+    users without streams."""
+    U, L, G = draw(st.integers(2, 6)), draw(st.integers(2, 14)), draw(st.integers(1, 8))
+    t = draw(st.integers(0, min(2, U - 1)))
+    users = tuple(range(1, U + 1))
+    groups = st.sampled_from(list(itertools.combinations(users, t + 1)))
+    columns = draw(st.lists(st.lists(groups, min_size=1, max_size=10).map(ScheduleColumn.of), max_size=20))
+    columns = [c for c in columns if decodability_check(ScheduleTable(users, t, L, G, (c,))).ok]
+    assume(columns)
+    return ScheduleTable(users, t, L, G, tuple(columns))
+
+
+@given(decodable_tables(), st.sampled_from([1, 3, TRIAL_BLOCK + 1]), st.integers(0, 999))
+@settings(max_examples=40, deadline=None)
+def test_table_scan_matches_column_reference_on_random_tables(table, trials, seed):
+    """Every margin value, bit for bit: at these tolerances every nonzero
+    margin fails, so the failures list them all.  A product's rounding
+    depends on the layout of its beams, which the kernel must therefore keep."""
+    rep = verify_table_numeric(table, trials=trials, seed=seed, tol=1e-300, sigma_tol=1e300)
+    max_leakage, leak_at, min_sigma, sigma_at, failures = fold_column_reports(
+        table, trials, seed, 1e-300, 1e300
+    )
+    assert (rep.max_leakage, rep.max_leakage_at) == (max_leakage, leak_at)
+    assert (rep.min_sigma, rep.min_sigma_at) == (min_sigma, sigma_at)
+    assert sorted(rep.failures) == sorted(failures)

@@ -28,9 +28,59 @@ def test_feasible_beta_output(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
+    code, out, err = run_cli(capsys, "feasible-beta", "--L", "11", "--bogus", "1")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and "--bogus" in error["reason"]
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["feasible-beta", "--L", "x", "--G", "8", "--t", "2", "--omega", "4"], "invalid int value: 'x'"),
+    (["feasible-beta", "--L", "11", "--G", "8"], "required: --t, --omega"),
+    (["schedule", "--L", "10", "--G", "3", "--t", "1", "--omega", "5", "--mode", "both"], "invalid choice"),
+    (["verify", "--table"], "expected one argument"),
+    (["verify", "--numeric"], "required: --table"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "required: command"),
+])
+def test_usage_errors_exit_2_with_json_reason(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and reason in error["reason"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"], ["feasible-beta", "-h"]])
+def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["feasible-beta", "--L", "11", "--bogus", "1"])
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(("usage: ccsched", "ccsched 0"))
+
+
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 11\nG = 8\nt = 2\nomega = 4\n")
+    code, out, _ = run_cli(capsys, "feasible-beta", "--config", str(cfg))
+    assert code == 0 and out.strip() == "3 6"
+    # a flag on the command line still wins over the file
+    code, out, _ = run_cli(capsys, "feasible-beta", "--config", str(cfg), "--L", "10", "--G", "3",
+                           "--t", "1", "--omega", "5")
+    assert code == 0 and out.strip() == "2"
+    table = tmp_path / "t.json"
+    run_cli(capsys, "schedule", "--config", str(cfg), "--mode", "sym", "--beta", "3", "-o", str(table))
+    cfg.write_text(f"table = {table}\nnumeric = true\ntrials = 2\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["numeric"]["ok"] is True
+
+
+def test_config_without_a_required_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 11\nG = 8\n")
+    code, _, err = run_cli(capsys, "feasible-beta", "--config", str(cfg), "--t", "2")
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and error["reason"].endswith("required: --omega")
 
 
 def test_schedule_writes_valid_table(tmp_path, capsys):
@@ -103,6 +153,23 @@ def test_verify_numeric_locates_worst_margins(tmp_path, capsys):
     report = verify_numeric(column, channels, build_beamformers(column, channels))
     assert report.min_sigma == pytest.approx(numeric["min_sigma"], rel=1e-12)
     assert report.min_sigma_at["user"] == at["user"]
+
+
+def test_table_with_an_empty_column(tmp_path, capsys):
+    """An empty column holds no stream: the numeric check has nothing to
+    check there, and a rate sweep refuses it with a reason."""
+    doc = json.loads((Path(__file__).parent / "data" / "example1_dof14.json").read_text())
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(doc))
+    doc["columns"].append([])
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps(doc))
+    flags = ["--numeric", "--trials", "3"]
+    code, out, _ = run_cli(capsys, "verify", "--table", str(table), *flags)
+    _, want, _ = run_cli(capsys, "verify", "--table", str(plain), *flags)
+    assert code == 0 and json.loads(out)["numeric"] == json.loads(want)["numeric"]
+    code, _, err = run_cli(capsys, "rate-sweep", "--table", str(table), "--trials", "2")
+    assert code == 2 and "no scheduled streams" in json.loads(err)["error"]["reason"]
 
 
 def test_infeasible_m_is_parameter_error(capsys):

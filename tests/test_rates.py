@@ -136,3 +136,11 @@ def test_sweep_csv_format(ex1_tables):
     assert lines[0] == "snr_db,mean_rsym,std_rsym,min_column_rate,dof,theta"
     assert len(lines) == 3
     assert lines[1].endswith(",10,5")
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_snr_sweep_needs_a_trial(ex1_tables, recwarn, trials):
+    # no trial would average empty arrays into NaN rates
+    with pytest.raises(ParameterError, match="trials"):
+        snr_sweep(ex1_tables[0], [0, 10], trials=trials)
+    assert not recwarn.list

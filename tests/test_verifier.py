@@ -180,6 +180,16 @@ def test_tolerances_must_be_finite_positive(ex1_table, name, bad):
         verify_numeric(col, ch, build_beamformers(col, ch), **{name: bad})
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_table_numeric_needs_a_trial(ex1_table, monkeypatch, trials):
+    # no trial would draw no channel and pass every table
+    drawn = []
+    monkeypatch.setattr(ChannelRealization, "draw", lambda *a, **k: drawn.append(a))
+    with pytest.raises(ParameterError, match="trials"):
+        verify_table_numeric(ex1_table, trials=trials)
+    assert not drawn
+
+
 def test_channel_realization_deterministic():
     a = ChannelRealization.draw((1, 2, 3), G=2, L=4, seed=9)
     b = ChannelRealization.draw((1, 2, 3), G=2, L=4, seed=9)
