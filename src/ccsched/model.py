@@ -238,23 +238,38 @@ def table_from_json(text: str) -> ScheduleTable:
         raise MalformedTableError(f"table fields {wrong} must be integers")
     if not (isinstance(doc["users"], list) and all(map(_is_int, doc["users"]))):
         raise MalformedTableError("table field 'users' must be a list of integers")
-    if not (isinstance(doc["columns"], list) and all(
-        isinstance(col, list)
-        and all(isinstance(g, list) and all(map(_is_int, g)) for g in col)
-        for col in doc["columns"]
-    )):
+    raw_columns = doc["columns"]
+    if not (
+        isinstance(raw_columns, list)
+        and all(isinstance(col, list) and all(isinstance(g, list) for g in col) for col in raw_columns)
+        # JSON numbers decode to int, float or bool, so each element passes
+        # _is_int exactly when its type is int
+        and {*map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(raw_columns)))} <= {int}
+    ):
         raise MalformedTableError("table field 'columns' must list columns of integer groups")
     users = tuple(sorted(doc["users"]))
     if len(users) != doc["omega"]:
         raise MalformedTableError("omega does not match the user list")
     t = doc["t"]
+    # each distinct raw group is made once; every element is a plain int (checked
+    # above), so no bool reaches a key, where True == 1 would find the group of a 1
+    canonical: dict[tuple, Group] = {}
+    served = set(users)
     columns = []
-    for raw_col in doc["columns"]:
-        groups = [make_group(g, size=t + 1) for g in raw_col]
-        for g in groups:
-            if not set(g) <= set(users):
+    for raw_col in raw_columns:
+        groups, fresh = [], []
+        for raw in raw_col:
+            key = tuple(raw)
+            g = canonical.get(key)
+            if g is None:
+                g = canonical[key] = make_group(key, size=t + 1)
+                fresh.append(g)
+            groups.append(g)
+        # a column's groups are all made before any is checked against the users
+        for g in fresh:
+            if not served.issuperset(g):
                 raise MalformedTableError(f"group {g} outside users {users}")
-        columns.append(ScheduleColumn.of(groups))
+        columns.append(ScheduleColumn(tuple(sorted(groups))))
     return ScheduleTable(
         users=users,
         t=t,

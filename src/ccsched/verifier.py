@@ -13,7 +13,10 @@ leakage, and per-user invertibility of the effective channel.  Every numeric
 array may carry a leading trial axis, so one call handles a batch of draws.
 A whole table is certified by a kernel planned once per table, with one
 nullspace per outside-user profile and one stacked product per (user, stream
-count) and chunk of columns.
+count) and chunk of columns.  Its conditioning margin is screened: one
+batched inverse bounds every effective matrix's smallest singular value from
+both sides, and LAPACK's SVD runs only on the matrices that can be the
+minimum or can fail, so the report is exactly the one a full SVD gives.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ TRIAL_BLOCK = 32
 # columns per chunk of the oracle's table plan: a chunk's beams, gains and
 # margins are formed together, so it bounds their memory
 FLUSH_COLUMNS = 16
+# the conditioning screen (_MarginScan._sigma_min): the relative margin by
+# which a cell's lower bound must clear the threshold to skip its SVD, and the
+# largest estimated condition number at which that bound is trusted
+SCREEN_SLACK = 1e-2
+SCREEN_CEILING = 1e6
 
 
 @dataclass(frozen=True)
@@ -412,6 +420,12 @@ def _plan_table(columns, users: tuple[int, ...]) -> _TablePlan:
     return _TablePlan(users, cols, checks, tuple(zip(keys, take.tolist())), tuple(sets))
 
 
+def _frobenius_sq(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every matrix of a complex stack."""
+    re = np.ascontiguousarray(a).view(np.float64)
+    return np.einsum("...ij,...ij->...", re, re)
+
+
 def _streams(groups: tuple[Group, ...]) -> list[tuple[Group, int]]:
     """(group, instance) of every stream of a column with sorted groups."""
     return [(g, i - groups.index(g)) for i, g in enumerate(groups)]
@@ -423,9 +437,10 @@ class _MarginScan:
 
     A conditioning cell is a (column, trial, user); a leakage cell adds one of
     the user's cross streams.  Each stream set is reduced in array passes:
-    one SVD per stream count, and one argmax/argmin per margin over arrays in
-    (column, trial, user, stream) order, padded with -inf/+inf.  Ties go to
-    the first cell in scan order: trial block, column, trial, user, stream.
+    one screened SVD per stream count, and one argmax/argmin per margin over
+    arrays in (column, trial, user, stream) order, padded with -inf/+inf.
+    Ties go to the first cell in scan order: trial block, column, trial,
+    user, stream.
     An unnamed scan reports failures and locations without the column."""
 
     def __init__(self, tol: float, sigma_tol: float, named: bool = True) -> None:
@@ -451,13 +466,71 @@ class _MarginScan:
             leak[rows, :, u, : n - b] = np.linalg.norm(gains[r, :, :, cross], axis=-1).swapaxes(1, 2)
             effs.setdefault(b, []).append((u, rows, gains[r, :, :, own].transpose(0, 2, 3, 1)))
         for parts in effs.values():
-            smallest = np.linalg.svd(np.concatenate([e for *_, e in parts]), compute_uv=False)[..., -1]
+            smallest = self._sigma_min(np.concatenate([e for *_, e in parts]))
             at = 0
             for u, rows, e in parts:
                 sigma[rows, :, u] = smallest[at : at + len(e)]
                 at += len(e)
         self._fold("leakage", plan, streams, first, leak, leak > self.tol)
         self._fold("sigma_min", plan, streams, first, sigma, sigma <= self.sigma_tol)
+
+    def _sigma_min(self, E: np.ndarray) -> np.ndarray:
+        """Smallest singular value of every cell of a (N, T, b, b) stack:
+        LAPACK's, as ``np.linalg.svd`` gives it, on each cell that can be the
+        stack's first minimum or can fail, and +inf on every other cell.
+
+        The screen.  One batched inverse X^ of the stack gives each cell
+        l^ = 1/|X^|_F and k^ = |E|_F |X^|_F.  A cell is sound when k^ is finite
+        and at most min(SCREEN_CEILING, delta / (128 u b^3 (3^b + 1))), with
+        u = 2^-53 and delta = SCREEN_SLACK.  Let m be the sound cell of least
+        l^.  A sound cell s skips the SVD when
+        l^_s > (1 + delta) max(sqrt(b) l^_m, sigma_tol).  Every other cell keeps
+        it, and so does every cell when ``inv`` raises on an exactly singular one.
+
+        Why a skipped cell changes nothing.  Exactly, with X = inv(E),
+        l = 1/|X|_F and k = |E|_F |X|_F, we have l <= sigma <= sqrt(b) l, since
+        sigma = 1/|X|_2 and |X|_2 <= |X|_F <= sqrt(b) |X|_2.  Two roundings
+        separate the computed values from these (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002).
+        - ``inv`` solves E X = I by LU with partial pivoting.  Each computed
+          column solves (E + dE_j) x^_j = e_j with |dE_j|_F <= 8 u b^3 3^b |E|_F:
+          Thm 9.4 with complex rounding (s. 3.6), |l_ij| <= sqrt(2) and the
+          growth factor (1 + sqrt(2))^(b-1) of complex pivoting.  Hence
+          |X^ - X|_F <= 8 u b^3 3^b k |X^|_F (ch. 14), and k <= 2 k^, so l^ is
+          within a relative eps1 = 16 u b^3 3^b k^ of l.
+        - zgesdd is backward stable: sigma^ = sigma_min(E + F) with
+          |F|_2 <= p_b u |E|_2 (LAPACK Users' Guide, s. 4.9), budgeted here at
+          p_b = 8 b^3.  By Weyl's inequality |sigma^ - sigma| <= p_b u |E|_F
+          <= p_b u k sigma, a relative eps2 = 16 u b^3 k^.
+        A sound cell has eps = eps1 + eps2 <= delta / 8, which also absorbs the
+        roundings of the norms.  For a skipped cell s,
+          sigma^_s >= (1 - eps)^2 l^_s > (1 + delta)(1 - eps)^2 sqrt(b) l^_m
+                   >= (1 + delta)(1 - eps)^3 / (1 + eps) sigma^_m > sigma^_m,
+        and likewise sigma^_s > (1 + delta)(1 - eps)^2 sigma_tol > sigma_tol.
+        The cell m keeps its SVD, so s is neither the stack's minimum nor tied
+        with it, and it does not fail.  Every kept cell gets the value the full
+        stack's SVD gives it, since LAPACK treats each matrix on its own.  The
+        minimum, its first location, and the failures are therefore unchanged.
+        """
+        b = E.shape[-1]
+        ceiling = min(SCREEN_CEILING, SCREEN_SLACK / (128 * 2.0**-53 * b**3 * (3**b + 1)))
+        sigma = np.full(E.shape[:-2], np.inf)
+        keep = np.ones(sigma.shape, dtype=bool)
+        try:
+            X = np.linalg.inv(E)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                inv_sq = _frobenius_sq(X)
+                lower = 1 / np.sqrt(inv_sq)
+                # false where the inverse is not finite
+                sound = _frobenius_sq(E) * inv_sq <= ceiling**2
+            if sound.any():
+                floor = max(math.sqrt(b) * float(lower[sound].min()), self.sigma_tol)
+                keep = ~sound | (lower <= (1 + SCREEN_SLACK) * floor)
+        sigma[keep] = np.linalg.svd(E[keep], compute_uv=False)[..., -1]
+        return sigma
 
     # per margin kind: the padding value, the pick of the first worst cell, and
     # whether a value is worse than another

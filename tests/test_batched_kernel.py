@@ -1,5 +1,6 @@
 """The trial-batched numeric kernel against one channel draw at a time, and
-against the per-stream loops it replaced."""
+against the per-stream loops it replaced; its conditioning screen against the
+full SVD of every effective matrix."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ccsched import verifier
 from ccsched.asymmetric import schedule_asymmetric
 from ccsched.cli import main
 from ccsched.errors import NullityDeficientError
@@ -20,6 +22,7 @@ from ccsched.verifier import (
     FLUSH_COLUMNS,
     TRIAL_BLOCK,
     ChannelRealization,
+    _MarginScan,
     build_beamformers,
     decodability_check,
     effective_matrix,
@@ -182,6 +185,9 @@ def test_rate_sweep_csv_golden(tmp_path, capsys):
     ("example1_dof14.json", ["--trials", "40", "--seed", "3"],
      "example1_dof14_verify_trials40_seed3.json"),
     ("fig3_omega8_t3_dof24.json", ["--trials", "4"], "fig3_omega8_t3_dof24_verify_trials4.json"),
+    # 33 trials cross a trial block; its large stacks skip most SVDs
+    ("fig3_omega8_t3_dof24.json", ["--trials", "33", "--seed", "9"],
+     "fig3_omega8_t3_dof24_verify_trials33_seed9.json"),
 ])
 def test_verify_numeric_output_golden(capsys, table, flags, golden):
     """`verify --numeric` prints byte for byte what the one-column-at-a-time oracle printed."""
@@ -319,3 +325,136 @@ def test_table_scan_matches_column_reference_on_random_tables(table, trials, see
     assert (rep.max_leakage, rep.max_leakage_at) == (max_leakage, leak_at)
     assert (rep.min_sigma, rep.min_sigma_at) == (min_sigma, sigma_at)
     assert sorted(rep.failures) == sorted(failures)
+
+
+class FullSVDScan(_MarginScan):
+    """The margin scan without the conditioning screen: LAPACK's SVD of every
+    effective matrix, as the kernel computed it before the screen."""
+
+    def _sigma_min(self, E):
+        return np.linalg.svd(E, compute_uv=False)[..., -1]
+
+
+def full_svd_report(monkeypatch, *args, **kwargs):
+    """``verify_table_numeric`` with the full-SVD scan in place of the screen."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_MarginScan", FullSVDScan)
+        return verify_table_numeric(*args, **kwargs)
+
+
+def count_svd_cells(monkeypatch):
+    """Count the matrices passed to the singular-value-only SVD calls."""
+    cells, svd = [0], np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            cells[0] += math.prod(a.shape[:-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return cells
+
+
+@given(
+    decodable_tables(),
+    st.sampled_from([1, 3, TRIAL_BLOCK + 1]),
+    st.integers(0, 999),
+    st.sampled_from([1e-6, 0.3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_screened_scan_matches_full_svd_reference(table, trials, seed, sigma_tol):
+    """The whole report, bit for bit: values, locations and failures.  At
+    sigma_tol = 0.3 many cells fail, and none of them may be screened away."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        want = full_svd_report(monkeypatch, table, trials=trials, seed=seed, sigma_tol=sigma_tol)
+    assert verify_table_numeric(table, trials=trials, seed=seed, sigma_tol=sigma_tol) == want
+
+
+def test_screen_skips_most_cells_of_a_large_table(monkeypatch):
+    """On the Fig. 3 witness few cells can be the minimum, so few reach the
+    SVD, and the report is still that of the full scan."""
+    table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
+    cells = count_svd_cells(monkeypatch)
+    want = full_svd_report(monkeypatch, table, trials=TRIAL_BLOCK + 1, seed=9)
+    total, cells[0] = cells[0], 0
+    assert verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=9) == want
+    assert 0 < cells[0] < total / 10
+
+
+def assert_screen_exact(got, E, sigma_tol):
+    """A screened stack agrees with the full SVD on every kept cell, on its
+    first minimum and on which cells fail; skipped cells read +inf."""
+    want = np.linalg.svd(E, compute_uv=False)[..., -1]
+    kept = np.isfinite(got)
+    assert np.array_equal(got[kept], want[kept])
+    assert int(np.argmin(got)) == int(np.argmin(want)) and got.min() == want.min()
+    assert np.array_equal(got <= sigma_tol, want <= sigma_tol)
+    return kept
+
+
+def test_screen_keeps_the_cells_its_bounds_cannot_rule_out():
+    scan = _MarginScan(1e-9, 1e-6)
+    # l = 1/|inv E|_F orders these two cells against their sigma_min: only the
+    # sqrt(b) factor of the threshold keeps the second, the minimum
+    E = np.array([np.diag([0.1, 0.1]), np.diag([0.09, 100.0])], dtype=complex)[:, None]
+    assert assert_screen_exact(scan._sigma_min(E), E, 1e-6).all()
+    # condition number 1e8, over the ceiling: kept though far above the minimum
+    E = np.array([np.eye(2), np.diag([1e9, 10.0]), np.diag([50.0, 60.0])], dtype=complex)[:, None]
+    assert assert_screen_exact(scan._sigma_min(E), E, 1e-6)[:, 0].tolist() == [True, True, False]
+    # a subnormal pivot: the inverse is not finite, and inv does not raise;
+    # the sound cells of least bound, the first and the third, keep the SVD
+    E = np.array([np.diag([3.0, 2.0]), np.diag([1e-310, 1.0]), np.diag([2.0, 3.0]), np.diag([9.0, 8.0])],
+                 dtype=complex)[:, None]
+    assert assert_screen_exact(scan._sigma_min(E), E, 1e-6)[:, 0].tolist() == [True, True, True, False]
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 8])
+def test_screen_on_random_stacks_of_mixed_conditioning(b):
+    """Cells scaled over six orders of magnitude, nine of them nearly
+    singular; at sigma_tol = 0.3 about half of them fail."""
+    rng = np.random.default_rng(b)
+    E = rng.standard_normal((40, 3, b, b)) + 1j * rng.standard_normal((40, 3, b, b))
+    E *= 10.0 ** rng.uniform(-3, 3, (40, 3, 1, 1))
+    if b > 1:
+        E[:3, :, -1, :] = E[:3, :, 0, :] + 1e-9 * E[3:6, :, -1, :]
+    for sigma_tol in (1e-6, 0.3):
+        kept = assert_screen_exact(_MarginScan(1e-9, sigma_tol)._sigma_min(E), E, sigma_tol)
+        if sigma_tol < 1e-3:
+            assert kept.sum() < kept.size / 2
+
+
+def test_singular_effective_matrix_falls_back_to_the_full_scan(monkeypatch):
+    """Two equal combiner columns make user 1's effective matrix exactly
+    singular in the columns where it decodes two streams.  It is inside every
+    group there, so no nullspace sees those combiners.  The batched inverse
+    raises, every cell of the stack takes the SVD, and the report fails at
+    user 1 as the full scan's does."""
+    table = ScheduleTable((1, 2, 3), 1, 4, 2, (
+        ScheduleColumn.of([(1, 2), (1, 3)]),
+        ScheduleColumn.of([(1, 2), (2, 3)]),  # user 2 decodes two regular streams
+        ScheduleColumn.of([(1, 3)]),
+    ) * 2)
+    pool = ChannelRealization.haar_combiner_pool
+
+    def repeated_column(self):
+        combiners = pool(self)
+        combiners[1][..., 1] = combiners[1][..., 0]
+        return combiners
+
+    monkeypatch.setattr(ChannelRealization, "haar_combiner_pool", repeated_column)
+    raised, inv = [], np.linalg.inv
+
+    def spy(a):
+        try:
+            return inv(a)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    want = full_svd_report(monkeypatch, table, trials=3, seed=4)
+    got = verify_table_numeric(table, trials=3, seed=4)
+    assert raised and all(shape[-1] == 2 for shape in raised)
+    assert got == want
+    assert not got.ok and got.min_sigma_at["user"] == 1
+    assert {(f[1], f[3]) for f in got.failures if f[2] == "sigma_min"} == {(1, 1), (4, 1)}

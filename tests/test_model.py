@@ -173,3 +173,30 @@ def test_json_rejects_malformed():
             '{"omega":2,"t":1,"L":2,"G":1,"users":[1,2],"delta":1,'
             '"delta_tilde":1,"m":0,"columns":[[[1,3]]]}'
         )
+
+
+@pytest.mark.parametrize("columns", [
+    "[[[1,2],[1,true]]]",  # the same column
+    "[[[1,2]],[[1,2],[true,2]]]",  # a later column
+    "[[[1,true]],[[1,2]]]",  # before the group it would equal
+])
+def test_json_rejects_a_repeated_group_holding_true(columns):
+    """(1, True) == (1, 1): a group holding ``true`` must not pass as the
+    integer group it equals, though each distinct group is made only once."""
+    doc = ('{"omega":3,"t":1,"L":4,"G":2,"users":[1,2,3],"delta":1,'
+           f'"delta_tilde":1,"m":0,"columns":{columns}}}')
+    with pytest.raises(MalformedTableError, match="integer groups"):
+        table_from_json(doc)
+
+
+def test_json_reports_the_first_bad_group_of_a_column():
+    """A column's groups are all made before any is checked against the
+    users, and a repeated group is made once: the errors stay those of
+    checking every group in turn."""
+    head = '{"omega":3,"t":1,"L":4,"G":2,"users":[1,2,3],"delta":1,"delta_tilde":1,"m":0,'
+    with pytest.raises(ParameterError, match="repeated users"):
+        table_from_json(head + '"columns":[[[1,4],[2,2]]]}')
+    with pytest.raises(MalformedTableError, match=r"group \(1, 4\) outside"):
+        table_from_json(head + '"columns":[[[1,2]],[[1,2],[4,1],[1,4]]]}')
+    table = table_from_json(head + '"columns":[[[2,1],[1,2]],[[3,1],[1,2]]]}')
+    assert [c.groups for c in table.columns] == [((1, 2), (1, 2)), ((1, 2), (1, 3))]
