@@ -11,8 +11,7 @@ are chosen greedily so that every donor group is reused equally often
 
 from __future__ import annotations
 
-import hashlib
-import random
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -26,14 +25,6 @@ from .errors import (
 )
 from .model import Group, ScheduleColumn, ScheduleTable
 from .verifier import decodability_check
-
-
-def derive_seed(global_seed: int | None, label: str) -> int | None:
-    """Stable per-task seed: SHA-256 of "<seed>:<label>", folded to 63 bits."""
-    if global_seed is None:
-        return None
-    digest = hashlib.sha256(f"{global_seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 @dataclass(frozen=True)
@@ -84,13 +75,11 @@ def solve_plan(
     t: int,
     tau: int | None = None,
     I_max: int | None = None,
-    d_cap: int = 1000,
 ) -> AsymPlan:
     """Smallest integer (d, r, delta_tilde, S_tilde) for the requested m.
 
-    Integrality needs B | d*m, so the minimal d is B/gcd(B, m); the loop is
-    kept with an explicit cap so a genuinely unsolvable request surfaces as
-    an error instead of spinning.
+    Integrality needs B | d*m, so the minimal d is B/gcd(B, m).  A plan with
+    d above 1000 is rejected: it would replicate every column that often.
     """
     if m < 0:
         raise ParameterError("m must be non-negative")
@@ -103,15 +92,15 @@ def solve_plan(
         tau = t
     if m == 0:
         return AsymPlan(B, S, 0, 1, 0, 1, S, tau, 50 if I_max is None else I_max)
-    for d in range(1, d_cap + 1):
-        if (d * m) % B == 0:
-            r = d * m // B
-            delta_tilde = (B + m) * d // B
-            I_max = 50 * m if I_max is None else I_max
-            plan = AsymPlan(B, S, m, d, r, delta_tilde, d * S, tau, I_max)
-            plan.check()
-            return plan
-    raise SearchFailureError(f"no integral plan with d <= {d_cap} for B={B}, m={m}")
+    if B < 1:
+        raise ParameterError(f"B must be positive, got {B}")
+    d = B // math.gcd(B, m)
+    if d > 1000:
+        raise SearchFailureError(f"no integral plan with d <= 1000 for B={B}, m={m}")
+    I_max = 50 * m if I_max is None else I_max
+    plan = AsymPlan(B, S, m, d, d * m // B, (B + m) * d // B, d * S, tau, I_max)
+    plan.check()
+    return plan
 
 
 def donor_map(i: int, S: int) -> int:
@@ -196,7 +185,6 @@ def balanced_greedy(
     i: int,
     plan: AsymPlan,
     baseline: ScheduleTable,
-    seed: int | None = None,
 ) -> CandidateCollection:
     """Build the candidate collection for baseline column i (1-based).
 
@@ -223,7 +211,6 @@ def balanced_greedy(
             f"m={plan.m} exceeds the {len(distinct_donor)} distinct donor groups",
             structural=True,
         )
-    rng = random.Random(seed) if seed is not None else None
 
     quota = {g: plan.r * donor_theta[g] for g in distinct_donor}
     if any(q > plan.d for q in quota.values()):
@@ -280,9 +267,6 @@ def balanced_greedy(
                     continue
                 # nothing changed, so every further iteration would stall alike
                 break
-            if rng is not None and len(candidates) > 1:
-                candidates = list(candidates)
-                rng.shuffle(candidates)
             best = min(
                 candidates,
                 key=lambda g: (
@@ -304,18 +288,6 @@ def balanced_greedy(
     coll = CandidateCollection(i, donor_idx, tuple(tuple(a) for a in collection))
     validate_collection(coll, donor, plan)
     return coll
-
-
-def build_collections(
-    baseline: ScheduleTable,
-    plan: AsymPlan,
-    seed: int | None = None,
-) -> list[CandidateCollection]:
-    """One candidate collection per baseline column, independently seeded."""
-    return [
-        balanced_greedy(i, plan, baseline, derive_seed(seed, f"column{i}"))
-        for i in range(1, plan.S + 1)
-    ]
 
 
 def assemble_table(
@@ -365,7 +337,11 @@ def schedule_asymmetric(
     seed: int | None = None,
     d_factor: int = 1,
 ) -> tuple[ScheduleTable, AsymPlan, list[CandidateCollection]]:
-    """Full pipeline from a symmetric reference table to the augmented table."""
+    """Full pipeline from a symmetric reference table to the augmented table.
+
+    The construction is deterministic: ``seed`` is accepted and has no
+    effect on it.
+    """
     beta = max(baseline.columns[0].beta(baseline.users).values())
     plan = solve_plan(
         B=len(baseline.columns[0]),
@@ -382,6 +358,6 @@ def schedule_asymmetric(
         plan = plan.scaled(d_factor)
     if m == 0:
         return baseline, plan, []
-    collections = build_collections(baseline, plan, seed)
+    collections = [balanced_greedy(i, plan, baseline) for i in range(1, plan.S + 1)]
     table = assemble_table(baseline, collections, plan)
     return table, plan, collections

@@ -2,8 +2,9 @@
 enumeration, rate sweeps, and the bundled reproduction runner.
 
 ``--seed`` sets only the channel draws: seed + trial in ``verify --numeric``,
-and seed + 7919*trial + column index in ``rate-sweep``.  Construction
-outputs do not depend on it, so identical (config, seed) runs produce
+and seed + 7919*trial + column index in ``rate-sweep``.  The constructions
+are deterministic: ``schedule``, ``dof-region`` and ``reproduce`` accept
+``--seed`` and ignore it, so identical (config, seed) runs produce
 byte-identical artifacts.  Parameter problems and unreadable input files
 exit 2, construction failures 3, verification failures 4, with a
 machine-readable JSON reason on stderr.
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .asymmetric import derive_seed, dof_of_table, schedule_asymmetric
+from .asymmetric import dof_of_table, schedule_asymmetric
 from .dof import RegionBudget, asymmetric_region, region_to_csv_rows, symmetric_region
 from .errors import CcschedError, ParameterError, VerificationError
 from .model import ScheduleTable, table_from_json, table_to_json
@@ -135,9 +136,7 @@ def build_table(args) -> ScheduleTable:
     baseline = schedule_symmetric(
         args.L, args.G, args.t, args.omega, args.beta, args.delta_max, min_columns=2
     )
-    table, _, _ = schedule_asymmetric(
-        baseline, args.m, tau=args.tau, I_max=args.imax, seed=args.seed
-    )
+    table, _, _ = schedule_asymmetric(baseline, args.m, tau=args.tau, I_max=args.imax)
     return table
 
 
@@ -213,7 +212,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dof_region(args) -> int:
-    budget = RegionBudget(seed=args.seed, delta_max=args.delta_max)
+    budget = RegionBudget(delta_max=args.delta_max)
     region = asymmetric_region(args.L, args.G, args.t, args.omega, budget)
     out = Path(args.output) if args.output not in (None, "-") else None
     witness_dir = Path(args.witness_dir) if args.witness_dir else (
@@ -247,10 +246,10 @@ def cmd_rate_sweep(args) -> int:
     return 0
 
 
-def _reproduce_example(name: str, L, G, t, omega, beta, m, expects, outdir, seed) -> list[str]:
+def _reproduce_example(name: str, L, G, t, omega, beta, m, expects, outdir) -> list[str]:
     lines = []
     baseline = schedule_symmetric(L, G, t, omega, beta, min_columns=2)
-    table, plan, _ = schedule_asymmetric(baseline, m, seed=derive_seed(seed, name))
+    table, plan, _ = schedule_asymmetric(baseline, m)
     report = decodability_check(table)
     checks = {
         "plan (d, r, delta_tilde, S_tilde)": (plan.d, plan.r, plan.delta_tilde, plan.S_tilde)
@@ -277,12 +276,12 @@ def cmd_reproduce(args) -> int:
         if case == "example1":
             lines += _reproduce_example(
                 "example1", 10, 3, 1, 5, 2, 2,
-                {"plan": (5, 2, 7, 10), "dof": 14, "shape": (10, 7)}, outdir, args.seed,
+                {"plan": (5, 2, 7, 10), "dof": 14, "shape": (10, 7)}, outdir,
             )
         elif case == "example2":
             lines += _reproduce_example(
                 "example2", 11, 6, 2, 5, 3, 3,
-                {"plan": (5, 3, 8, 10), "dof": 24, "shape": (10, 8)}, outdir, args.seed,
+                {"plan": (5, 3, 8, 10), "dof": 24, "shape": (10, 8)}, outdir,
             )
         elif case == "feasible-sets":
             for (L, G, t, omega), want in (
@@ -304,7 +303,7 @@ def cmd_reproduce(args) -> int:
             }
             for (omega, t), (sym_want, asym_want) in targets.items():
                 sym = symmetric_region(11, 8, t, omega)
-                region = asymmetric_region(11, 8, t, omega, RegionBudget(seed=args.seed))
+                region = asymmetric_region(11, 8, t, omega)
                 ok_sym = sym == sym_want
                 ok_asym = list(region.asymmetric_dofs) == asym_want
                 lines.append(f"{'PASS' if ok_sym else 'FAIL'}  region sym omega={omega} t={t}: {sym}")
@@ -346,6 +345,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ccsched {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    inert_seed = "accepted for compatibility; the construction ignores it"
+
     def add_common(p, *names):
         p.add_argument("--config", help="key = value file mirroring the flags")
         if "params" in names:
@@ -355,7 +356,7 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--omega", type=int, required=True, help="served user count")
             p.add_argument("--delta-max", type=int, default=DEFAULT_DELTA_MAX)
         if "seed" in names:
-            p.add_argument("--seed", type=int, default=0, help="global seed")
+            p.add_argument("--seed", type=int, default=0, help=inert_seed)
 
     p = sub.add_parser("feasible-beta", help="symmetric per-user stream counts")
     add_common(p, "params")
@@ -402,7 +403,7 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["example1", "example2", "feasible-sets", "fig3", "all"],
         default="all",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=inert_seed)
     p.add_argument("-o", "--output", default=None, help="artifact directory")
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -2,17 +2,18 @@
 given antenna parameters, with a certified witness table for every value.
 
 Every reported value is backed by a constructed table passing the symbolic
-decodability check; nothing is claimed from arithmetic alone.  Two
-constructors are tried per candidate:
+decodability check; nothing is claimed from arithmetic alone.  The
+constructors, in the order they are tried per candidate:
 
 * the donor-column greedy (replication/decomposition of the reference
   table), which preserves the full symmetric column and is preferred;
-* a windowed replication pattern used when donor augmentation is
-  combinatorially impossible (notably when columns contain complementary
-  group pairs, which caps their total streams at 2L-2 regardless of the
-  candidate sets): all stream instances are concentrated on a (t+2)-user
-  window, every window of the served set is scheduled under every cyclic
-  rotation of the multiplicity profile, which keeps conservation exact.
+* window tables when donor augmentation is combinatorially impossible
+  (notably when columns contain complementary group pairs, which caps
+  their total streams at 2L-2 regardless of the candidate sets):
+  ``window_orbit_table`` takes multiplicity profiles of a w-user window
+  that together balance its groups onto every window of the served set.
+  The windowed pattern (w = t+2, the cyclic rotations of one profile) is
+  tried before the clique pattern (every group of the window alike).
 
 The per-beta addition ladder stops at min((G-beta)*floor(omega/(t+1)),
 L-1-B): the first bound is the receive-antenna necessary condition, the
@@ -26,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .asymmetric import derive_seed, max_additions, schedule_asymmetric
+from .asymmetric import max_additions, schedule_asymmetric
 from .errors import (
     CcschedError,
     ConstructionError,
@@ -45,13 +46,15 @@ from .symmetric import (
 from .verifier import decodability_check
 
 
+# plan scalings the donor greedy tries for each addition count: a larger d
+# gives every column more copies, and so the greedy more sets to balance
+D_FACTORS = (1, 2, 3)
+
+
 @dataclass(frozen=True)
 class RegionBudget:
-    """Retry ladder for the donor constructor."""
+    """Settings of a region; ``seed`` has no effect on the construction."""
 
-    taus_extra: int = 1
-    reseeds: int = 2
-    d_factors: tuple[int, ...] = (1, 2, 3)
     delta_max: int = DEFAULT_DELTA_MAX
     seed: int = 0
 
@@ -83,6 +86,44 @@ def symmetric_region(
     return sorted(omega * beta for beta in feasible_beta_set(L, G, t, omega, delta_max))
 
 
+def window_orbit_table(
+    L: int, G: int, t: int, omega: int, w: int, profiles: list[tuple[int, ...]]
+) -> ScheduleTable | None:
+    """One column per w-subset of the served users and per profile; None
+    when the table fails the symbolic check.
+
+    A profile gives the multiplicity of each (t+1)-subset of the window, in
+    ``itertools.combinations`` order.  The profiles must together schedule
+    every group of a window equally often; then every group of the full
+    enumeration appears C(omega, w) * (sum of all profile entries) /
+    C(omega, t+1) times, which ``validate`` confirms.
+    """
+    users = tuple(range(1, omega + 1))
+    columns = []
+    for window in itertools.combinations(users, w):
+        subsets = list(itertools.combinations(window, t + 1))
+        for profile in profiles:
+            groups = []
+            for g, mult in zip(subsets, profile):
+                groups.extend([g] * mult)
+            columns.append(ScheduleColumn(tuple(groups)))
+    instances = math.comb(omega, w) * sum(map(sum, profiles))
+    table = ScheduleTable(
+        users=users,
+        t=t,
+        L=L,
+        G=G,
+        columns=tuple(columns),
+        delta=1,
+        delta_tilde=instances // math.comb(omega, t + 1),
+        m=0,
+    )
+    table.validate()
+    if not decodability_check(table).ok:
+        return None
+    return table
+
+
 def windowed_pattern_table(
     L: int, G: int, t: int, omega: int, total_streams: int
 ) -> ScheduleTable | None:
@@ -105,35 +146,12 @@ def windowed_pattern_table(
     theta_vec = [base + 1] * extra + [base] * (w - extra)
     if total_streams - min(theta_vec) > G:
         return None
-    # the distinct cyclic rotations, in first-shift order; with period p there
-    # are p of them, and each position of a window sees one period's sum
-    rotations = list(dict.fromkeys(tuple(theta_vec[s:] + theta_vec[:s]) for s in range(w)))
-    users = tuple(range(1, omega + 1))
-    columns = []
-    for window in itertools.combinations(users, w):
-        # window minus its j-th user, for j from the last: canonical group order
-        dropped = [window[:j] + window[j + 1 :] for j in reversed(range(w))]
-        for rotated in rotations:
-            groups = []
-            for g, mult in zip(dropped, reversed(rotated)):
-                groups.extend([g] * mult)
-            columns.append(ScheduleColumn(tuple(groups)))
-    # each group lies in omega-t-1 windows, and in each once per rotation at
-    # its dropped user's position: total_streams*p/w times
-    table = ScheduleTable(
-        users=users,
-        t=t,
-        L=L,
-        G=G,
-        columns=tuple(columns),
-        delta=1,
-        delta_tilde=(omega - t - 1) * total_streams * len(rotations) // w,
-        m=0,
-    )
-    table.validate()
-    if not decodability_check(table).ok:
-        return None
-    return table
+    # the distinct cyclic rotations, in first-shift order: each position of a
+    # window sees every entry equally often.  theta_j belongs to the group
+    # missing the window's j-th user, which comes (w-1-j)-th in combinations
+    # order, so a profile is a reversed rotation
+    rotations = dict.fromkeys(tuple(theta_vec[s:] + theta_vec[:s]) for s in range(w))
+    return window_orbit_table(L, G, t, omega, w, [rotated[::-1] for rotated in rotations])
 
 
 def clique_window_table(
@@ -142,9 +160,8 @@ def clique_window_table(
     """Balanced table whose columns schedule every group of a w-user window
     uniformly; None when no (w, multiplicity) pair matches the target DoF.
 
-    Per column, every window user decodes mu*C(w-1, t) streams, every group
-    sees a transmit-side load of mu*((w-t-1)*C(w-1, t) + 1), and taking one
-    column per w-subset of the served set keeps conservation exact.
+    Per column, every window user decodes mu*C(w-1, t) streams and every
+    group sees a transmit-side load of mu*((w-t-1)*C(w-1, t) + 1).
     """
     for w in range(t + 2, omega + 1):
         per_user = math.comb(w - 1, t)
@@ -153,54 +170,30 @@ def clique_window_table(
             continue
         if mu * per_user > G or mu * ((w - t - 1) * per_user + 1) > L:
             continue
-        users = tuple(range(1, omega + 1))
-        columns = []
-        for window in itertools.combinations(users, w):
-            groups = []
-            for comb in itertools.combinations(window, t + 1):
-                groups.extend([comb] * mu)
-            columns.append(ScheduleColumn.of(groups))
-        coverage = mu * math.comb(omega - t - 1, w - t - 1)
-        table = ScheduleTable(
-            users=users,
-            t=t,
-            L=L,
-            G=G,
-            columns=tuple(columns),
-            delta=1,
-            delta_tilde=coverage,
-            m=0,
-        )
-        table.validate()
-        if decodability_check(table).ok:
+        table = window_orbit_table(L, G, t, omega, w, [(mu,) * math.comb(w, t + 1)])
+        if table is not None:
             return table
     return None
 
 
-def _donor_attempts(baseline: ScheduleTable, m: int, budget: RegionBudget, label: str):
-    """Yield donor-greedy tables over the retry ladder; exhausts silently.
+def _donor_attempts(baseline: ScheduleTable, m: int) -> ScheduleTable | None:
+    """The donor-greedy table at the first plan scaling in D_FACTORS that
+    succeeds; None when none does.
 
-    The ladder ends at the first failure that no rung can change: a rejected
-    plan, or a greedy failure marked structural.
+    The attempts end at the first failure that no scaling can change: a
+    rejected plan, or a greedy failure marked structural.
     """
-    t = baseline.t
-    for tau in range(t, t + budget.taus_extra + 1):
-        for reseed in range(budget.reseeds + 1):
-            seed = None if reseed == 0 else derive_seed(budget.seed, f"{label}:r{reseed}")
-            for d_factor in budget.d_factors:
-                try:
-                    table, _, _ = schedule_asymmetric(
-                        baseline, m, tau=tau, seed=seed, d_factor=d_factor
-                    )
-                    yield table
-                    return
-                except (InfeasibleMError, SearchFailureError):
-                    return
-                except ConstructionError as exc:
-                    if exc.structural:
-                        return
-                except CcschedError:
-                    continue
+    for d_factor in D_FACTORS:
+        try:
+            return schedule_asymmetric(baseline, m, d_factor=d_factor)[0]
+        except (InfeasibleMError, SearchFailureError):
+            return None
+        except ConstructionError as exc:
+            if exc.structural:
+                return None
+        except CcschedError:
+            continue
+    return None
 
 
 def asymmetric_region(
@@ -246,8 +239,7 @@ def asymmetric_region(
                 except ParameterError:
                     baseline = False
             if baseline is not False:
-                label = f"omega{omega}t{t}b{beta}m{m}"
-                table = next(_donor_attempts(baseline, m, budget, label), None)
+                table = _donor_attempts(baseline, m)
             scheme = "asym"
             if table is None:
                 table = windowed_pattern_table(L, G, t, omega, B + m)

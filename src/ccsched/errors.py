@@ -31,7 +31,7 @@ class ConstructionError(CcschedError):
     """A combinatorial construction (greedy selection, assembly) ran out of moves.
 
     ``structural`` marks a failure that the baseline table and the addition
-    count fix alone: no overlap threshold, seed or plan scaling avoids it.
+    count fix alone: no plan scaling avoids it.
     """
 
     exit_code = 3

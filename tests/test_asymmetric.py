@@ -16,7 +16,13 @@ from ccsched.asymmetric import (
     solve_plan,
     validate_collection,
 )
-from ccsched.errors import ConstructionError, InfeasibleMError, NoDonorError, ParameterError
+from ccsched.errors import (
+    ConstructionError,
+    InfeasibleMError,
+    NoDonorError,
+    ParameterError,
+    SearchFailureError,
+)
 from ccsched.model import ScheduleColumn, ScheduleTable
 from ccsched.symmetric import schedule_symmetric
 from ccsched.verifier import decodability_check
@@ -79,6 +85,23 @@ def test_solve_plan_infeasible_m():
 def test_solve_plan_zero_additions():
     plan = solve_plan(B=5, S=2, m=0, G=3, beta=2, omega=5, t=1)
     assert (plan.d, plan.r, plan.delta_tilde, plan.S_tilde) == (1, 0, 1, 2)
+
+
+def test_solve_plan_takes_the_smallest_integral_d():
+    # B | d*m first holds at d = B/gcd(B, m); above d = 1000 the plan is
+    # rejected with the construction exit code
+    for B in range(1, 41):
+        for m in range(1, B + 1):
+            want = next(d for d in range(1, B + 1) if d * m % B == 0)
+            assert solve_plan(B, 2, m, G=50, beta=1, omega=8, t=1).d == want
+    assert solve_plan(1000, 2, 3, G=50, beta=1, omega=8, t=1).d == 1000
+    with pytest.raises(SearchFailureError, match="d <= 1000") as exc:
+        solve_plan(B=1009, S=2, m=1, G=3, beta=2, omega=5, t=1)
+    assert exc.value.exit_code == 3
+    # gcd gives no minimal d without a positive column size
+    for B in (0, -3):
+        with pytest.raises(ParameterError, match="B must be positive"):
+            solve_plan(B=B, S=2, m=1, G=3, beta=2, omega=5, t=1)
 
 
 def test_plan_identities_random():
@@ -240,18 +263,16 @@ def test_balanced_greedy_full_column_absorption(ex1_baseline):
 
 def test_balanced_greedy_deterministic_under_seed(ex1_baseline):
     plan = solve_plan(B=5, S=2, m=2, G=3, beta=2, omega=5, t=1)
-    a = balanced_greedy(1, plan, ex1_baseline, seed=123)
-    b = balanced_greedy(1, plan, ex1_baseline, seed=123)
+    a = balanced_greedy(1, plan, ex1_baseline)
+    b = balanced_greedy(1, plan, ex1_baseline)
     assert a == b
-    c = balanced_greedy(1, plan, ex1_baseline)
-    d = balanced_greedy(1, plan, ex1_baseline)
-    assert c == d
 
 
 @pytest.mark.parametrize("seed", [None, 5])
 def test_balanced_greedy_stall_fails_fast(monkeypatch, seed):
     # (L, G, t, omega) = (12, 4, 1, 6), beta = 2, m = 2, tau = 1: the second
-    # set stalls with a built set to swap against; the swap fails too
+    # set stalls with a built set to swap against; the swap fails too.  The
+    # full pipeline accepts a seed and stalls the same way whatever it is.
     import ccsched.asymmetric as asym
 
     baseline = schedule_symmetric(12, 4, 1, 6, 2, min_columns=2)
@@ -268,10 +289,16 @@ def test_balanced_greedy_stall_fails_fast(monkeypatch, seed):
                           tau=1, I_max=I_max)
         calls.clear()
         with pytest.raises(ConstructionError, match="greedy stalled") as exc:
-            balanced_greedy(1, plan, baseline, seed=seed)
-        # another tau, seed or d could change the first set: not structural
+            balanced_greedy(1, plan, baseline)
+        # a set was built before the stall, and another plan scaling d
+        # changes the sets: not structural
         assert not exc.value.structural
         counts.append(len(calls))
+        calls.clear()
+        with pytest.raises(ConstructionError, match="greedy stalled") as exc:
+            schedule_asymmetric(baseline, 2, tau=1, I_max=I_max, seed=seed)
+        assert not exc.value.structural
+        assert len(calls) == counts[-1]
     assert counts[0] == counts[1]
     assert counts[0] < 50
 
@@ -283,11 +310,11 @@ def test_balanced_greedy_stall_fails_fast(monkeypatch, seed):
 ])
 def test_rung_independent_failures_are_structural(shape, beta, m, match):
     """Too few donor groups, m*theta > B, and a first pick with no linearly
-    feasible donor group fail for every tau, seed and d alike."""
+    feasible donor group fail for every tau and d alike."""
     baseline = schedule_symmetric(*shape, beta, min_columns=2)
-    for tau, seed, d_factor in ((None, None, 1), (shape[2] + 1, 3, 3)):
+    for tau, d_factor in ((None, 1), (shape[2] + 1, 3)):
         with pytest.raises(ConstructionError, match=match) as exc:
-            schedule_asymmetric(baseline, m, tau=tau, seed=seed, d_factor=d_factor)
+            schedule_asymmetric(baseline, m, tau=tau, d_factor=d_factor)
         assert exc.value.structural
 
 

@@ -361,13 +361,14 @@ def test_reproduce_example2(tmp_path, capsys):
 
 
 def test_reproduce_determinism(tmp_path, capsys):
-    for name in ("r1", "r2"):
-        code, _, _ = run_cli(capsys, "reproduce", "--case", "example1", "--seed", "4",
+    """Reruns, and runs at another seed, write the same bytes: the
+    constructions ignore the seed."""
+    for name, seed in (("r1", "4"), ("r2", "4"), ("r3", "9")):
+        code, _, _ = run_cli(capsys, "reproduce", "--case", "example1", "--seed", seed,
                              "-o", str(tmp_path / name))
         assert code == 0
-    a = (tmp_path / "r1" / "example1.json").read_bytes()
-    b = (tmp_path / "r2" / "example1.json").read_bytes()
-    assert a == b
+    a, b, c = ((tmp_path / name / "example1.json").read_bytes() for name in ("r1", "r2", "r3"))
+    assert a == b == c
 
 
 @pytest.mark.parametrize("command", ["verify", "rate-sweep"])

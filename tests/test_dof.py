@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from ccsched.dof import (
 )
 from ccsched.verifier import decodability_check
 from ccsched.asymmetric import dof_of_table
-from ccsched.model import ScheduleColumn
+from ccsched.model import ScheduleColumn, ScheduleTable
 
 
 def test_symmetric_region_reference_values():
@@ -135,19 +136,87 @@ def test_clique_window_table():
     assert clique_window_table(10, 3, 1, 10, dof=14) is None
 
 
+def _clique_window_reference(L, G, t, omega, dof):
+    """Reference: the clique table built window by window before the orbit
+    constructor, with its closed-form delta_tilde."""
+    for w in range(t + 2, omega + 1):
+        per_user = math.comb(w - 1, t)
+        mu, rem = divmod(dof, w * per_user)
+        if rem != 0 or mu < 1:
+            continue
+        if mu * per_user > G or mu * ((w - t - 1) * per_user + 1) > L:
+            continue
+        users = tuple(range(1, omega + 1))
+        columns = []
+        for window in itertools.combinations(users, w):
+            groups = []
+            for comb in itertools.combinations(window, t + 1):
+                groups.extend([comb] * mu)
+            columns.append(ScheduleColumn.of(groups))
+        table = ScheduleTable(
+            users=users,
+            t=t,
+            L=L,
+            G=G,
+            columns=tuple(columns),
+            delta=1,
+            delta_tilde=mu * math.comb(omega - t - 1, w - t - 1),
+            m=0,
+        )
+        table.validate()
+        if decodability_check(table).ok:
+            return table
+    return None
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_clique_window_table_matches_reference(t):
+    """Every field of the orbit-built clique table equals the window-by-window
+    reference, including the counted delta_tilde."""
+    built = 0
+    for L, G, omega in itertools.product((3, 6, 10, 13), (1, 3, 8), range(t + 1, 8)):
+        for dof in range(1, 4 * (t + 1) * omega):
+            table = clique_window_table(L, G, t, omega, dof)
+            assert table == _clique_window_reference(L, G, t, omega, dof)
+            if table is not None:
+                assert (table.delta, table.m, table.omega) == (1, 0, omega)
+                built += 1
+    assert built >= 10
+
+
 def test_region_with_budget_seed_is_deterministic():
+    """The construction ignores the seed: two seeds give one region."""
     a = asymmetric_region(11, 8, 1, 4, RegionBudget(seed=5))
-    b = asymmetric_region(11, 8, 1, 4, RegionBudget(seed=5))
-    assert a.asymmetric_dofs == b.asymmetric_dofs
+    b = asymmetric_region(11, 8, 1, 4, RegionBudget(seed=6))
+    assert a == b
+    assert a.witnesses.keys() == b.witnesses.keys()
     for dof in a.witnesses:
-        assert a.witnesses[dof].table.columns == b.witnesses[dof].table.columns
+        assert a.witnesses[dof] == b.witnesses[dof]
+
+
+def test_donor_attempts_try_each_plan_scaling_once(monkeypatch):
+    """On (21, 3, 1, 9) the donor greedy needs d = 2 at m = 3 and fails
+    non-structurally at m = 4: 7 attempts, one per (baseline, m, d_factor).
+    Retrying each d_factor under a second tau and two reseeds took 22."""
+    calls = []
+
+    def counting(baseline, m, **kwargs):
+        calls.append((baseline, m, kwargs.get("d_factor", 1)))
+        return schedule_asymmetric(baseline, m, **kwargs)
+
+    schedule_asymmetric = dof_module.schedule_asymmetric
+    monkeypatch.setattr(dof_module, "schedule_asymmetric", counting)
+    region = asymmetric_region(21, 3, 1, 9)
+    assert region.asymmetric_dofs == (18, 20, 22, 24)
+    assert [(m, d) for _, m, d in calls] == [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+    assert len(set(calls)) == len(calls)
 
 
 def test_donor_ladder_stops_at_rung_independent_failures(monkeypatch):
     """On (11, 8, 3, 8) every donor failure is structural: a rejected plan,
     too few donor groups, or a first pick with no feasible donor group.  No
-    (tau, reseed, d_factor) rung can change those, so each m costs one
-    attempt: 8 here, where retrying all 18 rungs took 110."""
+    plan scaling can change those, so each m costs one attempt: 8 here,
+    where retrying every rung of the earlier 18-rung ladder took 110."""
     calls = []
     failed = []
 
