@@ -127,13 +127,16 @@ def decodability_check(table: ScheduleTable, L: int | None = None, G: int | None
 def _complex_normals(seed, shape: tuple, salt: int | None = None) -> np.ndarray:
     """Per leading index of ``shape``, a real then an imaginary block of
     standard normals from the generator of ``seed`` (mixed with ``salt`` if
-    given); a sequence of seeds stacks one draw per seed on a leading axis."""
-    def one(s):
+    given); a sequence of seeds stacks one draw per seed on a leading axis.
+    The parts of a whole stack are combined in one operation, which is exact."""
+    seeds = [seed] if np.ndim(seed) == 0 else seed
+    z = np.empty((len(seeds), shape[0], 2) + shape[1:])
+    for s, out in zip(seeds, z):
         rng = np.random.default_rng(s if salt is None else np.random.SeedSequence([s, salt]))
-        z = rng.standard_normal((shape[0], 2) + shape[1:])
-        return z[:, 0] + 1j * z[:, 1]
-
-    return one(seed) if np.ndim(seed) == 0 else np.stack([one(s) for s in seed])
+        rng.standard_normal(out=out)
+    h = 1j * z[:, :, 1]
+    h += z[:, :, 0]  # re + 1j * im in place: the real parts add a zero, the imaginary ones to a zero
+    return h[0] if np.ndim(seed) == 0 else h
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -161,7 +164,8 @@ class ChannelRealization:
         """I.i.d. unit-variance complex Gaussian entries, users in sorted order."""
         users = tuple(sorted(users))
         seed = seed if np.ndim(seed) == 0 else tuple(seed)
-        h = _complex_normals(seed, (len(users), G, L)) / np.sqrt(2)
+        h = _complex_normals(seed, (len(users), G, L))
+        h /= np.sqrt(2)
         return ChannelRealization(users, G, L, N0, seed, dict(zip(users, np.moveaxis(h, -3, 0))))
 
     def haar_combiner_pool(self) -> dict[int, np.ndarray]:
@@ -353,11 +357,11 @@ class _TablePlan(NamedTuple):
     sets: tuple[_StreamSet, ...]
 
 
-def _plan_table(columns, users: tuple[int, ...]) -> _TablePlan:
+def _plan_table(columns, users: tuple[int, ...], flush: int = FLUSH_COLUMNS) -> _TablePlan:
     """Stream order, outside-user profiles and per-(user, stream count) index
     arrays of every column, in array passes over the table's group slots;
-    chunks of FLUSH_COLUMNS columns are split into stream sets by stream
-    total and layout."""
+    chunks of ``flush`` columns are split into stream sets by stream total
+    and layout."""
     cols = tuple(tuple(sorted(c.groups)) for c in columns)
     U, n = len(users), np.array([len(c) for c in cols], dtype=np.intp)
     slots = [g for c in cols for g in c]
@@ -396,8 +400,8 @@ def _plan_table(columns, users: tuple[int, ...]) -> _TablePlan:
     l_fast = np.zeros(len(cols), dtype=bool)
     l_fast[col[heads[theta > 1]]] = True
     starts, step, sets = np.cumsum(n) - n, int(beta.max(initial=0)) + 1, []
-    for c0 in range(0, len(cols), FLUSH_COLUMNS):
-        block = np.arange(c0, min(c0 + FLUSH_COLUMNS, len(cols)))
+    for c0 in range(0, len(cols), flush):
+        block = np.arange(c0, min(c0 + flush, len(cols)))
         kind = 2 * n[block] + l_fast[block]
         for total, fast in (divmod(k, 2) for k in sorted(set(kind.tolist()))):
             rows_all = block[kind == 2 * total + fast]
@@ -418,6 +422,18 @@ def _plan_table(columns, users: tuple[int, ...]) -> _TablePlan:
             if entries:
                 sets.append(_StreamSet(rows_all, direction[stream], bool(fast), tuple(entries)))
     return _TablePlan(users, cols, checks, tuple(zip(keys, take.tolist())), tuple(sets))
+
+
+def _stream_beams(library: np.ndarray, index: np.ndarray, l_fast: bool) -> np.ndarray:
+    """The (C, trials, L, n) beams of C columns with n streams each, gathered
+    from a contiguous (trials, direction, L) library by their (C, n)
+    direction ``index``, in the layout of each column's own stack
+    (_StreamSet.l_fast)."""
+    trials, directions, L = library.shape
+    rows = index[:, None, :] + np.arange(trials)[:, None] * directions  # (C, trials, n)
+    if l_fast:
+        return library.reshape(-1, L)[rows].swapaxes(-1, -2)
+    return library.ravel()[rows[:, :, None, :] * L + np.arange(L)[:, None]]
 
 
 def _frobenius_sq(a: np.ndarray) -> np.ndarray:
@@ -644,11 +660,8 @@ def verify_table_numeric(
             break
         # (trial, direction, L): the directions of every profile, each contiguous
         library = np.concatenate([cache[p][0][..., :m].swapaxes(-1, -2) for p, m in plan.directions], axis=-2)
-        trial_rows = np.arange(len(seeds))[:, None] * library.shape[-2]
         combined = partial(_combined, channels, cache)
         for streams in plan.sets:
-            beams = library.reshape(-1, table.L)[streams.beams[:, None, :] + trial_rows].swapaxes(-1, -2)
-            if not streams.l_fast:
-                beams = np.ascontiguousarray(beams)
+            beams = _stream_beams(library, streams.beams, streams.l_fast)
             scan.add(plan, streams, beams, combined, first)
     return scan.report()

@@ -1,8 +1,10 @@
 """The trial-batched numeric kernel against one channel draw at a time, and
 against the per-stream loops it replaced; its conditioning screen against the
-full SVD of every effective matrix."""
+full SVD of every effective matrix; the table-level rate kernel against the
+per-column loop it replaced."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -14,9 +16,16 @@ from hypothesis import assume, given, settings, strategies as st
 from ccsched import verifier
 from ccsched.asymmetric import schedule_asymmetric
 from ccsched.cli import main
-from ccsched.errors import NullityDeficientError
-from ccsched.model import ScheduleColumn, ScheduleTable, table_from_json
-from ccsched.rates import stream_coefficients
+from ccsched.errors import NullityDeficientError, VerificationError
+from ccsched.model import ScheduleColumn, ScheduleTable, table_from_json, table_to_json
+from ccsched.rates import (
+    SWEEP_COLUMNS,
+    RatePoint,
+    column_rates,
+    snr_sweep,
+    stream_coefficients,
+    symmetric_rate_from_columns,
+)
 from ccsched.symmetric import schedule_symmetric
 from ccsched.verifier import (
     FLUSH_COLUMNS,
@@ -170,14 +179,22 @@ def test_table_scan_names_the_first_deficient_group(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
+SWEEP_GOLDENS = [
+    # one partial trial block
+    ("example1_dof14.json", ["--trials", "20", "--seed", "5"], "example1_dof14_sweep_trials20_seed5.csv"),
+    # two full trial blocks and a partial one, over more columns than one pass takes
+    ("example1_dof12.json", ["--trials", "70", "--seed", "11"], "example1_dof12_sweep_trials70_seed11.csv"),
+]
+
+
 def test_rate_sweep_csv_golden(tmp_path, capsys):
-    """The Example 1 dof-14 sweep is byte for byte what the per-draw kernel wrote."""
-    out = tmp_path / "sweep.csv"
-    code = main(["rate-sweep", "--table", str(DATA / "example1_dof14.json"),
-                 "--trials", "20", "--seed", "5", "-o", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    assert out.read_bytes() == (DATA / "example1_dof14_sweep_trials20_seed5.csv").read_bytes()
+    """The Example 1 sweeps are byte for byte what the per-column kernel wrote."""
+    for table, flags, golden in SWEEP_GOLDENS:
+        out = tmp_path / golden
+        code = main(["rate-sweep", "--table", str(DATA / table), *flags, "-o", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes(), golden
 
 
 @pytest.mark.parametrize("table,flags,golden", [
@@ -298,11 +315,11 @@ def test_table_scan_matches_folded_column_reports(scan_tables, name, trials):
 
 
 @st.composite
-def decodable_tables(draw):
+def decodable_tables(draw, max_G=8):
     """Small tables of columns that pass the symbolic check, at any antenna
     counts: repeated groups, stream totals that differ between columns, and
     users without streams."""
-    U, L, G = draw(st.integers(2, 6)), draw(st.integers(2, 14)), draw(st.integers(1, 8))
+    U, L, G = draw(st.integers(2, 6)), draw(st.integers(2, 14)), draw(st.integers(1, max_G))
     t = draw(st.integers(0, min(2, U - 1)))
     users = tuple(range(1, U + 1))
     groups = st.sampled_from(list(itertools.combinations(users, t + 1)))
@@ -458,3 +475,113 @@ def test_singular_effective_matrix_falls_back_to_the_full_scan(monkeypatch):
     assert got == want
     assert not got.ok and got.min_sigma_at["user"] == 1
     assert {(f[1], f[3]) for f in got.failures if f[2] == "sigma_min"} == {(1, 1), (4, 1)}
+
+
+def reference_rates(table, powers, trials, seed, N0=1.0):
+    """(power, trial, column) rates by the loop the rate sweep ran before its
+    table kernel: per column and trial block, build_beamformers and
+    stream_coefficients on that column's own draws."""
+    rates = np.zeros((len(powers), trials, len(table.columns)))
+    for idx, column in enumerate(table.columns):
+        for first in range(0, trials, TRIAL_BLOCK):
+            last = min(first + TRIAL_BLOCK, trials)
+            seeds = [seed + 7919 * trial + idx for trial in range(first, last)]
+            channels = ChannelRealization.draw(table.users, table.G, table.L, N0=N0, seed=seeds)
+            solution = build_beamformers(column, channels)
+            coeffs = np.array(list(stream_coefficients(column, channels, solution).values()))
+            p = powers[:, None, None] / len(solution.streams)
+            worst = np.min(p / (N0 * coeffs[:, 0] + p * coeffs[:, 1]), axis=1)
+            rates[:, first:last, idx] = [[math.log2(1.0 + s) for s in row] for row in worst]
+    return rates
+
+
+def reference_sweep(table, grid, trials, seed):
+    """The rate points, aggregated from ``reference_rates`` as before."""
+    powers = np.array([10.0 ** (s / 10.0) for s in grid])
+    rates = reference_rates(table, powers, trials, seed)
+    theta, n_users = table.subpacketization, len(table.users)
+    points = []
+    for p_idx, snr in enumerate(grid):
+        mean_cols = rates[p_idx].mean(axis=0)
+        per_trial = [symmetric_rate_from_columns(rates[p_idx, tr], theta, n_users) for tr in range(trials)]
+        points.append(RatePoint(
+            snr, tuple(float(r) for r in mean_cols), symmetric_rate_from_columns(mean_cols, theta, n_users),
+            float(np.std(per_trial)), trials, seed,
+        ))
+    return points
+
+
+def assert_sweep_matches_reference(table, trials, seed):
+    """Every rate and every rate point, bit for bit."""
+    grid = [0.0, 17.0, 35.0]
+    powers = np.array([10.0 ** (s / 10.0) for s in grid])
+    got = column_rates(table, powers, trials, seed, 1.0)
+    assert got.tobytes() == reference_rates(table, powers, trials, seed).tobytes()
+    assert snr_sweep(table, grid, trials=trials, seed=seed) == reference_sweep(table, grid, trials, seed)
+
+
+@given(decodable_tables(max_G=4), st.sampled_from([1, TRIAL_BLOCK + 1, 70]), st.integers(0, 999))
+@settings(max_examples=25, deadline=None)
+def test_sweep_kernel_matches_column_reference_on_random_tables(table, trials, seed):
+    """Repeated groups, users without streams, stream totals that differ
+    between columns, and tables of more columns than one pass takes."""
+    assert_sweep_matches_reference(table, trials, seed)
+
+
+def test_sweep_kernel_matches_column_reference_across_passes(scan_tables):
+    table = scan_tables["mixed_totals"]
+    assert len(table.columns) > SWEEP_COLUMNS
+    assert_sweep_matches_reference(table, TRIAL_BLOCK + 1, 8)
+
+
+def test_sweep_names_the_first_deficient_group(monkeypatch, capsys):
+    """A user silent in every trial fails the sweep at the group, column and
+    trial block where one column at a time fails it, with that message."""
+    path = DATA / "example1_dof14.json"
+    table = table_from_json(path.read_text())
+    draw = ChannelRealization.draw
+
+    def silent(*args, **kwargs):
+        channels = draw(*args, **kwargs)
+        channels.H[3][:] = 0.0
+        return channels
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
+    with pytest.raises(NullityDeficientError, match="non-generic") as want:
+        reference_rates(table, np.array([1.0]), 40, 3)
+    with pytest.raises(NullityDeficientError) as got:
+        snr_sweep(table, [0.0], trials=40, seed=3)
+    assert str(got.value) == str(want.value)
+    assert main(["rate-sweep", "--table", str(path), "--trials", "40", "--seed", "3"]) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "NullityDeficientError", "reason": str(want.value)}
+
+
+def test_sweep_singular_effective_matrix_names_the_user(monkeypatch, tmp_path, capsys):
+    """Two equal combiner columns make user 1's effective matrix exactly
+    singular where it decodes two streams (inside every group there, so no
+    nullspace sees them): the sweep fails at user 1, as one column at a time does."""
+    table = ScheduleTable((1, 2, 3), 1, 4, 2, (
+        ScheduleColumn.of([(2, 3)]),
+        ScheduleColumn.of([(1, 2), (1, 3)]),
+    ) * 2, delta=2)
+    pool = ChannelRealization.haar_combiner_pool
+
+    def repeated_column(self):
+        combiners = pool(self)
+        combiners[1][..., 1] = combiners[1][..., 0]
+        return combiners
+
+    monkeypatch.setattr(ChannelRealization, "haar_combiner_pool", repeated_column)
+    table.validate()
+    with pytest.raises(VerificationError) as want:
+        reference_rates(table, np.array([1.0]), 3, 4)
+    assert str(want.value) == "singular effective matrix at user 1"
+    with pytest.raises(VerificationError) as got:
+        snr_sweep(table, [0.0, 10.0], trials=3, seed=4)
+    assert type(got.value) is VerificationError and str(got.value) == str(want.value)
+    path = tmp_path / "table.json"
+    path.write_text(table_to_json(table))
+    assert main(["rate-sweep", "--table", str(path), "--trials", "3", "--seed", "4"]) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "VerificationError", "reason": "singular effective matrix at user 1"}
