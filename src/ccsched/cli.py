@@ -75,6 +75,9 @@ def config_defaults(subparser: argparse.ArgumentParser, config: dict[str, str]) 
 # the linear power 10**(snr/10) overflows a float
 MAX_SNR_POINTS = 1000
 MAX_SNR_DB = 3000.0
+# a sweep holds one rate per (grid point, trial, column), 80 MB of floats at
+# this many, and a few arrays of that size at once
+MAX_SWEEP_RATES = 10**7
 
 
 def parse_snr_grid(spec: str) -> list[float]:
@@ -238,6 +241,12 @@ def cmd_rate_sweep(args) -> int:
     grid = parse_snr_grid(args.snr)
     table = table_from_json(Path(args.table).read_text())
     table.validate()
+    rates = len(grid) * args.trials * len(table.columns)
+    if rates > MAX_SWEEP_RATES:
+        raise ParameterError(
+            f"{len(grid)} SNR points x {args.trials} trials x {len(table.columns)} columns "
+            f"is {rates} rates, more than {MAX_SWEEP_RATES}: use fewer trials or SNR points"
+        )
     points = snr_sweep(table, grid, trials=args.trials, seed=args.seed)
     dof = dof_of_table(table)
     if not isinstance(dof, int):

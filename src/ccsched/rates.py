@@ -18,6 +18,11 @@ one nullspace SVD per (column, outside-stream count); the SINRs, rates and
 per-trial symmetric rates follow in array passes.  Every rate is bit for bit
 the one ``build_beamformers`` and ``stream_coefficients`` give on the
 column's own draws; those stay public, and the tests compare against them.
+A chunk's draws are seeded in bulk: when it has at least BULK_SEEDS seeds
+below 2**32, they are hashed in one numpy pass and set, one after another,
+as the state of one PCG64, which gives ``np.random.default_rng``'s draws bit
+for bit; other seeds, and every seed if that path disagrees with numpy's
+seeding, use ``default_rng``.
 """
 
 from __future__ import annotations

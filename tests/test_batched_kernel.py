@@ -184,11 +184,15 @@ SWEEP_GOLDENS = [
     ("example1_dof14.json", ["--trials", "20", "--seed", "5"], "example1_dof14_sweep_trials20_seed5.csv"),
     # two full trial blocks and a partial one, over more columns than one pass takes
     ("example1_dof12.json", ["--trials", "70", "--seed", "11"], "example1_dof12_sweep_trials70_seed11.csv"),
+    # seeds seed + 7919*trial + column cross 2**32 inside the first trial block
+    ("example1_dof14.json", ["--trials", "40", "--seed", "4294967280"],
+     "example1_dof14_sweep_trials40_seed4294967280.csv"),
 ]
 
 
 def test_rate_sweep_csv_golden(tmp_path, capsys):
-    """The Example 1 sweeps are byte for byte what the per-column kernel wrote."""
+    """The Example 1 sweeps are byte for byte what the per-column kernel wrote
+    (the last one what per-seed ``default_rng`` seeding wrote)."""
     for table, flags, golden in SWEEP_GOLDENS:
         out = tmp_path / golden
         code = main(["rate-sweep", "--table", str(DATA / table), *flags, "-o", str(out)])
@@ -205,6 +209,9 @@ def test_rate_sweep_csv_golden(tmp_path, capsys):
     # 33 trials cross a trial block; its large stacks skip most SVDs
     ("fig3_omega8_t3_dof24.json", ["--trials", "33", "--seed", "9"],
      "fig3_omega8_t3_dof24_verify_trials33_seed9.json"),
+    # seeds seed + trial cross 2**32 at trial 4
+    ("example1_dof14.json", ["--trials", "8", "--seed", "4294967292"],
+     "example1_dof14_verify_trials8_seed4294967292.json"),
 ])
 def test_verify_numeric_output_golden(capsys, table, flags, golden):
     """`verify --numeric` prints byte for byte what the one-column-at-a-time oracle printed."""

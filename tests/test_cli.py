@@ -331,6 +331,20 @@ def test_rate_sweep_bad_snr_exits_2(capsys, snr, reason):
     assert error["type"] == "ParameterError" and reason in error["reason"]
 
 
+@pytest.mark.parametrize("flags,reason", [
+    # the rate array alone would take 568 PiB
+    (["--trials", "1000000000000000"], "8 SNR points x 1000000000000000 trials x 10 columns"),
+    # one trial past MAX_SWEEP_RATES
+    (["--snr", "0:1:999", "--trials", "1001"], "is 10010000 rates, more than 10000000"),
+])
+def test_rate_sweep_too_many_rates_exits_2(capsys, flags, reason):
+    table = str(Path(__file__).parent / "data" / "example1_dof14.json")
+    code, out, err = run_cli(capsys, "rate-sweep", "--table", table, *flags, "-o", "-")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and reason in error["reason"]
+
+
 def test_dof_region_matches_golden_digests(tmp_path, capsys):
     """Region CSVs and witness tables are fixed results: digests of each
     file that `dof-region -o region.csv` writes, at seed 0."""
