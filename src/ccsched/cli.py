@@ -8,6 +8,11 @@ are deterministic: ``schedule``, ``dof-region`` and ``reproduce`` accept
 byte-identical artifacts.  Parameter problems and unreadable input files
 exit 2, construction failures 3, verification failures 4, with a
 machine-readable JSON reason on stderr.
+
+The argument parser is built once per process, on the first call of
+``main``, and reused by every later call.  A command line with ``--config``
+(or one that the shared parser rejects) gets a parser of its own, so a
+config file's values never reach another call.
 """
 
 from __future__ import annotations
@@ -247,10 +252,12 @@ def cmd_rate_sweep(args) -> int:
             f"{len(grid)} SNR points x {args.trials} trials x {len(table.columns)} columns "
             f"is {rates} rates, more than {MAX_SWEEP_RATES}: use fewer trials or SNR points"
         )
-    points = snr_sweep(table, grid, trials=args.trials, seed=args.seed)
     dof = dof_of_table(table)
-    if not isinstance(dof, int):
+    # refused before the sweep runs; an empty column keeps the sweep's own
+    # reason, "no scheduled streams" (exit 2)
+    if not isinstance(dof, int) and all(dof):
         raise VerificationError(f"non-uniform per-column stream totals: {dof}")
+    points = snr_sweep(table, grid, trials=args.trials, seed=args.seed)
     write_text(args.output, sweep_to_csv(points, dof, table.subpacketization))
     return 0
 
@@ -421,7 +428,18 @@ def make_parser() -> argparse.ArgumentParser:
 def parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse ``argv``; the values of a ``--config`` file become the
     subcommand's defaults, so explicit flags win and the file may supply
-    required flags."""
+    required flags.
+
+    ``parser`` is never changed, so it can serve every call: a command line
+    that names a config file, or that ``parser`` rejects, is parsed again on
+    a parser of its own, whose defaults and required flags are then set."""
+    try:
+        args = parser.parse_args(argv)
+        if args.config is None:
+            return args
+    except ParameterError:
+        pass
+    parser = make_parser()
     subcommands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
     required = [a for p in subcommands.values() for a in p._actions if a.required]
     try:
@@ -444,9 +462,16 @@ def parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+# the parser of every call without a config file, built on the first call
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = make_parser()
     try:
-        args = parse_args(make_parser(), argv)
+        args = parse_args(_PARSER, argv)
         return args.func(args)
     except CcschedError as exc:
         error = {"error": {"type": type(exc).__name__, "reason": str(exc)}}

@@ -12,8 +12,9 @@ instance inside that nullspace, and verifies rank-nullity, interference
 leakage, and per-user invertibility of the effective channel.  Every numeric
 array may carry a leading trial axis, so one call handles a batch of draws.
 A whole table is certified by a kernel planned once per table, with one
-nullspace per outside-user profile and one stacked product per (user, stream
-count) and chunk of columns.  Its conditioning margin is screened: one
+stacked nullspace SVD per outside-stream count, over every outside-user
+profile with that count, and one stacked product per (user, stream count)
+and chunk of columns.  Its conditioning margin is screened: one
 batched inverse bounds every effective matrix's smallest singular value from
 both sides, and LAPACK's SVD runs only on the matrices that can be the
 minimum or can fail, so the report is exactly the one a full SVD gives.
@@ -355,6 +356,23 @@ def _combined(channels: ChannelRealization, cache: dict, k: int, b: int) -> np.n
     return cache[key]
 
 
+def _profile_nullspaces(profiles, channels: ChannelRealization, cache: dict) -> None:
+    """The nullspace of every outside-user profile in ``profiles``, all with
+    the same outside-stream count r, from one SVD of their (P, ..., r, L)
+    stack of combined channels.  Each is kept in ``cache`` as its basis and
+    its own smallest and largest nullity over the batch.
+
+    LAPACK factors each matrix of the stack on its own, so a profile's
+    basis is the one an SVD of its rows alone gives whenever its nullity is
+    the rank-nullity value everywhere, the only case in which it is used."""
+    L = channels.L
+    empty = channels.H[channels.users[0]][..., :0, :]  # no outside user: (..., 0, L)
+    rows = [np.concatenate([_combined(channels, cache, k, b) for k, b in p] or [empty], axis=-2) for p in profiles]
+    basis, rank = nullspace_basis(np.stack(rows), L)
+    for p, own_basis, own_rank in zip(profiles, basis, rank):
+        cache[p] = own_basis, L - int(np.max(own_rank)), L - int(np.min(own_rank))
+
+
 def _group_beams(group: Group, theta: int, profile: tuple, channels: ChannelRealization, cache: dict):
     """The first ``theta`` nullspace directions, (..., L, theta), for the
     stream instances of ``group``.
@@ -362,16 +380,14 @@ def _group_beams(group: Group, theta: int, profile: tuple, channels: ChannelReal
     ``profile`` holds the (user, stream count) pairs of the users outside the
     group that decode streams.  The nullspace of their stacked combined
     channels depends on nothing else, so it is computed once per profile in
-    ``cache``.  Raises NullityDeficientError when it cannot host theta
+    ``cache`` (_profile_nullspaces, on a one-profile stack if the caller has
+    not filled it).  Raises NullityDeficientError when it cannot host theta
     instances, or when its dimension anywhere in the batch is not the
     rank-nullity value L minus the profile's streams.
     """
     L = channels.L
     if profile not in cache:
-        rows = [_combined(channels, cache, k, b) for k, b in profile]
-        rows = rows or [channels.H[channels.users[0]][..., :0, :]]  # no outside user: (..., 0, L)
-        basis, rank = nullspace_basis(np.concatenate(rows, axis=-2), L)
-        cache[profile] = basis, L - int(np.max(rank)), L - int(np.min(rank))
+        _profile_nullspaces((profile,), channels, cache)
     basis, nullity, widest = cache[profile]  # smallest and largest nullity over the batch
     expected = L - sum(b for _, b in profile)
     if nullity < theta:
@@ -761,8 +777,9 @@ def verify_table_numeric(
     planned once: stream order, outside-user profiles, and per chunk of
     FLUSH_COLUMNS columns and stream total the index arrays of every (user,
     stream count).  Trials then run in blocks of TRIAL_BLOCK draws, each with
-    one nullspace per distinct profile and one stacked matmul per (user,
-    stream count) and stream set.  Failures read (trial, column, kind, user,
+    one stacked nullspace SVD per outside-stream count, over the distinct
+    profiles with that count, and one stacked matmul per (user, stream
+    count) and stream set.  Failures read (trial, column, kind, user,
     ...).  ``trials`` must be at least 1 and ``tol`` and ``sigma_tol`` finite
     and positive.  A table failing the symbolic check is refused; pass
     ``symbolic``, the table's own ``decodability_check`` report, to skip
@@ -774,11 +791,16 @@ def verify_table_numeric(
     if not report.ok:
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
     plan = _plan_table(table.columns, tuple(sorted(table.users)))
+    by_streams: dict[int, list] = {}  # the profiles by outside-stream count
+    for profile, _ in plan.directions:
+        by_streams.setdefault(sum(b for _, b in profile), []).append(profile)
     for first in range(0, trials, TRIAL_BLOCK):
         seeds = range(seed + first, seed + min(first + TRIAL_BLOCK, trials))
         channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
         cache: dict = {}
         _combiner_pool(channels, combiner_policy, cache)
+        for profiles in by_streams.values():
+            _profile_nullspaces(profiles, channels, cache)
         for group, theta, profile in plan.checks:
             _group_beams(group, theta, profile, channels, cache)
         if not plan.sets:  # no column carries a stream

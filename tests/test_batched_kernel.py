@@ -179,6 +179,90 @@ def test_table_scan_names_the_first_deficient_group(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
+def profiles_by_outside_streams(table):
+    plan = verifier._plan_table(table.columns, tuple(sorted(table.users)))
+    by_streams = {}
+    for profile, _ in plan.directions:
+        by_streams.setdefault(sum(b for _, b in profile), []).append(profile)
+    return by_streams
+
+
+def test_stacked_nullspaces_match_one_profile_at_a_time(monkeypatch):
+    """One nullspace SVD per outside-stream count and trial block, and every
+    profile's basis and nullities bit for bit those of its rows alone."""
+    table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
+    by_streams = profiles_by_outside_streams(table)
+    assert max(map(len, by_streams.values())) > 1
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(5, 9))
+    cache = {}
+    verifier._combiner_pool(channels, "haar", cache)
+    for profiles in by_streams.values():
+        verifier._profile_nullspaces(profiles, channels, cache)
+        for profile in profiles:
+            rows = np.concatenate([verifier._combined(channels, cache, k, b) for k, b in profile], axis=-2)
+            basis, rank = nullspace_basis(rows, table.L)
+            assert np.array_equal(cache[profile][0], basis)
+            assert cache[profile][1:] == (table.L - rank.max(), table.L - rank.min())
+    shapes = []
+    monkeypatch.setattr(verifier, "nullspace_basis", lambda A, dim: shapes.append(A.shape) or nullspace_basis(A, dim))
+    verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=3)
+    want = sorted((len(p), T, r, table.L) for T in (TRIAL_BLOCK, 1) for r, p in by_streams.items())
+    assert sorted(shapes) == want
+
+
+def test_stacked_nullspaces_name_the_first_deficient_group(monkeypatch):
+    """Two profiles with two outside streams each are rank-deficient in
+    different trials: the error names the first group in check order, with
+    its own profile's nullities (4 to 5), not those of the stack (4 to 6)."""
+    table = ScheduleTable((1, 2, 3, 4, 5), 0, 6, 2, (
+        ScheduleColumn.of([(1,), (2,), (3,)]),  # group (1,): profile ((2, 1), (3, 1))
+        ScheduleColumn.of([(4,), (5,), (5,)]),  # group (4,): profile ((5, 2),)
+        ScheduleColumn.of([(1,), (2,), (3,), (4,)]),
+    ), delta=2)
+    table.validate()
+    draw = ChannelRealization.draw
+
+    def silent(*args, **kwargs):
+        channels = draw(*args, **kwargs)
+        channels.H[3][0] = 0.0  # one outside stream fewer for group (1,), in trial 0
+        channels.H[5][1] = 0.0  # two fewer for group (4,), in trial 1
+        return channels
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
+    channels, cache = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4)), {}
+    verifier._combiner_pool(channels, "haar", cache)
+    verifier._profile_nullspaces(profiles_by_outside_streams(table)[2], channels, cache)
+    assert cache[((2, 1), (3, 1))][1:] == (4, 5) and cache[((5, 2),)][1:] == (4, 6)
+    with pytest.raises(NullityDeficientError) as want:
+        for column in table.columns:
+            build_beamformers(column, channels, cache={})
+    with pytest.raises(NullityDeficientError) as got:
+        verify_table_numeric(table, trials=4)
+    assert str(got.value) == str(want.value) == (
+        "group (1,): computed nullity (min 4, max 5) != rank-nullity value 4 (non-generic channel draw)"
+    )
+
+
+def test_stacked_nullspaces_without_outside_streams():
+    """A group whose outside users decode nothing keeps the whole space, next
+    to profiles with outside streams."""
+    table = ScheduleTable((1, 2, 3), 1, 4, 2, (
+        ScheduleColumn.of([(1, 2)]),  # user 3 decodes nothing
+        ScheduleColumn.of([(1, 3), (2, 3)]),
+    ), delta=1)
+    table.validate()
+    assert sorted(profiles_by_outside_streams(table)) == [0, 1]
+    channels, cache = ChannelRealization.draw(table.users, table.G, table.L, seed=range(3)), {}
+    verifier._profile_nullspaces([()], channels, cache)
+    basis, _ = nullspace_basis(channels.H[1][..., :0, :], table.L)
+    assert np.array_equal(cache[()][0], basis) and cache[()][1:] == (4, 4)
+    rep = verify_table_numeric(table, trials=3, seed=2, tol=1e-300, sigma_tol=1e300)
+    max_leakage, leak_at, min_sigma, sigma_at, failures = fold_column_reports(table, 3, 2, 1e-300, 1e300)
+    assert (rep.max_leakage, rep.max_leakage_at) == (max_leakage, leak_at)
+    assert (rep.min_sigma, rep.min_sigma_at) == (min_sigma, sigma_at)
+    assert sorted(rep.failures) == sorted(failures)
+
+
 SWEEP_GOLDENS = [
     # one partial trial block
     ("example1_dof14.json", ["--trials", "20", "--seed", "5"], "example1_dof14_sweep_trials20_seed5.csv"),
@@ -587,8 +671,21 @@ def test_sweep_singular_effective_matrix_names_the_user(monkeypatch, tmp_path, c
     with pytest.raises(VerificationError) as got:
         snr_sweep(table, [0.0, 10.0], trials=3, seed=4)
     assert type(got.value) is VerificationError and str(got.value) == str(want.value)
-    path = tmp_path / "table.json"
-    path.write_text(table_to_json(table))
-    assert main(["rate-sweep", "--table", str(path), "--trials", "3", "--seed", "4"]) == 4
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error == {"type": "VerificationError", "reason": "singular effective matrix at user 1"}
+    # the command line refuses this table's column totals (2 and 4) before it
+    # sweeps; it meets the singular matrix on a table of uniform totals whose
+    # first column is the one above
+    uniform = replace(table, columns=(
+        ScheduleColumn.of([(1, 2), (1, 3)]),
+        ScheduleColumn.of([(1, 2), (2, 3)]),
+        ScheduleColumn.of([(1, 3), (2, 3)]),
+    ))
+    uniform.validate()
+    with pytest.raises(VerificationError, match="singular effective matrix at user 1"):
+        reference_rates(uniform, np.array([1.0]), 3, 4)
+    for sweep_table, reason in ((table, "non-uniform per-column stream totals: [2, 4, 2, 4]"),
+                                (uniform, "singular effective matrix at user 1")):
+        path = tmp_path / "table.json"
+        path.write_text(table_to_json(sweep_table))
+        assert main(["rate-sweep", "--table", str(path), "--trials", "3", "--seed", "4"]) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "VerificationError", "reason": reason}

@@ -5,14 +5,18 @@ from pathlib import Path
 
 import pytest
 
+from ccsched import cli
 from ccsched.cli import main, parse_snr_grid
 from ccsched.errors import ParameterError
 from ccsched.model import table_from_json
 from ccsched.verifier import (
     ChannelRealization,
     build_beamformers,
+    decodability_check,
     verify_numeric,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +305,92 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
                            "--L", "10", "--G", "3", "--t", "1", "--omega", "5")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ParameterError"
+
+
+def test_shared_parser_keeps_no_config_values(tmp_path, capsys):
+    """A config file's trials and seed reach only the call that names it."""
+    table = str(DATA / "example1_dof14.json")
+    _, want, _ = run_cli(capsys, "verify", "--table", table, "--numeric", "--trials", "100", "--seed", "0")
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("trials = 3\nseed = 5\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--table", table, "--numeric")
+    assert code == 0 and json.loads(out)["numeric"]["trials"] == 3
+    code, out, _ = run_cli(capsys, "verify", "--table", table, "--numeric")
+    assert code == 0 and out == want
+
+
+def test_shared_parser_keeps_its_required_flags(tmp_path, capsys):
+    """A config file that supplies every required flag leaves them required
+    for the next call."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 11\nG = 8\nt = 2\nomega = 4\n")
+    code, out, _ = run_cli(capsys, "feasible-beta", "--config", str(cfg))
+    assert code == 0 and out.strip() == "3 6"
+    code, out, err = run_cli(capsys, "feasible-beta")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError"
+    assert error["reason"].endswith("required: --L, --G, --t, --omega")
+
+
+def test_shared_parser_after_a_usage_error(capsys):
+    for _ in range(2):
+        code, _, err = run_cli(capsys, "feasible-beta", "--L", "11", "--G", "8")
+        assert code == 2 and json.loads(err)["error"]["reason"].endswith("required: --t, --omega")
+        code, out, _ = run_cli(capsys, "feasible-beta", "--L", "11", "--G", "8", "--t", "2", "--omega", "4")
+        assert code == 0 and out.strip() == "3 6"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    make_parser = cli.make_parser
+
+    def counting():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "make_parser", counting)
+    table = str(DATA / "example1_dof14.json")
+    for argv in (
+        ["feasible-beta", "--L", "11", "--G", "8", "--t", "2", "--omega", "4"],
+        ["verify", "--table", table],
+        ["verify", "--table", table, "--numeric", "--trials", "2"],
+        ["reproduce", "--case", "feasible-sets"],
+        ["feasible-beta", "--L", "10", "--G", "3", "--t", "1", "--omega", "5"],
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert len(built) == 1
+
+
+def non_uniform_example1():
+    """example1_dof12.json with one group moved to another column: the first
+    such move, over (source column, group, target column), whose table still
+    passes the symbolic check."""
+    doc = json.loads((DATA / "example1_dof12.json").read_text())
+    n = len(doc["columns"])
+    for source in range(n):
+        for i in range(len(doc["columns"][source])):
+            for target in (c for c in range(n) if c != source):
+                columns = [list(c) for c in doc["columns"]]
+                columns[target].append(columns[source].pop(i))
+                text = json.dumps(dict(doc, columns=columns))
+                if decodability_check(table_from_json(text)).ok:
+                    return text
+    raise AssertionError("no move keeps the table decodable")
+
+
+def test_rate_sweep_refuses_non_uniform_totals_before_sweeping(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "moved.json"
+    path.write_text(non_uniform_example1())
+    swept = []
+    monkeypatch.setattr(cli, "snr_sweep", lambda *args, **kwargs: swept.append(args))
+    code, out, err = run_cli(capsys, "rate-sweep", "--table", str(path), "--trials", "3000")
+    assert code == 4 and out == "" and swept == []
+    error = json.loads(err)["error"]
+    assert error["type"] == "VerificationError"
+    assert error["reason"].startswith("non-uniform per-column stream totals: [10, 12, ")
 
 
 def test_parse_snr_grid():
