@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     AssemblyError,
@@ -27,8 +27,7 @@ from .model import Group, ScheduleColumn, ScheduleTable
 from .verifier import decodability_check
 
 
-@dataclass(frozen=True)
-class AsymPlan:
+class AsymPlan(NamedTuple):
     """Integer bookkeeping of one decomposition-reassignment round."""
 
     B: int
@@ -49,8 +48,7 @@ class AsymPlan:
 
     def scaled(self, factor: int) -> "AsymPlan":
         """Multiply d (and everything driven by it); all identities survive."""
-        plan = replace(
-            self,
+        plan = self._replace(
             d=self.d * factor,
             r=self.r * factor,
             delta_tilde=self.delta_tilde * factor,
@@ -143,8 +141,7 @@ def linear_feasible_check(
     ]
 
 
-@dataclass(frozen=True)
-class CandidateCollection:
+class CandidateCollection(NamedTuple):
     """The d chosen m-sets for one baseline column, drawn from its donor."""
 
     column_index: int

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .asymmetric import max_additions, schedule_asymmetric
 from .errors import (
@@ -51,16 +52,14 @@ from .verifier import decodability_check
 D_FACTORS = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class RegionBudget:
+class RegionBudget(NamedTuple):
     """Settings of a region; ``seed`` has no effect on the construction."""
 
     delta_max: int = DEFAULT_DELTA_MAX
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class DofWitness:
+class DofWitness(NamedTuple):
     scheme: str
     beta: int
     m: int

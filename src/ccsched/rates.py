@@ -28,7 +28,6 @@ seeding, use ``default_rng``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -119,8 +118,7 @@ def column_rate(sinrs: dict[tuple, float]) -> float:
     return math.log2(1.0 + min(sinrs.values()))
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     """Aggregated rate statistics of one SNR grid point."""
 
     snr_db: float
@@ -315,11 +313,12 @@ def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: in
     The table is planned once; a trial block then takes, per chunk of
     SWEEP_COLUMNS columns, one draw of all its channels, one combined-channel
     product and one inverse per (stream set, stream count), and one
-    nullspace SVD per (column, outside-stream count).  A degenerate draw or
-    an empty column raises the error that ``build_beamformers`` or
-    ``stream_coefficients`` raises on it first, column by column."""
+    nullspace SVD per (column, outside-stream count).  An empty column
+    raises ParameterError before any draw; a degenerate draw raises the
+    error that ``build_beamformers`` or ``stream_coefficients`` raises on it
+    first, column by column."""
     if not all(column.groups for column in table.columns):
-        _raise_column_error(table, trials, seed, N0)
+        raise ParameterError("column has no scheduled streams")
     chunks = _plan_sweep(table)
     rates = np.empty((len(powers), trials, len(table.columns)))
     for first in range(0, trials, TRIAL_BLOCK):

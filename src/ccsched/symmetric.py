@@ -12,8 +12,7 @@ depends only on the shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConstructionError, ParameterError
 from .model import Group, ScheduleColumn, ScheduleTable, enumerate_groups
@@ -21,8 +20,7 @@ from .model import Group, ScheduleColumn, ScheduleTable, enumerate_groups
 DEFAULT_DELTA_MAX = 12
 
 
-@dataclass(frozen=True)
-class HatParams:
+class HatParams(NamedTuple):
     """Base-partition shape: per-column user multiplicity, column size, count."""
 
     beta_hat: int
@@ -30,8 +28,7 @@ class HatParams:
     S_hat: int
 
 
-@dataclass(frozen=True)
-class SymmetricPlan:
+class SymmetricPlan(NamedTuple):
     """A concrete (eta, delta) choice on top of the base partition."""
 
     omega: int
@@ -71,9 +68,8 @@ def _eta_bound(L: int, G: int, t: int, omega: int, hat: HatParams) -> int:
     """Largest eta allowed by the transmit- and receive-antenna constraints."""
     if L < 1 or G < 1:
         raise ParameterError(f"L and G must be at least 1, got L={L}, G={G}")
-    tx = Fraction(L * hat.S_hat, 1 + (omega - t - 1) * hat.S_hat * hat.beta_hat)
-    rx = Fraction(G, hat.beta_hat)
-    return int(min(tx, rx))
+    tx = L * hat.S_hat // (1 + (omega - t - 1) * hat.S_hat * hat.beta_hat)
+    return min(tx, G // hat.beta_hat)
 
 
 def min_delta(eta: int, s_hat: int) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -50,8 +50,7 @@ SCREEN_CEILING = 1e6
 BULK_SEEDS = 16
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One violated condition: where, which rule, and the offending numbers."""
 
     column: int
@@ -67,8 +66,7 @@ class Witness:
         )
 
 
-@dataclass(frozen=True)
-class SymbolicReport:
+class SymbolicReport(NamedTuple):
     ok: bool
     witnesses: tuple[Witness, ...]
     per_column: tuple[bool, ...]
@@ -81,7 +79,7 @@ def check_column(
     """Witnesses of violated conditions in one column, plus the minimum
     transmit-side slack (L minus the largest left-hand side over groups)."""
     report = decodability_check(ScheduleTable(tuple(users), 0, L, G, (col,)))
-    return [replace(w, column=column_index) for w in report.witnesses], report.min_slack
+    return [w._replace(column=column_index) for w in report.witnesses], report.min_slack
 
 
 def decodability_check(table: ScheduleTable, L: int | None = None, G: int | None = None) -> SymbolicReport:
@@ -319,8 +317,7 @@ def nullspace_basis(A: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
     return _hermitian(vh[..., rank.max():, :]), int(rank) if rank.ndim == 0 else rank
 
 
-@dataclass(frozen=True)
-class BeamformerSolution:
+class BeamformerSolution(NamedTuple):
     """Receive combiners and transmit beamformers for one column: ``stacked``
     is (..., L, n), one beamformer per stream in ``streams`` (group, instance)
     order, and ``beams[g]`` is the (..., L, theta_g) block of group g."""
@@ -438,8 +435,7 @@ def build_beamformers(
     return BeamformerSolution(combiners, beams, nullities, dict(beta), streams, stacked)
 
 
-@dataclass(frozen=True)
-class NumericReport:
+class NumericReport(NamedTuple):
     """Verdict with the worst margins and where they occur: ``min_sigma_at``
     names trial and user, ``max_leakage_at`` trial, user and group (a table
     report adds the 1-based column); None when no such quantity exists."""

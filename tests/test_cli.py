@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ccsched
 from ccsched import cli
 from ccsched.cli import main, parse_snr_grid
 from ccsched.errors import ParameterError
@@ -159,9 +163,10 @@ def test_verify_numeric_locates_worst_margins(tmp_path, capsys):
     assert report.min_sigma_at["user"] == at["user"]
 
 
-def test_table_with_an_empty_column(tmp_path, capsys):
+def test_table_with_an_empty_column(tmp_path, capsys, monkeypatch):
     """An empty column holds no stream: the numeric check has nothing to
-    check there, and a rate sweep refuses it with a reason."""
+    check there, and a rate sweep refuses it with a reason before it draws
+    any channel."""
     doc = json.loads((Path(__file__).parent / "data" / "example1_dof14.json").read_text())
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps(doc))
@@ -172,8 +177,23 @@ def test_table_with_an_empty_column(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--table", str(table), *flags)
     _, want, _ = run_cli(capsys, "verify", "--table", str(plain), *flags)
     assert code == 0 and json.loads(out)["numeric"] == json.loads(want)["numeric"]
-    code, _, err = run_cli(capsys, "rate-sweep", "--table", str(table), "--trials", "2")
-    assert code == 2 and "no scheduled streams" in json.loads(err)["error"]["reason"]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(no_draw))
+    code, _, err = run_cli(capsys, "rate-sweep", "--table", str(table), "--trials", "3000")
+    assert code == 2
+    assert json.loads(err)["error"] == {"type": "ParameterError", "reason": "column has no scheduled streams"}
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    """The package's start-up imports no exact-arithmetic module."""
+    src = str(Path(ccsched.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, ccsched.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_infeasible_m_is_parameter_error(capsys):

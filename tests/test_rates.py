@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -144,3 +145,17 @@ def test_snr_sweep_needs_a_trial(ex1_tables, recwarn, trials):
     with pytest.raises(ParameterError, match="trials"):
         snr_sweep(ex1_tables[0], [0, 10], trials=trials)
     assert not recwarn.list
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a channel was drawn")
+
+
+def test_empty_column_is_refused_before_any_draw(ex1_tables, monkeypatch):
+    """An empty column holds no stream to rate: the sweep refuses the table
+    at once, without drawing the channels of the columns before it."""
+    _, asym = ex1_tables
+    table = dataclasses.replace(asym, columns=asym.columns + (ScheduleColumn(()),))
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(_no_draw))
+    with pytest.raises(ParameterError, match="column has no scheduled streams"):
+        snr_sweep(table, [0, 10], trials=3000)

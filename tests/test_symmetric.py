@@ -1,11 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from ccsched.errors import ParameterError
 from ccsched.model import ScheduleColumn
 from ccsched.symmetric import (
+    DEFAULT_DELTA_MAX,
     HatParams,
     build_base_partition,
     feasible_beta_set,
@@ -34,6 +36,21 @@ def test_feasible_beta_set_examples():
     assert feasible_beta_set(10, 3, 1, 10) == [1]
     # eta <= min(33/7, 8) -> eta in 1..4, each admitting a delta <= 12
     assert feasible_beta_set(11, 8, 1, 4) == [1, 2, 3, 4]
+
+
+def test_feasible_beta_set_matches_a_fraction_reference():
+    """The integer floors of the two antenna bounds against exact rationals."""
+    for L, G, t in itertools.product(range(1, 31), range(1, 13), range(5)):
+        for omega in range(t + 1, 15):
+            hat = hat_params(omega, t)
+            tx = Fraction(L * hat.S_hat, 1 + (omega - t - 1) * hat.S_hat * hat.beta_hat)
+            eta_max = int(min(tx, Fraction(G, hat.beta_hat)))
+            want = [
+                eta * hat.beta_hat
+                for eta in range(1, eta_max + 1)
+                if min_delta(eta, hat.S_hat) <= DEFAULT_DELTA_MAX
+            ]
+            assert feasible_beta_set(L, G, t, omega) == want, (L, G, t, omega)
 
 
 def test_feasible_beta_set_members_bounded_by_G():
