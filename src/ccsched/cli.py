@@ -5,8 +5,9 @@ enumeration, rate sweeps, and the bundled reproduction runner.
 and seed + 7919*trial + column index in ``rate-sweep``.  The constructions
 are deterministic: ``schedule``, ``dof-region`` and ``reproduce`` accept
 ``--seed`` and ignore it, so identical (config, seed) runs produce
-byte-identical artifacts.  Parameter problems and unreadable input files
-exit 2, construction failures 3, verification failures 4, with a
+byte-identical artifacts.  Parameter problems, unreadable input files and
+requests too large for memory (a table whose antenna counts no channel draw
+can hold) exit 2, construction failures 3, verification failures 4, with a
 machine-readable JSON reason on stderr.
 
 The argument parser is built once per process, on the first call of
@@ -481,6 +482,12 @@ def main(argv=None) -> int:
         # an input file that is missing, unreadable or not UTF-8 text
         kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
         print(json.dumps({"error": {"type": kind, "reason": str(exc)}}), file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an array the request needs that cannot be allocated, such as the
+        # channel draw of a table with a huge L or G
+        reason = str(exc) or "out of memory"
+        print(json.dumps({"error": {"type": "MemoryError", "reason": reason}}), file=sys.stderr)
         return 2
 
 

@@ -180,12 +180,12 @@ def _plan_sweep(table: ScheduleTable) -> tuple[_SweepChunk, ...]:
     for streams in plan.sets:
         by_chunk.setdefault(int(streams.columns[0]) // SWEEP_COLUMNS, []).append(streams)
     return tuple(
-        _plan_chunk(plan, sets, np.cumsum(take) - take, chunk * SWEEP_COLUMNS, len(table.columns), table.G)
+        _plan_chunk(plan, sets, np.cumsum(take) - take, chunk * SWEEP_COLUMNS, len(table.columns))
         for chunk, sets in sorted(by_chunk.items())
     )
 
 
-def _plan_chunk(plan: _TablePlan, sets, profile_start: np.ndarray, c0: int, n_cols: int, G: int) -> _SweepChunk:
+def _plan_chunk(plan: _TablePlan, sets, profile_start: np.ndarray, c0: int, n_cols: int) -> _SweepChunk:
     """One chunk of the rate kernel's plan, and its two libraries, which a
     trial block fills.  The row library holds the combined channel of every
     (column, user) pair with streams, group by group, (pair, combiner)
@@ -204,7 +204,8 @@ def _plan_chunk(plan: _TablePlan, sets, profile_start: np.ndarray, c0: int, n_co
             groups.append((i, rows, streams.columns[rows] - c0, b,
                            np.concatenate([np.full(len(e[0]), e[1]) for e in entries]),
                            *(np.concatenate([e[k] for e in entries]) for k in (2, 3))))
-    cells = np.zeros((len(columns), 1, len(users), G), dtype=bool)
+    b_max = max(b for _, _, _, b, *_ in groups)
+    cells = np.zeros((len(columns), 1, len(users), b_max), dtype=bool)
     row_start, seen = {}, 0  # (position, user) -> first row in the row library
     for _, _, at, b, at_users, _, _ in groups:
         cells[at, 0, at_users, :b] = True
@@ -241,9 +242,8 @@ def _plan_chunk(plan: _TablePlan, sets, profile_start: np.ndarray, c0: int, n_co
         _PairGroup(b, at, at_users, directions[i][rows], sets[i].l_fast, own, cross)
         for i, rows, at, b, at_users, own, cross in groups
     )
-    b_max = max(g.b for g in pairs)
     streams_per_column = np.array([len(plan.columns[c]) for c in columns])
-    return _SweepChunk(columns, streams_per_column, pairs, tuple(nullspaces), cells[..., :b_max])
+    return _SweepChunk(columns, streams_per_column, pairs, tuple(nullspaces), cells)
 
 
 def _chunk_sinrs(chunk: _SweepChunk, table: ScheduleTable, seeds, powers: np.ndarray, N0: float):

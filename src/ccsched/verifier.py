@@ -14,10 +14,12 @@ array may carry a leading trial axis, so one call handles a batch of draws.
 A whole table is certified by a kernel planned once per table, with one
 stacked nullspace SVD per outside-stream count, over every outside-user
 profile with that count, and one stacked product per (user, stream count)
-and chunk of columns.  Its conditioning margin is screened: one
-batched inverse bounds every effective matrix's smallest singular value from
-both sides, and LAPACK's SVD runs only on the matrices that can be the
-minimum or can fail, so the report is exactly the one a full SVD gives.
+and batch of columns; a batch holds a fixed number of column-trials, so a
+run of few trials takes few large batches.  Its conditioning margin is
+screened: a batched inverse bounds every effective matrix's smallest
+singular value from both sides, and LAPACK's SVD runs only on the matrices
+that can be the minimum or can fail, so the report is exactly the one a
+full SVD gives.
 """
 
 from __future__ import annotations
@@ -36,9 +38,15 @@ from .model import Group, ScheduleColumn, ScheduleTable
 RANK_RTOL = 1e-8
 # channel draws per batch of the numeric kernel; bounds its memory
 TRIAL_BLOCK = 32
-# columns per chunk of the oracle's table plan: a chunk's beams, gains and
-# margins are formed together, so it bounds their memory
-FLUSH_COLUMNS = 16
+# column-trials per batch of the oracle's table plan: a batch's beams, gains
+# and margins are formed together, so it bounds their memory, and a run of T
+# trials takes BATCH_COLUMN_TRIALS // min(T, TRIAL_BLOCK) columns per batch;
+# at least TRIAL_BLOCK, so that a batch holds a column.  Against batches of
+# 16 columns on the benchmark's 4-trial oracle workload (2 cores), 256 saves
+# 17 % of its time at 1 % more peak memory, 128 saves 12 % at the same, and
+# 512 about 18 % at 6 % more.  The conditioning screen inverts about this
+# many matrices at a time.
+BATCH_COLUMN_TRIALS = 256
 # the conditioning screen (_MarginScan._sigma_min): the relative margin by
 # which a cell's lower bound must clear the threshold to skip its SVD, and the
 # largest estimated condition number at which that bound is trusted
@@ -465,7 +473,7 @@ def effective_matrix(
 
 
 class _StreamSet(NamedTuple):
-    """The columns of one chunk with the same number n of streams and the
+    """The columns of one batch with the same number n of streams and the
     same layout of beams."""
 
     columns: np.ndarray  # (C,) 0-based column indices
@@ -494,10 +502,10 @@ class _TablePlan(NamedTuple):
     sets: tuple[_StreamSet, ...]
 
 
-def _plan_table(columns, users: tuple[int, ...], flush: int = FLUSH_COLUMNS) -> _TablePlan:
+def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
     """Stream order, outside-user profiles and per-(user, stream count) index
     arrays of every column, in array passes over the table's group slots;
-    chunks of ``flush`` columns are split into stream sets by stream total
+    batches of ``width`` columns are split into stream sets by stream total
     and layout."""
     cols = tuple(tuple(sorted(c.groups)) for c in columns)
     U, n = len(users), np.array([len(c) for c in cols], dtype=np.intp)
@@ -537,8 +545,8 @@ def _plan_table(columns, users: tuple[int, ...], flush: int = FLUSH_COLUMNS) -> 
     l_fast = np.zeros(len(cols), dtype=bool)
     l_fast[col[heads[theta > 1]]] = True
     starts, step, sets = np.cumsum(n) - n, int(beta.max(initial=0)) + 1, []
-    for c0 in range(0, len(cols), flush):
-        block = np.arange(c0, min(c0 + flush, len(cols)))
+    for c0 in range(0, len(cols), width):
+        block = np.arange(c0, min(c0 + width, len(cols)))
         kind = 2 * n[block] + l_fast[block]
         for total, fast in (divmod(k, 2) for k in sorted(set(kind.tolist()))):
             rows_all = block[kind == 2 * total + fast]
@@ -593,7 +601,8 @@ class _MarginScan:
     one screened SVD per stream count, and one argmax/argmin per margin over
     arrays in (column, trial, user, stream) order, padded with -inf/+inf.
     Ties go to the first cell in scan order: trial block, column, trial,
-    user, stream.
+    user, stream, where a user's conditioning cell precedes its leakage
+    cells.  Failures are listed in scan order, whatever the batches.
     An unnamed scan reports failures and locations without the column."""
 
     def __init__(self, tol: float, sigma_tol: float, named: bool = True) -> None:
@@ -603,28 +612,38 @@ class _MarginScan:
         self.tol, self.sigma_tol, self.named = tol, sigma_tol, named
         # per margin kind: (value, scan position, trial, column, label) of the worst cell so far
         self.worst: dict[str, tuple | None] = {"leakage": None, "sigma_min": None}
-        self.failures: list[tuple] = []
+        self.failures: list[tuple] = []  # (scan position, failure)
 
     def add(self, plan: _TablePlan, streams: _StreamSet, beams: np.ndarray, combined, first: int) -> None:
         """Fold the margins of one stream set, given its (C, trials, L, n)
-        beams and ``combined(k, b)``; its trials count from ``first``."""
+        beams and ``combined(k, b)``; its trials count from ``first``.  The
+        beams are dropped once every gain is formed: a caller that passes
+        them without keeping a reference frees them before the screen."""
         C, T, _, n = beams.shape
         leak = np.full((C, T, len(plan.users), n), -np.inf)
         sigma = np.full((C, T, len(plan.users)), np.inf)
-        effs: dict[int, list] = {}  # by stream count, for one SVD each
-        for u, b, rows, r, own, cross in streams.entries:
+        # per stream count, one stack of every entry's effective matrices, in
+        # entry order: each entry's slot in its stack
+        size: dict[int, int] = {}
+        slots = []
+        for _, b, _, r, _, _ in streams.entries:
+            slots.append(slice(size.get(b, 0), size.get(b, 0) + len(r)))
+            size[b] = slots[-1].stop
+        effs = {b: np.empty((N, T, b, b), dtype=complex) for b, N in size.items()}
+        for (u, b, rows, r, own, cross), slot in zip(streams.entries, slots):
             gains = combined(plan.users[u], b) @ beams[rows]  # (R, T, b, n)
             # cross gains as (R, n - b, T, b): each norm sums along the contiguous
             # combiner axis, in the order the norm of one column's gains sums
             leak[rows, :, u, : n - b] = np.linalg.norm(gains[r, :, :, cross], axis=-1).swapaxes(1, 2)
-            effs.setdefault(b, []).append((u, rows, gains[r, :, :, own].transpose(0, 2, 3, 1)))
-        for parts in effs.values():
-            smallest = self._sigma_min(np.concatenate([e for *_, e in parts]))
-            at = 0
-            for u, rows, e in parts:
-                sigma[rows, :, u] = smallest[at : at + len(e)]
-                at += len(e)
+            effs[b][slot] = gains[r, :, :, own].transpose(0, 2, 3, 1)
+            del gains
+        del beams
         self._fold("leakage", plan, streams, first, leak, leak > self.tol)
+        del leak
+        # each stack is freed once screened
+        smallest = {b: self._sigma_min(effs.pop(b)) for b in list(effs)}
+        for (u, b, rows, *_), slot in zip(streams.entries, slots):
+            sigma[rows, :, u] = smallest[b][slot]
         self._fold("sigma_min", plan, streams, first, sigma, sigma <= self.sigma_tol)
 
     def _sigma_min(self, E: np.ndarray) -> np.ndarray:
@@ -632,7 +651,7 @@ class _MarginScan:
         LAPACK's, as ``np.linalg.svd`` gives it, on each cell that can be the
         stack's first minimum or can fail, and +inf on every other cell.
 
-        The screen.  One batched inverse X^ of the stack gives each cell
+        The screen.  A batched inverse X^ of the stack gives each cell
         l^ = 1/|X^|_F and k^ = |E|_F |X^|_F.  A cell is sound when k^ is finite
         and at most min(SCREEN_CEILING, delta / (128 u b^3 (3^b + 1))), with
         u = 2^-53 and delta = SCREEN_SLACK.  Let m be the sound cell of least
@@ -669,13 +688,19 @@ class _MarginScan:
         ceiling = min(SCREEN_CEILING, SCREEN_SLACK / (128 * 2.0**-53 * b**3 * (3**b + 1)))
         sigma = np.full(E.shape[:-2], np.inf)
         keep = np.ones(sigma.shape, dtype=bool)
+        inv_sq = np.empty(sigma.shape)
+        # the inverse of about BATCH_COLUMN_TRIALS cells at a time, so that it
+        # adds no more than that to the stack's memory
+        step = max(1, BATCH_COLUMN_TRIALS // math.prod(E.shape[1:-2]))
         try:
-            X = np.linalg.inv(E)
+            for lo in range(0, len(E), step):
+                X = np.linalg.inv(E[lo : lo + step])
+                with np.errstate(over="ignore", invalid="ignore"):  # X may not be finite
+                    inv_sq[lo : lo + step] = _frobenius_sq(X)
         except np.linalg.LinAlgError:
             pass
         else:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                inv_sq = _frobenius_sq(X)
                 lower = 1 / np.sqrt(inv_sq)
                 # false where the inverse is not finite
                 sound = _frobenius_sq(E) * inv_sq <= ceiling**2
@@ -703,9 +728,9 @@ class _MarginScan:
         if worst is None or better(value, worst[0]) or (value == worst[0] and cell[0] < worst[1]):
             self.worst[kind] = (value, *cell)
         for i in np.flatnonzero(failing).tolist():
-            _, trial, column, label = self._cell(plan, streams, first, values.shape, i)
+            position, trial, column, label = self._cell(plan, streams, first, values.shape, i)
             at = (trial, column) if self.named else (trial,)
-            self.failures.append(at + (kind,) + label + (float(values.flat[i]),))
+            self.failures.append((position, at + (kind,) + label + (float(values.flat[i]),)))
 
     @staticmethod
     def _cell(plan, streams, first, shape, i) -> tuple:
@@ -733,7 +758,8 @@ class _MarginScan:
                 at["column"] = column
             margins.append(value)
             locations.append(at)
-        return NumericReport(not self.failures, *margins, tuple(self.failures), *locations)
+        failures = tuple(f for _, f in sorted(self.failures, key=operator.itemgetter(0)))
+        return NumericReport(not failures, *margins, failures, *locations)
 
 
 def verify_numeric(
@@ -748,7 +774,7 @@ def verify_numeric(
     column and the solution's beams.  Failures read (trial, kind, user, ...).
     ``tol`` and ``sigma_tol`` must be finite and positive."""
     scan = _MarginScan(tol, sigma_tol, named=False)
-    plan = _plan_table((column,), channels.users)
+    plan = _plan_table((column,), channels.users, 1)
     beams = solution.stacked[None] if solution.stacked.ndim == 3 else solution.stacked[None, None]
     combined = partial(_combined, channels, {"combiners": solution.combiners})
     for streams in plan.sets:
@@ -770,23 +796,26 @@ def verify_table_numeric(
     Every (column, trial) must pass; the report carries the worst leakage
     and conditioning seen anywhere and where they occur, the first in
     (trial block, column, trial, user, stream) order on ties.  The table is
-    planned once: stream order, outside-user profiles, and per chunk of
-    FLUSH_COLUMNS columns and stream total the index arrays of every (user,
-    stream count).  Trials then run in blocks of TRIAL_BLOCK draws, each with
-    one stacked nullspace SVD per outside-stream count, over the distinct
-    profiles with that count, and one stacked matmul per (user, stream
-    count) and stream set.  Failures read (trial, column, kind, user,
-    ...).  ``trials`` must be at least 1 and ``tol`` and ``sigma_tol`` finite
-    and positive.  A table failing the symbolic check is refused; pass
-    ``symbolic``, the table's own ``decodability_check`` report, to skip
-    running that check again."""
+    planned once: stream order, outside-user profiles, and per batch of
+    columns and stream total the index arrays of every (user, stream count).
+    A batch holds BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK) columns, so
+    a run of few trials takes few large batches and a full trial block no
+    more than BATCH_COLUMN_TRIALS column-trials.  Trials then run in blocks
+    of TRIAL_BLOCK draws, each with one stacked nullspace SVD per
+    outside-stream count, over the distinct profiles with that count, and
+    one stacked matmul per (user, stream count) and stream set.  Failures
+    read (trial, column, kind, user, ...), in scan order.  ``trials`` must be
+    at least 1 and ``tol`` and ``sigma_tol`` finite and positive.  A table
+    failing the symbolic check is refused; pass ``symbolic``, the table's
+    own ``decodability_check`` report, to skip running that check again."""
     scan = _MarginScan(tol, sigma_tol)
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
     report = symbolic if symbolic is not None else decodability_check(table)
     if not report.ok:
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
-    plan = _plan_table(table.columns, tuple(sorted(table.users)))
+    width = BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK)
+    plan = _plan_table(table.columns, tuple(sorted(table.users)), width)
     by_streams: dict[int, list] = {}  # the profiles by outside-stream count
     for profile, _ in plan.directions:
         by_streams.setdefault(sum(b for _, b in profile), []).append(profile)
@@ -804,7 +833,6 @@ def verify_table_numeric(
         # (trial, direction, L): the directions of every profile, each contiguous
         library = np.concatenate([cache[p][0][..., :m].swapaxes(-1, -2) for p, m in plan.directions], axis=-2)
         combined = partial(_combined, channels, cache)
-        for streams in plan.sets:
-            beams = _stream_beams(library, streams.beams, streams.l_fast)
-            scan.add(plan, streams, beams, combined, first)
+        for streams in plan.sets:  # no reference to the beams here: the scan frees them
+            scan.add(plan, streams, _stream_beams(library, streams.beams, streams.l_fast), combined, first)
     return scan.report()

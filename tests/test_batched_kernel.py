@@ -28,7 +28,7 @@ from ccsched.rates import (
 )
 from ccsched.symmetric import schedule_symmetric
 from ccsched.verifier import (
-    FLUSH_COLUMNS,
+    BATCH_COLUMN_TRIALS,
     TRIAL_BLOCK,
     ChannelRealization,
     _MarginScan,
@@ -180,7 +180,7 @@ def test_table_scan_names_the_first_deficient_group(monkeypatch):
 
 
 def profiles_by_outside_streams(table):
-    plan = verifier._plan_table(table.columns, tuple(sorted(table.users)))
+    plan = verifier._plan_table(table.columns, tuple(sorted(table.users)), 1)
     by_streams = {}
     for profile, _ in plan.directions:
         by_streams.setdefault(sum(b for _, b in profile), []).append(profile)
@@ -286,7 +286,7 @@ def test_rate_sweep_csv_golden(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("table,flags,golden", [
-    # 40 trials cross a trial block; 280 columns cross many flushes
+    # 40 trials cross a trial block; 280 columns cross many batches
     ("example1_dof14.json", ["--trials", "40", "--seed", "3"],
      "example1_dof14_verify_trials40_seed3.json"),
     ("fig3_omega8_t3_dof24.json", ["--trials", "4"], "fig3_omega8_t3_dof24_verify_trials4.json"),
@@ -362,7 +362,7 @@ def scan_tables():
     return {
         "fig3_witness": table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text()),
         # every column four times: each cell has exact ties in the other
-        # copies, at least one of them in a later flush
+        # copies, at least one of them in a later batch
         "repeated_example1": replace(
             example1, columns=example1.columns * 4, delta=4 * example1.delta
         ),
@@ -387,7 +387,8 @@ def scan_tables():
 ])
 def test_table_scan_matches_folded_column_reports(scan_tables, name, trials):
     table = scan_tables[name]
-    assert len(table.columns) > FLUSH_COLUMNS
+    # the table spans at least two batches at this trial count
+    assert len(table.columns) > BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK)
     # tolerances at the typical margins, so that both kinds of failure occur
     tol, sigma_tol = 1e-15, 0.05
     rep = verify_table_numeric(table, trials=trials, seed=11, tol=tol, sigma_tol=sigma_tol)
@@ -433,6 +434,58 @@ def test_table_scan_matches_column_reference_on_random_tables(table, trials, see
     assert (rep.max_leakage, rep.max_leakage_at) == (max_leakage, leak_at)
     assert (rep.min_sigma, rep.min_sigma_at) == (min_sigma, sigma_at)
     assert sorted(rep.failures) == sorted(failures)
+
+
+def scan_order(failure):
+    """A named failure's place in scan order: trial block, column, trial,
+    user, then the user's conditioning cell before its leakage cells by
+    stream ((group, instance) tuples sort in stream order)."""
+    trial, column, kind, user, *stream, _ = failure
+    return trial // TRIAL_BLOCK, column, trial, user, kind == "leakage", stream
+
+
+@given(
+    decodable_tables(),
+    st.sampled_from([1, 3, TRIAL_BLOCK + 1]),
+    st.integers(0, 999),
+    st.sampled_from([1e-9, 1e-15]),
+    st.sampled_from([1e-6, 0.3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_report_does_not_depend_on_the_batch_width(table, trials, seed, tol, sigma_tol):
+    """The whole report, failures in order, is the same with one column per
+    batch and with one batch holding the whole table.  At tol = 1e-15 and
+    sigma_tol = 0.3 both kinds of failure occur, in many columns."""
+    block = min(trials, TRIAL_BLOCK)
+    reports = []
+    for width in (1, len(table.columns)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(verifier, "BATCH_COLUMN_TRIALS", width * block)
+            reports.append(verify_table_numeric(table, trials=trials, seed=seed, tol=tol, sigma_tol=sigma_tol))
+    assert reports[0] == reports[1]
+    assert list(reports[0].failures) == sorted(reports[0].failures, key=scan_order)
+
+
+@pytest.mark.parametrize("trials,width", [(1, 256), (4, 64), (32, 8), (100, 8)])
+def test_batch_width_is_the_budget_over_the_block(monkeypatch, trials, width):
+    """A run of T trials plans BATCH_COLUMN_TRIALS // min(T, TRIAL_BLOCK)
+    columns per batch, and no stream set crosses a batch."""
+    table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
+    assert BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK) == width
+    plan_table, plans = verifier._plan_table, []
+
+    def planned(*args):
+        plans.append((args[2], plan_table(*args)))
+        raise StopIteration  # the plan is all this test needs
+
+    monkeypatch.setattr(verifier, "_plan_table", planned)
+    with pytest.raises(StopIteration):
+        verify_table_numeric(table, trials=trials)
+    [(got, plan)] = plans
+    assert got == width
+    batches = {int(streams.columns[0]) // width for streams in plan.sets}
+    assert batches == set(range(math.ceil(len(table.columns) / width)))
+    assert all(len(set(streams.columns // width)) == 1 for streams in plan.sets)
 
 
 class FullSVDScan(_MarginScan):

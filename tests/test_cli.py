@@ -514,6 +514,34 @@ def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
     assert reason in doc["error"]["reason"]
 
 
+@pytest.mark.parametrize("command", ["verify", "rate-sweep"])
+@pytest.mark.parametrize("field", ["L", "G"])
+def test_huge_antenna_count_exits_2(tmp_path, capsys, command, field):
+    """A table with 10**12 antennas passes the symbolic check, but no channel
+    draw can hold it: the allocation fails at once, and the command exits 2
+    with numpy's reason instead of a traceback."""
+    doc = json.loads((DATA / "example1_dof14.json").read_text())
+    doc[field] = 10**12
+    table = tmp_path / "huge.json"
+    table.write_text(json.dumps(doc))
+    assert run_cli(capsys, "verify", "--table", str(table))[0] == 0
+    argv = [command, "--table", str(table), "--trials", "4"] + (["--numeric"] if command == "verify" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "MemoryError" and error["reason"].startswith("Unable to allocate")
+
+
+def test_memory_error_without_a_message_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(exhausted))
+    code, out, err = run_cli(capsys, "verify", "--table", str(DATA / "example1_dof14.json"), "--numeric")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": "MemoryError", "reason": "out of memory"}}
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_verify_tol_must_be_finite_positive(capsys, tol):
     table = Path(__file__).parent / "data" / "example1_dof14.json"
