@@ -82,7 +82,8 @@ def config_defaults(subparser: argparse.ArgumentParser, config: dict[str, str]) 
 MAX_SNR_POINTS = 1000
 MAX_SNR_DB = 3000.0
 # a sweep holds one rate per (grid point, trial, column), 80 MB of floats at
-# this many, and a few arrays of that size at once
+# this many, and a few arrays of that size at once; a numeric verification,
+# whose time grows with its column-trials, counts as a sweep of one point
 MAX_SWEEP_RATES = 10**7
 
 
@@ -176,11 +177,24 @@ def check_draw_flags(args) -> None:
         raise ParameterError(f"--tol must be a finite positive number, got {args.tol}")
 
 
+def check_rate_budget(points: int, trials: int, columns: int) -> None:
+    """Refuse a run of more than MAX_SWEEP_RATES (SNR point, trial, column)
+    rates; a numeric verification counts as a sweep of one point."""
+    rates = points * trials * columns
+    if rates > MAX_SWEEP_RATES:
+        raise ParameterError(
+            f"{points} SNR point{'s' * (points != 1)} x {trials} trials x {columns} columns "
+            f"is {rates} rates, more than {MAX_SWEEP_RATES}: use fewer trials or SNR points"
+        )
+
+
 def cmd_verify(args) -> int:
     if args.numeric:
         check_draw_flags(args)
     table = table_from_json(Path(args.table).read_text())
     table.validate()
+    if args.numeric:
+        check_rate_budget(1, args.trials, len(table.columns))
     report = decodability_check(table)
     doc = {
         "symbolic": "PASS" if report.ok else "FAIL",
@@ -247,12 +261,7 @@ def cmd_rate_sweep(args) -> int:
     grid = parse_snr_grid(args.snr)
     table = table_from_json(Path(args.table).read_text())
     table.validate()
-    rates = len(grid) * args.trials * len(table.columns)
-    if rates > MAX_SWEEP_RATES:
-        raise ParameterError(
-            f"{len(grid)} SNR points x {args.trials} trials x {len(table.columns)} columns "
-            f"is {rates} rates, more than {MAX_SWEEP_RATES}: use fewer trials or SNR points"
-        )
+    check_rate_budget(len(grid), args.trials, len(table.columns))
     dof = dof_of_table(table)
     # refused before the sweep runs; an empty column keeps the sweep's own
     # reason, "no scheduled streams" (exit 2)

@@ -11,15 +11,20 @@ nullspace by thresholded SVD, places one unit-norm beamformer per stream
 instance inside that nullspace, and verifies rank-nullity, interference
 leakage, and per-user invertibility of the effective channel.  Every numeric
 array may carry a leading trial axis, so one call handles a batch of draws.
-A whole table is certified by a kernel planned once per table, with one
-stacked nullspace SVD per outside-stream count, over every outside-user
-profile with that count, and one stacked product per (user, stream count)
-and batch of columns; a batch holds a fixed number of column-trials, so a
-run of few trials takes few large batches.  Its conditioning margin is
-screened: a batched inverse bounds every effective matrix's smallest
-singular value from both sides, and LAPACK's SVD runs only on the matrices
-that can be the minimum or can fail, so the report is exactly the one a
-full SVD gives.
+A whole table goes through one kernel, planned once per table, which the
+oracle and the rate sweep (``rates.snr_sweep``) share: per batch of stream
+sets, laid out once, and trial block, ``_stream_gains`` takes one combined
+channel per (user, stream count), one stacked nullspace SVD per (draw,
+outside-stream count) over the outside-user profiles present, and one
+direction library, and yields every stream set's own and cross gains.  The
+oracle shares one draw per trial among all columns, so it takes one SVD
+per outside-stream count; the sweep draws one per (trial, column).  The
+oracle's batch holds a fixed number of column-trials, so a run of few
+trials takes few large batches, and its reduction (``_MarginScan``) folds
+the leakage norms and the conditioning margin, which is screened: a batched
+inverse bounds every effective matrix's smallest singular value from both
+sides, and LAPACK's SVD runs only on the matrices that can be the minimum
+or can fail, so the report is exactly the one a full SVD gives.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -378,23 +382,10 @@ def _profile_nullspaces(profiles, channels: ChannelRealization, cache: dict) -> 
         cache[p] = own_basis, L - int(np.max(own_rank)), L - int(np.min(own_rank))
 
 
-def _group_beams(group: Group, theta: int, profile: tuple, channels: ChannelRealization, cache: dict):
-    """The first ``theta`` nullspace directions, (..., L, theta), for the
-    stream instances of ``group``.
-
-    ``profile`` holds the (user, stream count) pairs of the users outside the
-    group that decode streams.  The nullspace of their stacked combined
-    channels depends on nothing else, so it is computed once per profile in
-    ``cache`` (_profile_nullspaces, on a one-profile stack if the caller has
-    not filled it).  Raises NullityDeficientError when it cannot host theta
-    instances, or when its dimension anywhere in the batch is not the
-    rank-nullity value L minus the profile's streams.
-    """
-    L = channels.L
-    if profile not in cache:
-        _profile_nullspaces((profile,), channels, cache)
-    basis, nullity, widest = cache[profile]  # smallest and largest nullity over the batch
-    expected = L - sum(b for _, b in profile)
+def _check_nullity(group: Group, theta: int, nullity: int, widest: int, expected: int) -> None:
+    """Raise NullityDeficientError unless a group's nullspace, of smallest
+    and largest dimension ``nullity`` and ``widest`` over a batch, hosts its
+    theta instances and is the rank-nullity value ``expected`` everywhere."""
     if nullity < theta:
         raise NullityDeficientError(
             f"group {group}: nullity {nullity} cannot host {theta} stream instances"
@@ -404,7 +395,6 @@ def _group_beams(group: Group, theta: int, profile: tuple, channels: ChannelReal
             f"group {group}: computed nullity (min {nullity}, max {widest}) != rank-nullity "
             f"value {expected} (non-generic channel draw)"
         )
-    return basis[..., :theta]
 
 
 def build_beamformers(
@@ -424,6 +414,9 @@ def build_beamformers(
     Nullspaces depend only on the outside users and their stream counts: a
     caller passes one ``cache`` dict per realization and policy to share the
     combiners and the nullspace of every outside-user profile across columns.
+    Raises NullityDeficientError when a nullspace cannot host its group's
+    instances, or when its dimension anywhere in the batch is not the
+    rank-nullity value L minus the outside streams.
     """
     cache = {} if cache is None else cache
     pool = _combiner_pool(channels, combiner_policy, cache)
@@ -435,8 +428,12 @@ def build_beamformers(
     nullities: dict[Group, int] = {}
     for g in sorted(theta):
         profile = tuple((k, beta[k]) for k in users if k not in g and beta[k] > 0)
-        beams[g] = _group_beams(g, theta[g], profile, channels, cache)
+        if profile not in cache:
+            _profile_nullspaces((profile,), channels, cache)
+        basis, nullity, widest = cache[profile]  # smallest and largest nullity over the batch
         nullities[g] = L - sum(b for _, b in profile)
+        _check_nullity(g, theta[g], nullity, widest, nullities[g])
+        beams[g] = basis[..., : theta[g]]
     streams = tuple((g, inst) for g in sorted(theta) for inst in range(theta[g]))
     batch = channels.H[users[0]].shape[:-2]
     stacked = np.concatenate([beams[g] for g in sorted(theta)] or [np.zeros(batch + (L, 0))], axis=-1)
@@ -477,7 +474,10 @@ class _StreamSet(NamedTuple):
     same layout of beams."""
 
     columns: np.ndarray  # (C,) 0-based column indices
-    beams: np.ndarray  # (C, n) direction-library index of every stream
+    # (C, n) every stream's outside-user profile, and its instance: the
+    # profile's direction that its beam takes
+    profiles: np.ndarray
+    instances: np.ndarray
     # the layout of each column's own stack of beams (BeamformerSolution.stacked):
     # np.concatenate makes L the fast axis when a group repeats and C order
     # otherwise, and a BLAS product rounds by layout, so the set's beams follow it
@@ -490,15 +490,19 @@ class _StreamSet(NamedTuple):
 
 
 class _TablePlan(NamedTuple):
-    """Everything the numeric oracle needs of a table that no draw changes."""
+    """Everything the numeric kernel needs of a table that no draw changes."""
 
     users: tuple[int, ...]
     columns: tuple[tuple[Group, ...], ...]  # sorted groups: one entry per stream
-    # (group, theta, profile) for the first group of each distinct (outside-user
-    # profile, theta) pair in scan order: its nullity checks stand for all
-    checks: tuple[tuple[Group, int, tuple], ...]
-    # the direction library of a trial block: the leading directions of each profile
+    # per run of equal groups in a column, in scan order: the column, the
+    # run's first position in it, its profile and its theta
+    runs: np.ndarray
+    # per outside-user profile: its (user, stream count) pairs and the most
+    # instances any of its groups takes, and the latter and the profile's
+    # outside-stream count as (P,) arrays
     directions: tuple[tuple[tuple, int], ...]
+    take: np.ndarray
+    outside: np.ndarray
     sets: tuple[_StreamSet, ...]
 
 
@@ -535,16 +539,14 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
     pid = np.empty(len(by), dtype=np.intp)
     pid[by] = np.cumsum(new) - 1
     keys = [tuple((users[i], b) for i, b in enumerate(row) if b) for row in outside[by[new]].tolist()]
-    _, firsts = np.unique(pid * (len(slots) + 1) + theta, return_index=True)
-    checks = tuple(
-        (distinct[gid[heads[r]]], int(theta[r]), keys[pid[r]]) for r in np.sort(firsts).tolist()
-    )
     take = np.zeros(len(keys), dtype=np.intp)
     np.maximum.at(take, pid, theta)
-    direction = (np.cumsum(take) - take)[pid[run]] + np.arange(len(slots)) - heads[run]
+    starts = np.cumsum(n) - n
+    runs = np.stack([col[heads], heads - starts[col[heads]], pid, theta], axis=1)
+    profile, instance = pid[run], np.arange(len(slots)) - heads[run]
     l_fast = np.zeros(len(cols), dtype=bool)
     l_fast[col[heads[theta > 1]]] = True
-    starts, step, sets = np.cumsum(n) - n, int(beta.max(initial=0)) + 1, []
+    step, sets = int(beta.max(initial=0)) + 1, []
     for c0 in range(0, len(cols), width):
         block = np.arange(c0, min(c0 + width, len(cols)))
         kind = 2 * n[block] + l_fast[block]
@@ -565,8 +567,8 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
                 at = slice(None) if hi - lo == len(rows_all) else pair_row[lo:hi]
                 entries.append((user, b, at, r[: hi - lo], order[lo:hi, :b], order[lo:hi, b:]))
             if entries:
-                sets.append(_StreamSet(rows_all, direction[stream], bool(fast), tuple(entries)))
-    return _TablePlan(users, cols, checks, tuple(zip(keys, take.tolist())), tuple(sets))
+                sets.append(_StreamSet(rows_all, profile[stream], instance[stream], bool(fast), tuple(entries)))
+    return _TablePlan(users, cols, runs, tuple(zip(keys, take.tolist())), take, outside[by[new]].sum(axis=1), tuple(sets))
 
 
 def _stream_beams(library: np.ndarray, index: np.ndarray, l_fast: bool) -> np.ndarray:
@@ -579,6 +581,102 @@ def _stream_beams(library: np.ndarray, index: np.ndarray, l_fast: bool) -> np.nd
     if l_fast:
         return library.reshape(-1, L)[rows].swapaxes(-1, -2)
     return library.ravel()[rows[:, :, None, :] * L + np.arange(L)[:, None]]
+
+
+def _set_gains(plan: _TablePlan, streams: _StreamSet, beams: np.ndarray, combined: dict, draws: np.ndarray):
+    """Every entry of a stream set with its (R, trials, b, n) gains, one entry
+    at a time, from the set's (C, trials, L, n) beams.  ``combined[k, b]``
+    stacks user k's combined channels over the D draws, (D, trials, b, L),
+    and ``draws`` gives each of the set's columns its draw.  The beams are
+    freed with the generator, once its last entry is taken."""
+    for entry in streams.entries:
+        u, b, rows = entry[:3]
+        channel = combined[plan.users[u], b]  # one draw broadcasts over the columns
+        yield entry, (channel if len(channel) == 1 else channel[draws[rows]]) @ beams[rows]
+
+
+class _KernelLayout(NamedTuple):
+    """What the kernel needs of a batch of stream sets that no draw changes."""
+
+    draw: np.ndarray  # the draw of every column of the table
+    draws: int  # D: the channels stack D draws over the same trials
+    columns: np.ndarray  # the sets' columns, ascending
+    # per set: the set, the draw of each of its columns, and the (C, n)
+    # direction-library index of every stream
+    sets: tuple[tuple[_StreamSet, np.ndarray, np.ndarray], ...]
+    # the (user, stream count) of every entry and the first of the b rows
+    # that its combined channels take in the row library
+    combined: tuple[tuple[int, int, int], ...]
+    # per (draw, outside-stream count r): the draw, the profiles, the (P, r)
+    # row-library rows of each profile's outside users, and the directions
+    # kept of each profile; the library holds them in this order
+    stacks: tuple[tuple[int, np.ndarray, np.ndarray, int], ...]
+
+
+def _kernel_layout(plan: _TablePlan, sets, draw: np.ndarray) -> _KernelLayout:
+    """The layout of ``sets`` in the kernel's libraries, with ``draw`` the
+    draw of every column: one for all in the oracle, one per column of a
+    batch in the rate sweep."""
+    columns = np.array(sorted({c for streams in sets for c in streams.columns.tolist()}), dtype=np.intp)
+    D = int(draw[columns].max(initial=0)) + 1
+    first, n_rows = {}, 0  # each entry's first row in the row library
+    for streams in sets:
+        for u, b, *_ in streams.entries:
+            if (plan.users[u], b) not in first:
+                first[plan.users[u], b], n_rows = n_rows, n_rows + b
+    pairs: dict[tuple[int, int], list] = {}  # the sets' profiles by draw and outside-stream count
+    for d, p in sorted({(d, p) for s in sets for d, row in zip(draw[s.columns].tolist(), s.profiles.tolist()) for p in row}):
+        pairs.setdefault((d, int(plan.outside[p])), []).append(p)
+    offset = np.zeros((D, len(plan.directions)), dtype=np.intp)  # where each pair's directions start
+    stacks, seen = [], 0
+    for (d, r), profiles in pairs.items():
+        rows = [[first[k, b] + i for k, b in plan.directions[p][0] for i in range(b)] for p in profiles]
+        m = int(plan.take[profiles].max())
+        offset[d, profiles] = seen + m * np.arange(len(profiles))
+        seen += m * len(profiles)
+        stacks.append((d, np.array(profiles), np.array(rows, dtype=np.intp).reshape(len(profiles), r), m))
+    sets = tuple((s, draw[s.columns], offset[draw[s.columns][:, None], s.profiles] + s.instances) for s in sets)
+    return _KernelLayout(draw, D, columns, sets, tuple((k, b, i) for (k, b), i in first.items()), tuple(stacks))
+
+
+def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization, combiner_policy="haar"):
+    """The numeric kernel of a batch of stream sets and a trial block, whose
+    channels stack the layout's draws: every set with its entries' gains
+    (``_set_gains``), from one combined channel per (user, stream count),
+    one nullspace SVD per (draw, outside-stream count) and one direction
+    library.  LAPACK and BLAS see each matrix on its own and in the layout
+    of its one-column product, so every gain is the one-column one, bit for
+    bit.  Before any gain, raises NullityDeficientError at the first run of
+    groups in scan order (column, then group) whose nullspace is not the
+    rank-nullity value in every trial or cannot host its instances."""
+    pool = _combiner_pool(channels, combiner_policy, {})
+    if not layout.sets:
+        return
+    L, D = channels.L, layout.draws
+    T = len(channels.H[plan.users[0]]) // D
+    # (D, T, row, L): the entries' combined channels, which hold every profile's
+    rows = np.concatenate([_hermitian(pool[k][..., :b]) @ channels.H[k] for k, b, _ in layout.combined], axis=1)
+    rows = rows.reshape(D, T, -1, L)
+    del channels, pool  # frees the draw, when the caller keeps no reference to it
+    combined = {(k, b): rows[:, :, i : i + b] for k, b, i in layout.combined}
+    library, ranks = [], []
+    for d, _, index, m in layout.stacks:
+        # one SVD of the (P, T, r, L) stack of the profiles' outside combined channels
+        basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1), L)
+        ranks.append(rank)
+        # (trials, profile and direction, L), each direction contiguous
+        library.append(basis[..., :m].swapaxes(-1, -2).swapaxes(0, 1).reshape(T, -1, L))
+    if any((rank != index.shape[1]).any() or m > L - index.shape[1] for rank, (_, _, index, m) in zip(ranks, layout.stacks)):
+        # raise at the first run of groups, in scan order, that a failing
+        # (draw, profile) pair shapes, with the pair's smallest and largest nullity
+        nullity = {(d, p): (L - int(r.max()), L - int(r.min()))
+                   for (d, profiles, _, _), rank in zip(layout.stacks, ranks) for p, r in zip(profiles.tolist(), rank)}
+        for c, at, p, theta in plan.runs[np.isin(plan.runs[:, 0], layout.columns)].tolist():
+            _check_nullity(plan.columns[c][at], theta, *nullity[int(layout.draw[c]), p], L - int(plan.outside[p]))
+    library = np.concatenate(library, axis=1)
+    for streams, draws, index in layout.sets:
+        # no reference to the beams here: the entries' generator frees them
+        yield streams, _set_gains(plan, streams, _stream_beams(library, index, streams.l_fast), combined, draws)
 
 
 def _frobenius_sq(a: np.ndarray) -> np.ndarray:
@@ -614,12 +712,10 @@ class _MarginScan:
         self.worst: dict[str, tuple | None] = {"leakage": None, "sigma_min": None}
         self.failures: list[tuple] = []  # (scan position, failure)
 
-    def add(self, plan: _TablePlan, streams: _StreamSet, beams: np.ndarray, combined, first: int) -> None:
-        """Fold the margins of one stream set, given its (C, trials, L, n)
-        beams and ``combined(k, b)``; its trials count from ``first``.  The
-        beams are dropped once every gain is formed: a caller that passes
-        them without keeping a reference frees them before the screen."""
-        C, T, _, n = beams.shape
+    def add(self, plan: _TablePlan, streams: _StreamSet, gains, trials: range) -> None:
+        """Fold the margins of one stream set over ``trials``, given each of
+        its entries with its (R, trials, b, n) gains (``_set_gains``)."""
+        (C, n), T, first = streams.profiles.shape, len(trials), trials.start
         leak = np.full((C, T, len(plan.users), n), -np.inf)
         sigma = np.full((C, T, len(plan.users)), np.inf)
         # per stream count, one stack of every entry's effective matrices, in
@@ -630,14 +726,15 @@ class _MarginScan:
             slots.append(slice(size.get(b, 0), size.get(b, 0) + len(r)))
             size[b] = slots[-1].stop
         effs = {b: np.empty((N, T, b, b), dtype=complex) for b, N in size.items()}
-        for (u, b, rows, r, own, cross), slot in zip(streams.entries, slots):
-            gains = combined(plan.users[u], b) @ beams[rows]  # (R, T, b, n)
+        # a plain loop, so that each entry's gains are freed before the next
+        # entry's are formed (zip would hold them a step longer)
+        slot_of = iter(slots)
+        for (u, b, rows, r, own, cross), entry_gains in gains:
             # cross gains as (R, n - b, T, b): each norm sums along the contiguous
             # combiner axis, in the order the norm of one column's gains sums
-            leak[rows, :, u, : n - b] = np.linalg.norm(gains[r, :, :, cross], axis=-1).swapaxes(1, 2)
-            effs[b][slot] = gains[r, :, :, own].transpose(0, 2, 3, 1)
-            del gains
-        del beams
+            leak[rows, :, u, : n - b] = np.linalg.norm(entry_gains[r, :, :, cross], axis=-1).swapaxes(1, 2)
+            effs[b][next(slot_of)] = entry_gains[r, :, :, own].transpose(0, 2, 3, 1)
+            del entry_gains
         self._fold("leakage", plan, streams, first, leak, leak > self.tol)
         del leak
         # each stack is freed once screened
@@ -776,9 +873,11 @@ def verify_numeric(
     scan = _MarginScan(tol, sigma_tol, named=False)
     plan = _plan_table((column,), channels.users, 1)
     beams = solution.stacked[None] if solution.stacked.ndim == 3 else solution.stacked[None, None]
-    combined = partial(_combined, channels, {"combiners": solution.combiners})
+    cache = {"combiners": solution.combiners}
+    combined = {(k, b): _combined(channels, cache, k, b)[None] for k, b in solution.beta.items() if b}  # one draw
     for streams in plan.sets:
-        scan.add(plan, streams, beams, combined, 0)
+        gains = _set_gains(plan, streams, beams, combined, np.zeros(1, dtype=np.intp))
+        scan.add(plan, streams, gains, range(beams.shape[1]))
     return scan.report()
 
 
@@ -801,13 +900,14 @@ def verify_table_numeric(
     A batch holds BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK) columns, so
     a run of few trials takes few large batches and a full trial block no
     more than BATCH_COLUMN_TRIALS column-trials.  Trials then run in blocks
-    of TRIAL_BLOCK draws, each with one stacked nullspace SVD per
-    outside-stream count, over the distinct profiles with that count, and
-    one stacked matmul per (user, stream count) and stream set.  Failures
-    read (trial, column, kind, user, ...), in scan order.  ``trials`` must be
-    at least 1 and ``tol`` and ``sigma_tol`` finite and positive.  A table
-    failing the symbolic check is refused; pass ``symbolic``, the table's
-    own ``decodability_check`` report, to skip running that check again."""
+    of TRIAL_BLOCK draws, one draw shared by every column, through the
+    kernel ``_stream_gains``: one stacked nullspace SVD per outside-stream
+    count, over the distinct profiles with that count, and one stacked
+    matmul per (user, stream count) and stream set.  Failures read (trial,
+    column, kind, user, ...), in scan order.  ``trials`` must be at least 1
+    and ``tol`` and ``sigma_tol`` finite and positive.  A table failing the
+    symbolic check is refused; pass ``symbolic``, the table's own
+    ``decodability_check`` report, to skip running that check again."""
     scan = _MarginScan(tol, sigma_tol)
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
@@ -816,23 +916,14 @@ def verify_table_numeric(
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
     width = BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK)
     plan = _plan_table(table.columns, tuple(sorted(table.users)), width)
-    by_streams: dict[int, list] = {}  # the profiles by outside-stream count
-    for profile, _ in plan.directions:
-        by_streams.setdefault(sum(b for _, b in profile), []).append(profile)
+    layout = _kernel_layout(plan, plan.sets, np.zeros(len(table.columns), dtype=np.intp))
     for first in range(0, trials, TRIAL_BLOCK):
-        seeds = range(seed + first, seed + min(first + TRIAL_BLOCK, trials))
-        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
-        cache: dict = {}
-        _combiner_pool(channels, combiner_policy, cache)
-        for profiles in by_streams.values():
-            _profile_nullspaces(profiles, channels, cache)
-        for group, theta, profile in plan.checks:
-            _group_beams(group, theta, profile, channels, cache)
+        block = range(first, min(first + TRIAL_BLOCK, trials))
+        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=[seed + t for t in block])
+        kernel = _stream_gains(plan, layout, channels, combiner_policy)
+        del channels  # the kernel frees the draw once it has combined it
+        for streams, gains in kernel:
+            scan.add(plan, streams, gains, block)
         if not plan.sets:  # no column carries a stream
             break
-        # (trial, direction, L): the directions of every profile, each contiguous
-        library = np.concatenate([cache[p][0][..., :m].swapaxes(-1, -2) for p, m in plan.directions], axis=-2)
-        combined = partial(_combined, channels, cache)
-        for streams in plan.sets:  # no reference to the beams here: the scan frees them
-            scan.add(plan, streams, _stream_beams(library, streams.beams, streams.l_fast), combined, first)
     return scan.report()

@@ -701,6 +701,45 @@ def test_sweep_names_the_first_deficient_group(monkeypatch, capsys):
     assert error == {"type": "NullityDeficientError", "reason": str(want.value)}
 
 
+def test_sweep_names_the_first_error_in_scan_order(monkeypatch, capsys):
+    """Two draws are degenerate at different groups: one of column 2 in the
+    first trial block, one of column 1 in the second.  The sweep names the
+    first in its scan order, trial block before column: column 2's group.
+    Evaluating one column after another, over all its trial blocks, meets
+    column 1's first."""
+    path = DATA / "example1_dof14.json"
+    table = table_from_json(path.read_text())
+    trials, seed, draw = TRIAL_BLOCK + 8, 3, ChannelRealization.draw
+    silent = {(5, 1): 1, (TRIAL_BLOCK + 1, 0): 5}  # (trial, 0-based column) -> silent user
+
+    def degenerate(*args, **kwargs):
+        channels = draw(*args, **kwargs)
+        for i, s in enumerate(kwargs["seed"]):
+            user = silent.get(divmod(s - seed, 7919))
+            if user is not None:
+                channels.H[user][i] = 0.0
+        return channels
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(degenerate))
+    want = []
+    for column, first in ((1, 0), (0, TRIAL_BLOCK)):
+        seeds = [seed + 7919 * trial + column for trial in range(first, min(first + TRIAL_BLOCK, trials))]
+        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
+        with pytest.raises(NullityDeficientError) as err:
+            build_beamformers(table.columns[column], channels)
+        want.append(str(err.value))
+    assert want[0].startswith("group (2, 4):") and want[1].startswith("group (1, 2):")
+    with pytest.raises(NullityDeficientError) as got:
+        snr_sweep(table, [0.0], trials=trials, seed=seed)
+    assert str(got.value) == want[0]
+    with pytest.raises(NullityDeficientError) as column_major:
+        reference_rates(table, np.array([1.0]), trials, seed)
+    assert str(column_major.value) == want[1]
+    argv = ["rate-sweep", "--table", str(path), "--trials", str(trials), "--seed", str(seed)]
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == {"type": "NullityDeficientError", "reason": want[0]}
+
+
 def test_sweep_singular_effective_matrix_names_the_user(monkeypatch, tmp_path, capsys):
     """Two equal combiner columns make user 1's effective matrix exactly
     singular where it decodes two streams (inside every group there, so no

@@ -455,6 +455,27 @@ def test_rate_sweep_too_many_rates_exits_2(capsys, flags, reason):
     assert error["type"] == "ParameterError" and reason in error["reason"]
 
 
+@pytest.mark.parametrize("trials,reason", [
+    # 10**16 column-trials
+    ("1000000000000000", "1 SNR point x 1000000000000000 trials x 10 columns"),
+    # one trial past MAX_SWEEP_RATES over the 10 columns
+    ("1000001", "is 10000010 rates, more than 10000000"),
+])
+def test_verify_numeric_too_many_trials_exits_2(capsys, monkeypatch, trials, reason):
+    """`verify --numeric` counts as a one-point sweep against the rate budget
+    and is refused before any channel is drawn."""
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(no_draw))
+    table = str(Path(__file__).parent / "data" / "example1_dof14.json")
+    code, out, err = run_cli(capsys, "verify", "--table", table, "--numeric", "--trials", trials)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and reason in error["reason"]
+
+
 def test_dof_region_matches_golden_digests(tmp_path, capsys):
     """Region CSVs and witness tables are fixed results: digests of each
     file that `dof-region -o region.csv` writes, at seed 0."""
