@@ -110,6 +110,39 @@ def donor_map(i: int, S: int) -> int:
     return (i % S) + 1
 
 
+class ColumnLoad:
+    """The antenna loads of one column under construction: per-user stream
+    counts b, group multiplicities c and the stream total n.  ``fits`` is
+    the rule for linear decodability: b(k) <= G for every user, and
+    c(T) + n - (sum of b over T) <= L for every scheduled group T."""
+
+    def __init__(self, L: int, G: int, groups=()) -> None:
+        self.L, self.G, self.n = L, G, 0
+        self.b, self.c = Counter(), Counter()
+        for g in groups:
+            self.add(g)
+
+    def add(self, g: Group, step: int = 1) -> None:
+        """Add ``step`` instances of g; a negative step removes them."""
+        self.c[g] += step
+        for k in g:
+            self.b[k] += step
+        self.n += step * len(g)
+
+    def fits(self) -> bool:
+        b = self.b
+        return max(b.values(), default=0) <= self.G and all(
+            mult + self.n - sum(b[k] for k in g) <= self.L for g, mult in self.c.items() if mult
+        )
+
+    def admits(self, g: Group) -> bool:
+        """Whether one more instance of g keeps both bounds."""
+        self.add(g)
+        ok = self.fits()
+        self.add(g, -1)
+        return ok
+
+
 def linear_feasible_check(
     host: ScheduleColumn,
     pending: list[Group],
@@ -118,27 +151,10 @@ def linear_feasible_check(
     G: int,
     served_users,
 ) -> list[Group]:
-    """Donor groups whose addition to host+pending keeps both antenna bounds.
-
-    Over host + pending: b(k) streams per user, c(T') multiplicities, n streams
-    in all, n(T') = c(T') + n - sum of b over T'.  Adding T raises b by one on T,
-    n(T) by one and every other n(T') by |T| - |T & T'|; T is feasible when
-    then max b <= G and max n <= L.
-    """
-    groups = list(host.groups) + list(pending)
-    b = Counter(k for g in groups for k in g)
-    c = Counter(groups)
-    n = sum(b.values())
-    if max(b.values(), default=0) > G:
-        return []
-    lhs = {g: c[g] + n - sum(b[k] for k in g) for g in c}
-    return [
-        cand
-        for cand in sorted(set(donor_groups))
-        if all(b[k] < G for k in cand)
-        and c[cand] + 1 + n - sum(b[k] for k in cand) <= L
-        and all(v + len(cand) - len(set(cand) & set(g)) <= L for g, v in lhs.items() if g != cand)
-    ]
+    """Donor groups, sorted and distinct, whose addition to host+pending
+    keeps both antenna bounds (``ColumnLoad.admits``)."""
+    load = ColumnLoad(L, G, list(host.groups) + list(pending))
+    return [g for g in sorted(set(donor_groups)) if load.admits(g)]
 
 
 class CandidateCollection(NamedTuple):
@@ -198,9 +214,9 @@ def balanced_greedy(
     donor_idx = donor_map(i, plan.S)
     host = baseline.columns[i - 1]
     donor = baseline.columns[donor_idx - 1]
-    users = baseline.users
     L, G = baseline.L, baseline.G
-    beta_weight = max(host.beta(users).values())
+    load = ColumnLoad(L, G, host.groups)  # the host plus the set being built
+    beta_weight = max(load.b.values(), default=0)
     donor_theta = donor.theta()
     distinct_donor = sorted(donor_theta)
     if plan.m > len(distinct_donor):
@@ -220,14 +236,12 @@ def balanced_greedy(
     def overlap(a: Group, b: Group) -> int:
         return len(set(a) & set(b))
 
-    def set_feasible(groups: list[Group]) -> bool:
-        if len(set(groups)) != len(groups):
-            return False
-        if any(overlap(x, y) > plan.tau for idx, x in enumerate(groups) for y in groups[idx + 1 :]):
-            return False
-        return bool(linear_feasible_check(host, groups[:-1], groups[-1:], L, G, users))
+    def within_tau(g: Group, others: list[Group]) -> bool:
+        return all(overlap(g, other) <= plan.tau for other in others)
 
     def try_swap(current: list[Group]) -> bool:
+        # picks and swaps keep every set distinct and within tau, so a swap
+        # needs only its new pairs and both sets' loads checked
         for b_idx, b_set in enumerate(collection):
             for t_b in sorted(b_set):
                 for t_a in sorted(current):
@@ -235,15 +249,15 @@ def balanced_greedy(
                         continue
                     new_a = [g for g in current if g != t_a] + [t_b]
                     new_b = [g for g in b_set if g != t_b] + [t_a]
-                    if not all(overlap(g, t_b) <= plan.tau for g in new_a[:-1]):
+                    if not (within_tau(t_b, new_a[:-1]) and within_tau(t_a, new_b[:-1])):
                         continue
-                    if not all(overlap(g, t_a) <= plan.tau for g in new_b[:-1]):
-                        continue
-                    if not set_feasible(new_a) or not set_feasible(new_b):
-                        continue
-                    current[:] = new_a
-                    collection[b_idx] = new_b
-                    return True
+                    load.add(t_a, -1)
+                    if load.admits(t_b) and ColumnLoad(L, G, host.groups + tuple(new_b)).fits():
+                        load.add(t_b)
+                        current[:] = new_a
+                        collection[b_idx] = new_b
+                        return True
+                    load.add(t_a)
         return False
 
     while len(collection) < plan.d:
@@ -251,13 +265,13 @@ def balanced_greedy(
         iterations = 0
         while len(current) < plan.m and iterations < plan.I_max:
             iterations += 1
-            passing = linear_feasible_check(host, current, distinct_donor, L, G, users)
             candidates = [
                 g
-                for g in passing
+                for g in distinct_donor
                 if quota[g] > 0
                 and g not in current
-                and all(overlap(g, other) <= plan.tau for other in current)
+                and within_tau(g, current)
+                and load.admits(g)
             ]
             if not candidates:
                 if try_swap(current):
@@ -272,16 +286,19 @@ def balanced_greedy(
                 ),
             )
             current.append(best)
+            load.add(best)
             quota[best] -= 1
         if len(current) < plan.m:
             raise ConstructionError(
                 f"greedy stalled at column {i}: built {len(current)}/{plan.m} groups "
                 f"after {iterations} iterations (tau={plan.tau})",
-                # the first pick of the first set is linear_feasible_check(host, [],
-                # donor) alone, and there is no earlier set to swap with
+                # the first pick of the first set depends on the host and
+                # donor columns alone, and there is no earlier set to swap with
                 structural=not collection and not current,
             )
         collection.append(sorted(current))
+        for g in current:
+            load.add(g, -1)
     coll = CandidateCollection(i, donor_idx, tuple(tuple(a) for a in collection))
     validate_collection(coll, donor, plan)
     return coll
@@ -318,7 +335,7 @@ def assemble_table(
 
 def dof_of_table(table: ScheduleTable) -> int | list[int]:
     """Per-column total stream count; the per-column vector if not uniform."""
-    sums = [sum(col.beta(table.users).values()) for col in table.columns]
+    sums = [ColumnLoad(table.L, table.G, col.groups).n for col in table.columns]
     if not sums:
         raise ParameterError("table has no columns")
     if len(set(sums)) == 1:
@@ -339,18 +356,10 @@ def schedule_asymmetric(
     The construction is deterministic: ``seed`` is accepted and has no
     effect on it.
     """
-    beta = max(baseline.columns[0].beta(baseline.users).values())
-    plan = solve_plan(
-        B=len(baseline.columns[0]),
-        S=len(baseline.columns),
-        m=m,
-        G=baseline.G,
-        beta=beta,
-        omega=baseline.omega,
-        t=baseline.t,
-        tau=tau,
-        I_max=I_max,
-    )
+    first = baseline.columns[0]
+    beta = max(ColumnLoad(baseline.L, baseline.G, first.groups).b.values())
+    plan = solve_plan(len(first), len(baseline.columns), m, baseline.G, beta, baseline.omega,
+                      baseline.t, tau, I_max)
     if d_factor > 1:
         plan = plan.scaled(d_factor)
     if m == 0:

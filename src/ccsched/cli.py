@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -472,6 +473,17 @@ def parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def join_snr_grid(argv: list[str]) -> list[str]:
+    """``--snr -10:5:30`` as ``--snr=-10:5:30``: argparse reads a token that
+    starts with "-" and is not a plain number as a flag of its own."""
+    joined: list[str] = []
+    for token in argv:
+        if joined[-1:] == ["--snr"] and re.match(r"-\.?\d", token):
+            token = f"{joined.pop()}={token}"
+        joined.append(token)
+    return joined
+
+
 # the parser of every call without a config file, built on the first call
 _PARSER: argparse.ArgumentParser | None = None
 
@@ -481,7 +493,7 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = make_parser()
     try:
-        args = parse_args(_PARSER, argv)
+        args = parse_args(_PARSER, join_snr_grid(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except CcschedError as exc:
         error = {"error": {"type": type(exc).__name__, "reason": str(exc)}}

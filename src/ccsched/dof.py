@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .asymmetric import max_additions, schedule_asymmetric
+from .asymmetric import ColumnLoad, max_additions, schedule_asymmetric
 from .errors import (
     CcschedError,
     ConstructionError,
@@ -97,15 +97,18 @@ def window_orbit_table(
     enumeration appears C(omega, w) * (sum of all profile entries) /
     C(omega, t+1) times, which ``validate`` confirms.
     """
+    def column(subsets: list[tuple[int, ...]], profile: tuple[int, ...]) -> ScheduleColumn:
+        groups = []
+        for g, mult in zip(subsets, profile):
+            groups.extend([g] * mult)
+        return ScheduleColumn(tuple(groups))
+
     users = tuple(range(1, omega + 1))
-    columns = []
-    for window in itertools.combinations(users, w):
-        subsets = list(itertools.combinations(window, t + 1))
-        for profile in profiles:
-            groups = []
-            for g, mult in zip(subsets, profile):
-                groups.extend([g] * mult)
-            columns.append(ScheduleColumn(tuple(groups)))
+    first = column(list(itertools.combinations(users[:w], t + 1)), profiles[0])
+    if not ColumnLoad(L, G, first.groups).fits():  # then the whole table fails
+        return None
+    windows = [list(itertools.combinations(x, t + 1)) for x in itertools.combinations(users, w)]
+    columns = [column(subsets, p) for subsets in windows for p in profiles]
     instances = math.comb(omega, w) * sum(map(sum, profiles))
     table = ScheduleTable(
         users=users,
@@ -130,21 +133,15 @@ def windowed_pattern_table(
     concentrated on a (t+2)-user window; None when no such profile fits.
 
     Within a column over window W, the group missing user j appears theta_j
-    times; every user in W then decodes total_streams - theta_j streams and
-    the transmit-side left-hand side equals total_streams for every scheduled
-    group, so feasibility is total_streams <= L plus the per-user cap.
-    Scheduling all windows under all cyclic rotations of the profile covers
-    every group of the full enumeration equally often.
+    times, the theta_j as even as possible.  Scheduling all windows under
+    all cyclic rotations of the profile covers every group of the full
+    enumeration equally often.
     """
     w = t + 2
     if w > omega or total_streams < 1:
         return None
-    if total_streams > L:
-        return None
     base, extra = divmod(total_streams, w)
     theta_vec = [base + 1] * extra + [base] * (w - extra)
-    if total_streams - min(theta_vec) > G:
-        return None
     # the distinct cyclic rotations, in first-shift order: each position of a
     # window sees every entry equally often.  theta_j belongs to the group
     # missing the window's j-th user, which comes (w-1-j)-th in combinations
@@ -157,17 +154,11 @@ def clique_window_table(
     L: int, G: int, t: int, omega: int, dof: int
 ) -> ScheduleTable | None:
     """Balanced table whose columns schedule every group of a w-user window
-    uniformly; None when no (w, multiplicity) pair matches the target DoF.
-
-    Per column, every window user decodes mu*C(w-1, t) streams and every
-    group sees a transmit-side load of mu*((w-t-1)*C(w-1, t) + 1).
-    """
+    mu times; None when no (w, mu) pair that fits matches the target DoF."""
     for w in range(t + 2, omega + 1):
         per_user = math.comb(w - 1, t)
         mu, rem = divmod(dof, w * per_user)
         if rem != 0 or mu < 1:
-            continue
-        if mu * per_user > G or mu * ((w - t - 1) * per_user + 1) > L:
             continue
         table = window_orbit_table(L, G, t, omega, w, [(mu,) * math.comb(w, t + 1)])
         if table is not None:
@@ -221,8 +212,7 @@ def asymmetric_region(
         if dof_ref not in witnesses:
             table = schedule_symmetric(L, G, t, omega, beta, budget.delta_max, base=base)
             witnesses[dof_ref] = DofWitness("sym", beta, 0, dof_ref, table)
-        plan = plan_symmetric(L, G, t, omega, beta, budget.delta_max)
-        B = plan.B
+        B = plan_symmetric(L, G, t, omega, beta, budget.delta_max).B
         m_cap = min(max_additions(G, beta, omega, t), L - 1 - B)
         baseline = None
         for m in range(1, m_cap + 1):

@@ -52,9 +52,9 @@ from .verifier import (
 
 # columns per batch of the rate sweep, each with its own draw: a batch draws
 # at most SWEEP_COLUMNS * TRIAL_BLOCK channels, which bounds its memory.  On
-# the benchmark's three sweep tables (2 cores, medians of 4 runs), 8-column
-# batches took about 12 % less time but 1.9 MB more peak RSS (40.2 -> 42.1
-# MB), and whole-table batches 16 % less at 43.2 MB.
+# the benchmark's three sweep tables (2 cores, 45 rounds, widths taking
+# turns), 8-column batches took about 5 % less time but 2.1 MB more peak RSS
+# (40.3 -> 42.4 MB), and whole-table batches about 8 % less at 43.0 MB.
 SWEEP_COLUMNS = 2
 
 

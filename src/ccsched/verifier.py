@@ -94,7 +94,7 @@ def check_column(
     return [w._replace(column=column_index) for w in report.witnesses], report.min_slack
 
 
-def decodability_check(table: ScheduleTable, L: int | None = None, G: int | None = None) -> SymbolicReport:
+def decodability_check(table: ScheduleTable) -> SymbolicReport:
     """Symbolic decodability verdict for every column of a table, in array passes.
 
     Each distinct group gets an id in sorted order and a row of user indices,
@@ -104,7 +104,7 @@ def decodability_check(table: ScheduleTable, L: int | None = None, G: int | None
     column's streams minus its members' streams.  Witnesses come per column:
     tx by sorted group, then rx by user.
     """
-    L, G = table.L if L is None else L, table.G if G is None else G
+    L, G = table.L, table.G
     served, n = sorted(set(table.users)), len(table.columns)
     slots = [g for col in table.columns for g in col.groups]
     distinct = sorted(set(slots))
@@ -315,8 +315,9 @@ class ChannelRealization:
         return dict(zip(self.users, np.moveaxis(q, -3, 0)))
 
 
-def nullspace_basis(A: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
-    """Orthonormal nullspace basis of A (thresholded SVD) in C^dim.
+def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthonormal nullspace basis of A (thresholded SVD), in C^n for an A
+    of n columns.
 
     Returns (basis, rank).  Singular values below RANK_RTOL times the largest
     count as zero; an empty A means the nullspace is the whole space.  A stack
@@ -342,17 +343,11 @@ class BeamformerSolution(NamedTuple):
     stacked: np.ndarray
 
 
-def _combiner_pool(channels: ChannelRealization, combiner_policy: str, cache: dict) -> dict:
-    """Per user, a G x G matrix whose leading columns are its combiners for
-    any stream count, kept in ``cache["combiners"]``: random orthonormal
-    columns ("haar"), or the left singular vectors of the user's channel
-    ("channel-aligned")."""
-    if combiner_policy not in ("haar", "channel-aligned"):
-        raise ParameterError(f"unknown combiner policy: {combiner_policy}")
+def _combiner_pool(channels: ChannelRealization, cache: dict) -> dict:
+    """Per user, a random G x G unitary whose leading columns are its
+    combiners for any stream count, kept in ``cache["combiners"]``."""
     if "combiners" not in cache:
-        cache["combiners"] = channels.haar_combiner_pool() if combiner_policy == "haar" else {
-            k: np.linalg.svd(channels.H[k])[0] for k in channels.users
-        }
+        cache["combiners"] = channels.haar_combiner_pool()
     return cache["combiners"]
 
 
@@ -377,7 +372,7 @@ def _profile_nullspaces(profiles, channels: ChannelRealization, cache: dict) -> 
     L = channels.L
     empty = channels.H[channels.users[0]][..., :0, :]  # no outside user: (..., 0, L)
     rows = [np.concatenate([_combined(channels, cache, k, b) for k, b in p] or [empty], axis=-2) for p in profiles]
-    basis, rank = nullspace_basis(np.stack(rows), L)
+    basis, rank = nullspace_basis(np.stack(rows))
     for p, own_basis, own_rank in zip(profiles, basis, rank):
         cache[p] = own_basis, L - int(np.max(own_rank)), L - int(np.min(own_rank))
 
@@ -400,26 +395,24 @@ def _check_nullity(group: Group, theta: int, nullity: int, widest: int, expected
 def build_beamformers(
     column: ScheduleColumn,
     channels: ChannelRealization,
-    combiner_policy: str = "haar",
     cache: dict | None = None,
 ) -> BeamformerSolution:
     """Nullspace beamformers for one column under random channels.
 
-    Combiners are fixed first (random orthonormal columns by default, or the
-    leading left singular vectors of the user's channel for the
-    "channel-aligned" policy).  For every scheduled group the interference
-    channel of all outside users is stacked and the group's stream instances
-    take the first theta orthonormal nullspace directions.
+    Combiners are fixed first: random orthonormal columns.  For every
+    scheduled group the interference channel of all outside users is
+    stacked and the group's stream instances take the first theta
+    orthonormal nullspace directions.
 
     Nullspaces depend only on the outside users and their stream counts: a
-    caller passes one ``cache`` dict per realization and policy to share the
+    caller passes one ``cache`` dict per realization to share the
     combiners and the nullspace of every outside-user profile across columns.
     Raises NullityDeficientError when a nullspace cannot host its group's
     instances, or when its dimension anywhere in the batch is not the
     rank-nullity value L minus the outside streams.
     """
     cache = {} if cache is None else cache
-    pool = _combiner_pool(channels, combiner_policy, cache)
+    pool = _combiner_pool(channels, cache)
     users, L = channels.users, channels.L
     theta = column.theta()
     beta = column.beta(users)
@@ -454,16 +447,12 @@ class NumericReport(NamedTuple):
 
 
 def effective_matrix(
-    solution: BeamformerSolution, channels: ChannelRealization, k: int, cache: dict | None = None
+    solution: BeamformerSolution, channels: ChannelRealization, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """User k's beta_k x beta_k effective matrix over its own streams, and its
     gains from every other stream, (..., beta_k, n_other); both are columns
-    of one combiner^H H @ W product, in ``solution.streams`` order.
-
-    With the ``cache`` of ``build_beamformers`` the combiner^H H factor is
-    kept there and shared by every column giving user k the same stream count.
-    """
-    cache = {"combiners": solution.combiners} if cache is None else cache
+    of one combiner^H H @ W product, in ``solution.streams`` order."""
+    cache = {"combiners": solution.combiners}
     own = np.array([k in g for g, _ in solution.streams])
     gains = _combined(channels, cache, k, solution.beta[k]) @ solution.stacked
     return gains[..., own], gains[..., ~own]
@@ -639,7 +628,7 @@ def _kernel_layout(plan: _TablePlan, sets, draw: np.ndarray) -> _KernelLayout:
     return _KernelLayout(draw, D, columns, sets, tuple((k, b, i) for (k, b), i in first.items()), tuple(stacks))
 
 
-def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization, combiner_policy="haar"):
+def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization):
     """The numeric kernel of a batch of stream sets and a trial block, whose
     channels stack the layout's draws: every set with its entries' gains
     (``_set_gains``), from one combined channel per (user, stream count),
@@ -649,7 +638,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     bit.  Before any gain, raises NullityDeficientError at the first run of
     groups in scan order (column, then group) whose nullspace is not the
     rank-nullity value in every trial or cannot host its instances."""
-    pool = _combiner_pool(channels, combiner_policy, {})
+    pool = channels.haar_combiner_pool()
     if not layout.sets:
         return
     L, D = channels.L, layout.draws
@@ -662,7 +651,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     library, ranks = [], []
     for d, _, index, m in layout.stacks:
         # one SVD of the (P, T, r, L) stack of the profiles' outside combined channels
-        basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1), L)
+        basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1))
         ranks.append(rank)
         # (trials, profile and direction, L), each direction contiguous
         library.append(basis[..., :m].swapaxes(-1, -2).swapaxes(0, 1).reshape(T, -1, L))
@@ -887,7 +876,6 @@ def verify_table_numeric(
     seed: int = 0,
     tol: float = 1e-9,
     sigma_tol: float = 1e-6,
-    combiner_policy: str = "haar",
     symbolic: SymbolicReport | None = None,
 ) -> NumericReport:
     """Aggregate numeric verification over random channel seeds seed + trial.
@@ -920,7 +908,7 @@ def verify_table_numeric(
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
         channels = ChannelRealization.draw(table.users, table.G, table.L, seed=[seed + t for t in block])
-        kernel = _stream_gains(plan, layout, channels, combiner_policy)
+        kernel = _stream_gains(plan, layout, channels)
         del channels  # the kernel frees the draw once it has combined it
         for streams, gains in kernel:
             scan.add(plan, streams, gains, block)

@@ -2,10 +2,12 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccsched.asymmetric import (
     AsymPlan,
     CandidateCollection,
+    ColumnLoad,
     assemble_table,
     balanced_greedy,
     donor_map,
@@ -200,6 +202,33 @@ def test_linear_feasible_check_single_group_system():
     assert linear_feasible_check(full, [], [(1, 2)], 4, 9, [1, 2]) == []
 
 
+@st.composite
+def random_columns(draw):
+    """A column of (t+1)-groups over a few users, with every such group as a
+    candidate, and groups added to the state and removed again."""
+    t = draw(st.integers(0, 2))
+    users = tuple(range(1, draw(st.integers(t + 1, 7)) + 1))
+    groups = list(itertools.combinations(users, t + 1))
+    column, extra = (draw(st.lists(st.sampled_from(groups), max_size=size)) for size in (12, 3))
+    return users, t, groups, column, extra
+
+
+@given(random_columns(), st.integers(2, 14), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_column_load_matches_certifier_and_algorithm2(drawn, L, G):
+    users, t, groups, column, extra = drawn
+    load = ColumnLoad(L, G, column + extra)
+    for g in extra:
+        load.add(g, -1)
+    table = ScheduleTable(users, t, L, G, (ScheduleColumn(tuple(column)),))
+    assert load.fits() == decodability_check(table).ok
+    admitted = [g for g in groups if load.admits(g)]
+    assert admitted == [g for g in groups if _algorithm2_oracle(column, [], g, L, G, users)]
+    # a query leaves the state as it was
+    loads = (Counter(k for g in column for k in g), Counter(column), len(column) * (t + 1))
+    assert (load.b, load.c, load.n) == loads
+
+
 def test_paper_collections_validate(ex2_reference_baseline):
     plan = solve_plan(B=5, S=2, m=3, G=6, beta=3, omega=5, t=2)
     c1 = CandidateCollection(1, 2, tuple(tuple(sorted(a)) for a in EX2_COLL1))
@@ -277,12 +306,13 @@ def test_balanced_greedy_stall_fails_fast(monkeypatch, seed):
 
     baseline = schedule_symmetric(12, 4, 1, 6, 2, min_columns=2)
     calls = []
+    admits = asym.ColumnLoad.admits
 
-    def counting(*args):
+    def counting(load, g):
         calls.append(1)
-        return linear_feasible_check(*args)
+        return admits(load, g)
 
-    monkeypatch.setattr(asym, "linear_feasible_check", counting)
+    monkeypatch.setattr(asym.ColumnLoad, "admits", counting)
     counts = []
     for I_max in (50, 5000):
         plan = solve_plan(B=6, S=len(baseline.columns), m=2, G=4, beta=2, omega=6, t=1,

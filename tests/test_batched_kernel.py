@@ -132,10 +132,10 @@ def test_batch_matches_single_draws(example_tables, name, seeds):
 def test_nullspace_basis_batch_matches_single_matrices():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 3, 7)) + 1j * rng.standard_normal((6, 3, 7))
-    basis, rank = nullspace_basis(A, 7)
+    basis, rank = nullspace_basis(A)
     assert basis.shape == (6, 7, 4) and rank.tolist() == [3] * 6
     for i in range(6):
-        one, one_rank = nullspace_basis(A[i], 7)
+        one, one_rank = nullspace_basis(A[i])
         assert one_rank == 3 and isinstance(one_rank, int)
         assert np.array_equal(basis[i], one)
 
@@ -195,16 +195,16 @@ def test_stacked_nullspaces_match_one_profile_at_a_time(monkeypatch):
     assert max(map(len, by_streams.values())) > 1
     channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(5, 9))
     cache = {}
-    verifier._combiner_pool(channels, "haar", cache)
+    verifier._combiner_pool(channels, cache)
     for profiles in by_streams.values():
         verifier._profile_nullspaces(profiles, channels, cache)
         for profile in profiles:
             rows = np.concatenate([verifier._combined(channels, cache, k, b) for k, b in profile], axis=-2)
-            basis, rank = nullspace_basis(rows, table.L)
+            basis, rank = nullspace_basis(rows)
             assert np.array_equal(cache[profile][0], basis)
             assert cache[profile][1:] == (table.L - rank.max(), table.L - rank.min())
     shapes = []
-    monkeypatch.setattr(verifier, "nullspace_basis", lambda A, dim: shapes.append(A.shape) or nullspace_basis(A, dim))
+    monkeypatch.setattr(verifier, "nullspace_basis", lambda A: shapes.append(A.shape) or nullspace_basis(A))
     verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=3)
     want = sorted((len(p), T, r, table.L) for T in (TRIAL_BLOCK, 1) for r, p in by_streams.items())
     assert sorted(shapes) == want
@@ -230,7 +230,7 @@ def test_stacked_nullspaces_name_the_first_deficient_group(monkeypatch):
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
     channels, cache = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4)), {}
-    verifier._combiner_pool(channels, "haar", cache)
+    verifier._combiner_pool(channels, cache)
     verifier._profile_nullspaces(profiles_by_outside_streams(table)[2], channels, cache)
     assert cache[((2, 1), (3, 1))][1:] == (4, 5) and cache[((5, 2),)][1:] == (4, 6)
     with pytest.raises(NullityDeficientError) as want:
@@ -254,7 +254,7 @@ def test_stacked_nullspaces_without_outside_streams():
     assert sorted(profiles_by_outside_streams(table)) == [0, 1]
     channels, cache = ChannelRealization.draw(table.users, table.G, table.L, seed=range(3)), {}
     verifier._profile_nullspaces([()], channels, cache)
-    basis, _ = nullspace_basis(channels.H[1][..., :0, :], table.L)
+    basis, _ = nullspace_basis(channels.H[1][..., :0, :])
     assert np.array_equal(cache[()][0], basis) and cache[()][1:] == (4, 4)
     rep = verify_table_numeric(table, trials=3, seed=2, tol=1e-300, sigma_tol=1e300)
     max_leakage, leak_at, min_sigma, sigma_at, failures = fold_column_reports(table, 3, 2, 1e-300, 1e300)

@@ -422,6 +422,17 @@ def test_parse_snr_grid():
             parse_snr_grid(bad)
 
 
+@pytest.mark.parametrize("snr", ["-10:5:30", "-10,0", "-.5"])
+def test_rate_sweep_negative_snr_as_a_separate_argument(capsys, snr):
+    """A grid that starts below 0 dB may follow --snr as its own argument."""
+    table = str(DATA / "example1_dof14.json")
+    joined = run_cli(capsys, "rate-sweep", "--table", table, f"--snr={snr}", "--trials", "2")
+    separate = run_cli(capsys, "rate-sweep", "--table", table, "--snr", snr, "--trials", "2")
+    assert joined[0] == 0 and separate == joined
+    first = separate[1].splitlines()[1].split(",")[0]
+    assert float(first) == float(re.split("[:,]", snr)[0])
+
+
 @pytest.mark.parametrize("snr,reason", [
     ("abc", "is not a number"),
     ("nan,5", "is not a finite value"),
