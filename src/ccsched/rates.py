@@ -13,11 +13,12 @@ high-SNR slopes are meaningful quantities here.
 ``snr_sweep`` evaluates a whole table through the numeric oracle's kernel
 (``verifier._stream_gains``), planned once per table: one producer of gains,
 with the oracle's margin scan and this module's SINR step as its two
-reductions.  Per trial block and batch of SWEEP_COLUMNS columns the sweep
-draws all the batch's channels at once, one draw per column; the kernel takes
-one combined channel per (user, stream count), one nullspace SVD per
-(column, outside-stream count), and every stream set's gains.  The SINR step inverts each (user, stream count) stack of
-effective matrices and takes its noise and leakage gains; the SINRs, rates
+reductions.  Per trial block and batch of columns, sized as the oracle's
+(8 columns at 32 trials or more), the sweep draws the batch's channels at
+once, one draw per column; the kernel takes one combined channel per (user,
+stream count), one nullspace SVD per (column, outside-stream count), and
+every stream set's gains.  The SINR step inverts each (user, stream count)
+stack of effective matrices and takes its noise and leakage gains; the SINRs, rates
 and per-trial symmetric rates follow in array passes.  Every rate is bit for
 bit the one ``build_beamformers`` and ``stream_coefficients`` give on the
 column's own draws; those stay public, and the tests compare against them.
@@ -41,6 +42,7 @@ from .verifier import (
     TRIAL_BLOCK,
     BeamformerSolution,
     ChannelRealization,
+    _batch_columns,
     _kernel_layout,
     _KernelLayout,
     _plan_table,
@@ -49,14 +51,6 @@ from .verifier import (
     decodability_check,
     effective_matrix,
 )
-
-# columns per batch of the rate sweep, each with its own draw: a batch draws
-# at most SWEEP_COLUMNS * TRIAL_BLOCK channels, which bounds its memory.  On
-# the benchmark's three sweep tables (2 cores, 45 rounds, widths taking
-# turns), 8-column batches took about 5 % less time but 2.1 MB more peak RSS
-# (40.3 -> 42.4 MB), and whole-table batches about 8 % less at 43.0 MB.
-SWEEP_COLUMNS = 2
-
 
 def stream_coefficients(
     column: ScheduleColumn,
@@ -202,19 +196,21 @@ def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: in
     the column's bottleneck stream on the draw of seed + 7919*trial + column
     index, with ``powers`` the total transmit powers.
 
-    Per trial block, each batch of SWEEP_COLUMNS columns draws its channels
-    at once and goes through the oracle's kernel, one draw per column.  An
-    empty column raises ParameterError before any draw; a degenerate draw,
-    the first error in scan order: trial block, batch, the nullspaces
-    (column, then group), then the effective matrices (column, then user)."""
+    Per trial block, each batch of ``_batch_columns(trials)`` columns, as in
+    the oracle, draws its channels at once and goes through the oracle's
+    kernel, one draw per column: at most BATCH_COLUMN_TRIALS draws.  An empty
+    column raises ParameterError before any draw; a degenerate draw, the
+    first error in scan order: trial block, batch, the nullspaces (column,
+    then group), then the effective matrices (column, then user)."""
     if not all(column.groups for column in table.columns):
         raise ParameterError("column has no scheduled streams")
     users = tuple(sorted(table.users))
-    plan = _plan_table(table.columns, users, SWEEP_COLUMNS)
+    width = _batch_columns(trials)
+    plan = _plan_table(table.columns, users, width)
     batches: dict[int, list] = {}  # the stream sets of every batch of columns
     for streams in plan.sets:
-        batches.setdefault(int(streams.columns[0]) // SWEEP_COLUMNS, []).append(streams)
-    draw = np.arange(len(table.columns)) % SWEEP_COLUMNS  # one draw per column of a batch
+        batches.setdefault(int(streams.columns[0]) // width, []).append(streams)
+    draw = np.arange(len(table.columns)) % width  # one draw per column of a batch
     layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
     rates = np.empty((len(powers), trials, len(table.columns)))
     for first in range(0, trials, TRIAL_BLOCK):

@@ -42,14 +42,14 @@ from .model import Group, ScheduleColumn, ScheduleTable
 RANK_RTOL = 1e-8
 # channel draws per batch of the numeric kernel; bounds its memory
 TRIAL_BLOCK = 32
-# column-trials per batch of the oracle's table plan: a batch's beams, gains
-# and margins are formed together, so it bounds their memory, and a run of T
-# trials takes BATCH_COLUMN_TRIALS // min(T, TRIAL_BLOCK) columns per batch;
-# at least TRIAL_BLOCK, so that a batch holds a column.  Against batches of
-# 16 columns on the benchmark's 4-trial oracle workload (2 cores), 256 saves
-# 17 % of its time at 1 % more peak memory, 128 saves 12 % at the same, and
-# 512 about 18 % at 6 % more.  The conditioning screen inverts about this
-# many matrices at a time.
+# column-trials per batch of the numeric kernel, oracle and rate sweep alike:
+# a batch's draws, beams and gains are formed together, so it bounds their
+# memory; a run of T trials takes BATCH_COLUMN_TRIALS // min(T, TRIAL_BLOCK)
+# columns per batch (_batch_columns), at least TRIAL_BLOCK so that a batch
+# holds a column.  On 2 cores, 256 against 16 columns saves 17 % of the
+# 4-trial oracle workload at 1 % more peak memory (128: 12 % at the same;
+# 512: 18 % at 6 % more), and against 2 columns 5 % of the 200-trial sweep
+# at 4 % more.  The conditioning screen inverts about this many at a time.
 BATCH_COLUMN_TRIALS = 256
 # the conditioning screen (_MarginScan._sigma_min): the relative margin by
 # which a cell's lower bound must clear the threshold to skip its SVD, and the
@@ -495,6 +495,11 @@ class _TablePlan(NamedTuple):
     sets: tuple[_StreamSet, ...]
 
 
+def _batch_columns(trials: int) -> int:
+    """Columns per batch of a run of ``trials`` trials, in both reductions."""
+    return BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK)
+
+
 def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
     """Stream order, outside-user profiles and per-(user, stream count) index
     arrays of every column, in array passes over the table's group slots;
@@ -902,8 +907,7 @@ def verify_table_numeric(
     report = symbolic if symbolic is not None else decodability_check(table)
     if not report.ok:
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
-    width = BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK)
-    plan = _plan_table(table.columns, tuple(sorted(table.users)), width)
+    plan = _plan_table(table.columns, tuple(sorted(table.users)), _batch_columns(trials))
     layout = _kernel_layout(plan, plan.sets, np.zeros(len(table.columns), dtype=np.intp))
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))

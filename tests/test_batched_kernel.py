@@ -19,7 +19,6 @@ from ccsched.cli import main
 from ccsched.errors import NullityDeficientError, VerificationError
 from ccsched.model import ScheduleColumn, ScheduleTable, table_from_json, table_to_json
 from ccsched.rates import (
-    SWEEP_COLUMNS,
     RatePoint,
     column_rates,
     snr_sweep,
@@ -31,6 +30,7 @@ from ccsched.verifier import (
     BATCH_COLUMN_TRIALS,
     TRIAL_BLOCK,
     ChannelRealization,
+    _batch_columns,
     _MarginScan,
     build_beamformers,
     decodability_check,
@@ -271,6 +271,9 @@ SWEEP_GOLDENS = [
     # seeds seed + 7919*trial + column cross 2**32 inside the first trial block
     ("example1_dof14.json", ["--trials", "40", "--seed", "4294967280"],
      "example1_dof14_sweep_trials40_seed4294967280.csv"),
+    # the benchmark's shape: six full trial blocks and a partial one, each in
+    # a full batch of columns and a partial one; written by 2-column batches
+    ("example1_dof14.json", ["--trials", "200", "--seed", "42"], "example1_dof14_sweep_trials200_seed42.csv"),
 ]
 
 
@@ -673,9 +676,42 @@ def test_sweep_kernel_matches_column_reference_on_random_tables(table, trials, s
 
 
 def test_sweep_kernel_matches_column_reference_across_passes(scan_tables):
-    table = scan_tables["mixed_totals"]
-    assert len(table.columns) > SWEEP_COLUMNS
-    assert_sweep_matches_reference(table, TRIAL_BLOCK + 1, 8)
+    table, trials = scan_tables["mixed_totals"], TRIAL_BLOCK + 1
+    # more than three batches of columns in each trial block
+    assert len(table.columns) > 3 * _batch_columns(trials)
+    assert_sweep_matches_reference(table, trials, 8)
+
+
+@pytest.mark.parametrize("trials,width,copies", [(200, 8, 1), (70, 8, 1), (20, 12, 2), (1, 256, 26)])
+def test_sweep_batch_width_is_the_budget_over_the_block(monkeypatch, trials, width, copies):
+    """A sweep of T trials draws BATCH_COLUMN_TRIALS // min(T, TRIAL_BLOCK)
+    columns of a trial block at once, as the oracle batches them: no draw
+    takes more than BATCH_COLUMN_TRIALS seeds, a full batch takes exactly
+    width x min(T, TRIAL_BLOCK), and every (trial, column) is drawn once."""
+    example1 = table_from_json((DATA / "example1_dof14.json").read_text())
+    table = replace(example1, columns=example1.columns * copies)
+    assert _batch_columns(trials) == width and len(table.columns) > width
+    seed, draw, drawn = 5, ChannelRealization.draw, []
+
+    def spy(*args, **kwargs):
+        drawn.append([divmod(s - seed, 7919) for s in kwargs["seed"]])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(spy))
+    column_rates(table, np.array([1.0]), trials, seed, 1.0)
+    C, block = len(table.columns), min(trials, TRIAL_BLOCK)
+    for first in range(0, trials, TRIAL_BLOCK):
+        trials_in_block = list(range(first, min(first + TRIAL_BLOCK, trials)))
+        batches = [cells for cells in drawn if cells[0][0] == first]
+        # batch by batch, the block's columns, each over the block's trials
+        assert [sorted({c for _, c in cells}) for cells in batches] == [
+            list(range(c0, min(c0 + width, C))) for c0 in range(0, C, width)
+        ]
+        for cells in batches:
+            assert sorted(cells) == sorted((t, c) for c in {c for _, c in cells} for t in trials_in_block)
+    assert all(len(cells) <= BATCH_COLUMN_TRIALS for cells in drawn)
+    assert len(drawn[0]) == width * block
+    assert sum(map(len, drawn)) == trials * C
 
 
 def test_sweep_names_the_first_deficient_group(monkeypatch, capsys):
@@ -781,3 +817,51 @@ def test_sweep_singular_effective_matrix_names_the_user(monkeypatch, tmp_path, c
         assert main(["rate-sweep", "--table", str(path), "--trials", "3", "--seed", "4"]) == 4
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "VerificationError", "reason": reason}
+
+
+def test_sweep_checks_a_whole_batch_of_nullspaces_first(monkeypatch):
+    """Column 1's draws give user 1 a singular effective matrix (a repeated
+    combiner), and column 3's draws silence user 1, which group (2, 3) of
+    that column sees.  In 2-column batches the first batch fails at the
+    singular matrix; in the batches of the column-trial budget, all six
+    columns at three trials, the nullspaces of the whole batch are checked
+    first, and the sweep names column 3's group."""
+    table = ScheduleTable((1, 2, 3), 1, 4, 2, tuple(
+        ScheduleColumn.of(groups) for groups in [[(1, 2), (1, 3)]] * 2 + [[(1, 2), (2, 3)]] * 2 + [[(1, 3), (2, 3)]] * 2
+    ), delta=4)
+    table.validate()
+    trials, seed = 3, 4
+    draw, pool = ChannelRealization.draw, ChannelRealization.haar_combiner_pool
+
+    def column_of(s):
+        return (s - seed) % 7919
+
+    def silent(*args, **kwargs):
+        channels = draw(*args, **kwargs)
+        for i, s in enumerate(kwargs["seed"]):
+            if column_of(s) == 3:
+                channels.H[1][i] = 0.0
+        return channels
+
+    def repeated_column(self):
+        combiners = pool(self)
+        for i, s in enumerate(self.seed):
+            if column_of(s) == 1:
+                combiners[1][i, :, 1] = combiners[1][i, :, 0]
+        return combiners
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
+    monkeypatch.setattr(ChannelRealization, "haar_combiner_pool", repeated_column)
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=[seed + 7919 * t + 3 for t in range(trials)])
+    with pytest.raises(NullityDeficientError) as want:
+        build_beamformers(table.columns[3], channels)
+    assert str(want.value).startswith("group (2, 3):")
+    assert _batch_columns(trials) >= len(table.columns)
+    with pytest.raises(NullityDeficientError) as got:
+        snr_sweep(table, [0.0], trials=trials, seed=seed)
+    assert str(got.value) == str(want.value)
+    monkeypatch.setattr(verifier, "BATCH_COLUMN_TRIALS", 2 * trials)
+    with pytest.raises(VerificationError) as two_columns:
+        snr_sweep(table, [0.0], trials=trials, seed=seed)
+    assert type(two_columns.value) is VerificationError
+    assert str(two_columns.value) == "singular effective matrix at user 1"
