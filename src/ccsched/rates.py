@@ -13,20 +13,20 @@ high-SNR slopes are meaningful quantities here.
 ``snr_sweep`` evaluates a whole table through the numeric oracle's kernel
 (``verifier._stream_gains``), planned once per table: one producer of gains,
 with the oracle's margin scan and this module's SINR step as its two
-reductions.  Per trial block and batch of columns, sized as the oracle's
-(8 columns at 32 trials or more), the sweep draws the batch's channels at
-once, one draw per column; the kernel takes one combined channel per (user,
-stream count), one nullspace SVD per (column, outside-stream count), and
-every stream set's gains.  The SINR step inverts each (user, stream count)
-stack of effective matrices and takes its noise and leakage gains; the SINRs, rates
-and per-trial symmetric rates follow in array passes.  Every rate is bit for
-bit the one ``build_beamformers`` and ``stream_coefficients`` give on the
-column's own draws; those stay public, and the tests compare against them.
-A batch's draws are seeded in bulk: when it has at least BULK_SEEDS seeds
-below 2**32, they are hashed in one numpy pass and set, one after another,
-as the state of one PCG64, which gives ``np.random.default_rng``'s draws bit
-for bit; other seeds, and every seed if that path disagrees with numpy's
-seeding, use ``default_rng``.
+reductions.  Per trial block and batch of columns, sized as the oracle's (8
+columns at 32 trials or more), the sweep draws the batch's channels at once,
+one draw per column; the kernel takes one combined channel per (user, stream
+count), one nullspace SVD per (column, outside-stream count), and every stream
+set's gains.  The SINR step inverts each (user, stream count) stack of
+effective matrices and takes its noise and leakage gains; the SINRs, rates and
+per-trial symmetric rates follow in array passes.  Every rate is bit for bit
+the one ``build_beamformers`` and ``stream_coefficients`` give on the column's
+own draws; those stay public, and the tests compare against them.  A batch's
+draws are seeded in bulk: when it has at least BULK_SEEDS seeds below 2**32,
+they are hashed in one numpy pass and set, one after another, as the state of
+one PCG64, which gives ``np.random.default_rng``'s draws bit for bit; other
+seeds, and every seed if that path disagrees with numpy's seeding, use
+``default_rng``.
 """
 
 from __future__ import annotations
