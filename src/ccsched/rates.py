@@ -48,6 +48,7 @@ from .verifier import (
     _plan_table,
     _stream_gains,
     _TablePlan,
+    _worker_threads,
     decodability_check,
     effective_matrix,
 )
@@ -213,17 +214,18 @@ def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: in
     draw = np.arange(len(table.columns)) % width  # one draw per column of a batch
     layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
     rates = np.empty((len(powers), trials, len(table.columns)))
-    for first in range(0, trials, TRIAL_BLOCK):
-        block = range(first, min(first + TRIAL_BLOCK, trials))
-        for layout in layouts:
-            seeds = [seed + 7919 * trial + c for c in layout.columns.tolist() for trial in block]
-            channels = ChannelRealization.draw(users, table.G, table.L, N0=N0, seed=seeds)
-            kernel = _stream_gains(plan, layout, channels)
-            del channels  # the kernel frees the draw once it has combined it
-            sinrs = _batch_sinrs(plan, layout, kernel, len(block), powers, N0)
-            # math.log2, as the rate of one column was taken
-            rate = np.reshape([math.log2(1.0 + s) for s in sinrs.ravel().tolist()], sinrs.shape)
-            rates[:, block.start : block.stop, layout.columns] = rate.swapaxes(1, 2)
+    with _worker_threads() as workers:
+        for first in range(0, trials, TRIAL_BLOCK):
+            block = range(first, min(first + TRIAL_BLOCK, trials))
+            for layout in layouts:
+                seeds = [seed + 7919 * trial + c for c in layout.columns.tolist() for trial in block]
+                channels = ChannelRealization.draw(users, table.G, table.L, N0=N0, seed=seeds)
+                kernel = _stream_gains(plan, layout, channels, workers)
+                del channels  # the kernel frees the draw once it has combined it
+                sinrs = _batch_sinrs(plan, layout, kernel, len(block), powers, N0)
+                # math.log2, as the rate of one column was taken
+                rate = np.reshape([math.log2(1.0 + s) for s in sinrs.ravel().tolist()], sinrs.shape)
+                rates[:, block.start : block.stop, layout.columns] = rate.swapaxes(1, 2)
     return rates
 
 

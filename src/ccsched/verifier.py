@@ -25,12 +25,27 @@ the leakage norms and the conditioning margin, which is screened: a batched
 inverse bounds every effective matrix's smallest singular value from both
 sides, and LAPACK's SVD runs only on the matrices that can be the minimum
 or can fail, so the report is exactly the one a full SVD gives.
+
+The kernel's nullspace SVDs run on every usable core.  The workers are one
+thread per usable core but the calling one's (``_worker_count``).  A
+kernel call of at least THREAD_MATRICES matrices hands whole (draw,
+outside-stream count) stacks to the calling thread and the workers,
+balanced by matrix count; a smaller call, or a run on one core, stays on
+the calling thread.  A stack is never split, and LAPACK factors each
+matrix on its own, so every basis and rank, the nullity check's scan
+order, and any error are the serial loop's, bit for bit.  The workers live
+for one oracle or sweep run (``_worker_threads``): a worker's thread
+starts with its first share and is joined before the run returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,6 +75,14 @@ SCREEN_CEILING = 1e6
 # bulk hash costs about 0.1 ms of numpy calls however many seeds it takes,
 # and saves about 10 us per seed over default_rng
 BULK_SEEDS = 16
+# the fewest matrices a kernel call's nullspace SVDs must hold to be split
+# across threads (_stack_nullspaces).  On 2 cores, a worker's first share in
+# a run takes about 400 us more than on the calling thread (the thread's
+# start, OpenBLAS's set-up at its first LAPACK call, and the join), a later
+# one about 20 us more, and the cheapest kernel matrix (one outside stream,
+# L = 10) about 3 us; a split moves at most half of a call's matrices off
+# the calling thread, so below about 2 x 400 / 3 matrices it may not pay
+THREAD_MATRICES = 256
 
 
 class Witness(NamedTuple):
@@ -83,15 +106,6 @@ class SymbolicReport(NamedTuple):
     witnesses: tuple[Witness, ...]
     per_column: tuple[bool, ...]
     min_slack: int
-
-
-def check_column(
-    col: ScheduleColumn, users, L: int, G: int, column_index: int = 1
-) -> tuple[list[Witness], int]:
-    """Witnesses of violated conditions in one column, plus the minimum
-    transmit-side slack (L minus the largest left-hand side over groups)."""
-    report = decodability_check(ScheduleTable(tuple(users), 0, L, G, (col,)))
-    return [w._replace(column=column_index) for w in report.witnesses], report.min_slack
 
 
 def decodability_check(table: ScheduleTable) -> SymbolicReport:
@@ -633,16 +647,138 @@ def _kernel_layout(plan: _TablePlan, sets, draw: np.ndarray) -> _KernelLayout:
     return _KernelLayout(draw, D, columns, sets, tuple((k, b, i) for (k, b), i in first.items()), tuple(stacks))
 
 
-def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization):
+def _worker_count() -> int:
+    """The threads that share the kernel's nullspace SVDs with the calling
+    one: one per usable core but its own."""
+    try:
+        return len(os.sched_getaffinity(0)) - 1
+    except AttributeError:  # no affinity on this platform
+        return (os.cpu_count() or 1) - 1
+
+
+class _Worker:
+    """A thread, started at the first call handed to it, that runs the calls
+    it is handed one at a time; a with block joins it at the end."""
+
+    def __init__(self) -> None:
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        self._outcomes: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def __enter__(self) -> "_Worker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            self._calls.put(None)
+            self._thread.join()
+
+    def _serve(self) -> None:
+        for task in iter(self._calls.get, None):
+            call, args = task
+            try:
+                outcome = True, call(*args)
+            except BaseException as error:  # handed back, so that result() never waits in vain
+                outcome = False, error
+            self._outcomes.put(outcome)
+            # drop the call's arrays now, not when the next call comes
+            del task, call, args, outcome
+
+    def submit(self, call, *args) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, name="ccsched-kernel")
+            self._thread.start()
+        self._calls.put((call, args))
+
+    def result(self):
+        """The outcome of the earliest call not yet taken: its value, or its error raised here."""
+        ok, value = self._outcomes.get()
+        if not ok:
+            raise value
+        return value
+
+
+@contextlib.contextmanager
+def _worker_threads():
+    """The workers of one oracle or sweep run, ``_worker_count`` of them: a
+    worker's thread starts with its first share of a kernel call and is
+    joined when the block ends, so no thread outlives the run, and none
+    starts on one core."""
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(_Worker()) for _ in range(_worker_count())]
+
+
+def _shares(sizes: list[int], count: int) -> list[list[int]]:
+    """``count`` lists of stack indices, each ascending, that split stacks of
+    ``sizes`` matrices evenly: the largest first, each to the least loaded."""
+    shares, load = [[] for _ in range(count)], [0] * count
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        j = load.index(min(load))
+        shares[j].append(i)
+        load[j] += sizes[i]
+    return [sorted(share) for share in shares]
+
+
+def _share_nullspaces(rows: np.ndarray, stacks, share: list[int], library: np.ndarray, starts: list[int]) -> dict:
+    """Factor every stack in ``share``, in order, up to the first that
+    raises: each writes its profiles' leading directions to its part of the
+    direction ``library``, from ``starts``, and maps its index to its ranks,
+    or to its error."""
+    T, L = rows.shape[1], rows.shape[-1]
+    done = {}
+    for i in share:
+        d, _, index, m = stacks[i]
+        try:
+            # one SVD of the (P, T, r, L) stack of the profiles' outside combined channels
+            basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1))
+        except Exception as error:
+            done[i] = error
+            break
+        # (trials, profile, direction, L), each direction contiguous; a basis
+        # narrower than m directions fails the nullity check before any is used
+        k = min(m, basis.shape[-1])
+        part = library[:, starts[i] : starts[i + 1]].reshape(T, len(index), m, L)
+        part[:, :, :k] = basis[..., :k].swapaxes(-1, -2).swapaxes(0, 1)
+        done[i] = rank
+    return done
+
+
+def _stack_nullspaces(rows: np.ndarray, stacks, workers: list) -> tuple[np.ndarray, list]:
+    """The (trials, direction, L) direction library of every (draw,
+    outside-stream count) stack, in stack order, and each stack's ranks.  A
+    call of at least THREAD_MATRICES matrices hands whole stacks to the
+    calling thread and the ``workers``, balanced by matrix count; LAPACK
+    factors each matrix on its own, so every basis is the one the serial
+    loop gives, bit for bit.  The first error in stack order is raised, as
+    the serial loop raises it."""
+    T, L = rows.shape[1], rows.shape[-1]
+    sizes = [len(index) * T for _, _, index, _ in stacks]
+    starts = np.cumsum([0] + [len(index) * m for _, _, index, m in stacks]).tolist()
+    library = np.empty((T, starts[-1], L), dtype=rows.dtype)
+    shares = _shares(sizes, len(workers) + 1 if sum(sizes) >= THREAD_MATRICES else 1)
+    busy = [(worker, share) for worker, share in zip(workers, shares[1:]) if share]
+    for worker, share in busy:
+        worker.submit(_share_nullspaces, rows, stacks, share, library, starts)
+    done = _share_nullspaces(rows, stacks, shares[0], library, starts)
+    for worker, _ in busy:
+        done.update(worker.result())
+    for i in range(len(stacks)):  # a share stops at its first error, before any stack it skips
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return library, [done[i] for i in range(len(stacks))]
+
+
+def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization, workers: list):
     """The numeric kernel of a batch of stream sets and a trial block, whose
     channels stack the layout's draws: every set with its entries' gains
     (``_set_gains``), from one combined channel per (user, stream count),
-    one nullspace SVD per (draw, outside-stream count) and one direction
-    library.  LAPACK and BLAS see each matrix on its own and in the layout
-    of its one-column product, so every gain is the one-column one, bit for
-    bit.  Before any gain, raises NullityDeficientError at the first run of
-    groups in scan order (column, then group) whose nullspace is not the
-    rank-nullity value in every trial or cannot host its instances."""
+    one nullspace SVD per (draw, outside-stream count), shared with the
+    ``workers`` (``_stack_nullspaces``), and one direction library.  LAPACK
+    and BLAS see each matrix on its own and in the layout of its one-column
+    product, so every gain is the one-column one, bit for bit.  Before any
+    gain, raises NullityDeficientError at the first run of groups in scan
+    order (column, then group) whose nullspace is not the rank-nullity value
+    in every trial or cannot host its instances."""
     pool = channels.haar_combiner_pool()
     if not layout.sets:
         return
@@ -653,13 +789,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     rows = rows.reshape(D, T, -1, L)
     del channels, pool  # frees the draw, when the caller keeps no reference to it
     combined = {(k, b): rows[:, :, i : i + b] for k, b, i in layout.combined}
-    library, ranks = [], []
-    for d, _, index, m in layout.stacks:
-        # one SVD of the (P, T, r, L) stack of the profiles' outside combined channels
-        basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1))
-        ranks.append(rank)
-        # (trials, profile and direction, L), each direction contiguous
-        library.append(basis[..., :m].swapaxes(-1, -2).swapaxes(0, 1).reshape(T, -1, L))
+    library, ranks = _stack_nullspaces(rows, layout.stacks, workers)
     if any((rank != index.shape[1]).any() or m > L - index.shape[1] for rank, (_, _, index, m) in zip(ranks, layout.stacks)):
         # raise at the first run of groups, in scan order, that a failing
         # (draw, profile) pair shapes, with the pair's smallest and largest nullity
@@ -667,7 +797,6 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
                    for (d, profiles, _, _), rank in zip(layout.stacks, ranks) for p, r in zip(profiles.tolist(), rank)}
         for c, at, p, theta in plan.runs[np.isin(plan.runs[:, 0], layout.columns)].tolist():
             _check_nullity(plan.columns[c][at], theta, *nullity[int(layout.draw[c]), p], L - int(plan.outside[p]))
-    library = np.concatenate(library, axis=1)
     for streams, draws, index in layout.sets:
         # no reference to the beams here: the entries' generator frees them
         yield streams, _set_gains(plan, streams, _stream_beams(library, index, streams.l_fast), combined, draws)
@@ -909,13 +1038,14 @@ def verify_table_numeric(
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
     plan = _plan_table(table.columns, tuple(sorted(table.users)), _batch_columns(trials))
     layout = _kernel_layout(plan, plan.sets, np.zeros(len(table.columns), dtype=np.intp))
-    for first in range(0, trials, TRIAL_BLOCK):
-        block = range(first, min(first + TRIAL_BLOCK, trials))
-        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=[seed + t for t in block])
-        kernel = _stream_gains(plan, layout, channels)
-        del channels  # the kernel frees the draw once it has combined it
-        for streams, gains in kernel:
-            scan.add(plan, streams, gains, block)
-        if not plan.sets:  # no column carries a stream
-            break
+    with _worker_threads() as workers:
+        for first in range(0, trials, TRIAL_BLOCK):
+            block = range(first, min(first + TRIAL_BLOCK, trials))
+            channels = ChannelRealization.draw(table.users, table.G, table.L, seed=[seed + t for t in block])
+            kernel = _stream_gains(plan, layout, channels, workers)
+            del channels  # the kernel frees the draw once it has combined it
+            for streams, gains in kernel:
+                scan.add(plan, streams, gains, block)
+            if not plan.sets:  # no column carries a stream
+                break
     return scan.report()

@@ -6,6 +6,8 @@ per-column loop it replaced."""
 import itertools
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -865,3 +867,191 @@ def test_sweep_checks_a_whole_batch_of_nullspaces_first(monkeypatch):
         snr_sweep(table, [0.0], trials=trials, seed=seed)
     assert type(two_columns.value) is VerificationError
     assert str(two_columns.value) == "singular effective matrix at user 1"
+
+
+# -- the nullspace stage on worker threads ------------------------------------
+
+
+def use_workers(monkeypatch, workers, floor=0):
+    """Run the kernel with ``workers`` worker threads, splitting every call
+    of at least ``floor`` matrices; returns the names of the threads that
+    factored each stack, by call."""
+    monkeypatch.setattr(verifier, "_worker_count", lambda: workers)
+    monkeypatch.setattr(verifier, "THREAD_MATRICES", floor)
+    factored, share = [], verifier._share_nullspaces
+
+    def spy(rows, stacks, indices, *library):
+        factored.append((threading.current_thread().name, list(indices)))
+        return share(rows, stacks, indices, *library)
+
+    monkeypatch.setattr(verifier, "_share_nullspaces", spy)
+    return factored
+
+
+def example1_tables():
+    return [schedule_symmetric(10, 3, 1, 5, 2)] + [
+        table_from_json((DATA / name).read_text()) for name in ("example1_dof12.json", "example1_dof14.json")
+    ]
+
+
+@pytest.mark.parametrize("trials", [33, 200])
+def test_sweep_is_bit_for_bit_the_same_on_worker_threads(monkeypatch, trials):
+    """Every rate of the three Example 1 sweeps is the same bits whether the
+    calling thread factors every stack or hands half of them to a worker."""
+    powers = np.array([1.0, 10.0**3.5])
+    for table in example1_tables():
+        with pytest.MonkeyPatch.context() as patch:
+            serial_threads = use_workers(patch, 0)
+            serial = column_rates(table, powers, trials, 42, 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            threaded_threads = use_workers(patch, 1)
+            threaded = column_rates(table, powers, trials, 42, 1.0)
+        assert serial.tobytes() == threaded.tobytes()
+        assert {name for name, _ in serial_threads} == {threading.main_thread().name}
+        assert {name for name, _ in threaded_threads} == {threading.main_thread().name, "ccsched-kernel"}
+
+
+def test_oracle_is_bit_for_bit_the_same_on_worker_threads(monkeypatch):
+    table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
+    reports = []
+    for workers in (0, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            factored = use_workers(patch, workers)
+            # margins tight enough that both kinds of failure are listed
+            reports.append(verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=9, tol=1e-15, sigma_tol=0.05))
+        assert ("ccsched-kernel" in {name for name, _ in factored}) == bool(workers)
+    assert repr(reports[0]) == repr(reports[1]) and reports[0].failures
+
+
+def test_more_workers_than_cores_give_the_serial_bits(monkeypatch):
+    """More workers than usable cores, switching threads as often as the
+    interpreter allows: a lost, doubled or misplaced share would change
+    the rates.  The run gets a minute."""
+    table = table_from_json((DATA / "example1_dof14.json").read_text())
+    powers = np.array([1.0, 10.0**3.5])
+    with pytest.MonkeyPatch.context() as patch:
+        use_workers(patch, 0)
+        serial = column_rates(table, powers, 40, 7, 1.0)
+    factored = use_workers(monkeypatch, verifier._worker_count() + 2)
+    got, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run = threading.Thread(target=lambda: got.append(column_rates(table, powers, 40, 7, 1.0)))
+        run.start()
+        run.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not run.is_alive() and len(got) == 1
+    assert got[0].tobytes() == serial.tobytes()
+    assert sum(name == "ccsched-kernel" for name, _ in factored) > 1
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_worker_shares_name_the_first_deficient_group(monkeypatch, swap):
+    """The table and silent users of
+    ``test_stacked_nullspaces_name_the_first_deficient_group``, with the
+    stacks split between the calling thread and a worker, either way round:
+    both shares hold deficient profiles, and the error names the first
+    group in scan order, with its own profile's nullities."""
+    table = ScheduleTable((1, 2, 3, 4, 5), 0, 6, 2, (
+        ScheduleColumn.of([(1,), (2,), (3,)]),
+        ScheduleColumn.of([(4,), (5,), (5,)]),
+        ScheduleColumn.of([(1,), (2,), (3,), (4,)]),
+    ), delta=2)
+    draw = ChannelRealization.draw
+
+    def silent(*args, **kwargs):
+        channels = draw(*args, **kwargs)
+        channels.H[3][0] = 0.0
+        channels.H[5][1] = 0.0
+        return channels
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
+    factored = use_workers(monkeypatch, 1)
+    shares = verifier._shares
+    monkeypatch.setattr(verifier, "_shares", lambda sizes, count: shares(sizes, count)[:: -1 if swap else 1])
+    with pytest.raises(NullityDeficientError) as got:
+        verify_table_numeric(table, trials=4)
+    assert str(got.value) == (
+        "group (1,): computed nullity (min 4, max 5) != rank-nullity value 4 (non-generic channel draw)"
+    )
+    # stack 0 holds that group's profile (two outside streams); swapped, the worker factors it
+    assert ("ccsched-kernel", [0, 1] if swap else [2]) in factored
+
+
+@pytest.mark.parametrize("failing,raised", [({1, 3}, 1), ({0, 2}, 0), ({2}, 2)])
+def test_worker_errors_are_raised_in_stack_order(monkeypatch, failing, raised):
+    """Stacks of 1 to 4 matrices split as (0, 3) on the calling thread and
+    (1, 2) on the worker: the first stack in stack order that raises is the
+    one whose error comes out, whichever thread factored it."""
+    rows = np.ones((1, 1, 4, 3), dtype=complex)
+    stacks = [(0, None, np.zeros((p, 1), dtype=np.intp), 1) for p in (1, 2, 3, 4)]
+    assert verifier._shares([1, 2, 3, 4], 2) == [[0, 3], [1, 2]]
+
+    failing = set(failing)
+
+    def failing_basis(A):
+        if len(A) - 1 in failing:
+            raise np.linalg.LinAlgError(f"stack {len(A) - 1}")
+        return nullspace_basis(A)
+
+    monkeypatch.setattr(verifier, "nullspace_basis", failing_basis)
+    monkeypatch.setattr(verifier, "THREAD_MATRICES", 0)
+    with verifier._Worker() as worker:
+        with pytest.raises(np.linalg.LinAlgError, match=f"stack {raised}"):
+            verifier._stack_nullspaces(rows, stacks, [worker])
+        # the worker is left ready for the next call, whose results come in stack order
+        failing.clear()
+        library, ranks = verifier._stack_nullspaces(rows, stacks, [worker])
+    serial_library, serial_ranks = verifier._stack_nullspaces(rows, stacks, [])
+    assert [rank.shape for rank in ranks] == [(1, 1), (2, 1), (3, 1), (4, 1)]
+    assert library.shape == (1, 10, 3) and library.tobytes() == serial_library.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(ranks, serial_ranks))
+
+
+NUMERIC_COMMANDS = [
+    ["rate-sweep", "--table", str(DATA / "example1_dof14.json"), "--trials", "40", "--seed", "3"],
+    ["verify", "--table", str(DATA / "example1_dof14.json"), "--numeric", "--trials", "40", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=["rate-sweep", "verify"])
+def test_no_thread_outlives_a_command(monkeypatch, capsys, argv):
+    """A numeric command starts at most one worker per usable core but its
+    own, and every worker has ended when the command returns."""
+    before, started, alive = threading.active_count(), [], []
+    start, share = threading.Thread.start, verifier._share_nullspaces
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    def spy(*args):
+        alive.append(threading.active_count())
+        return share(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(verifier, "_share_nullspaces", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    workers = verifier._worker_count()
+    assert threading.active_count() == before
+    assert set(started) <= {"ccsched-kernel"} and len(started) <= workers
+    assert bool(started) == (workers > 0)
+    assert max(alive) - before <= workers
+
+
+@pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=["rate-sweep", "verify"])
+def test_one_usable_core_starts_no_thread(monkeypatch, capsys, argv):
+    monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    started, start = [], threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    assert verifier._worker_count() == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert started == []

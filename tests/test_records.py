@@ -1,7 +1,7 @@
 """The plain result records are ``typing.NamedTuple`` classes.  They keep what
 the frozen dataclasses they replaced offered: the same repr, equality by
 field, hashing where every field hashes, no assignment to a field, and the
-same values from ``AsymPlan.scaled`` and ``check_column``."""
+same values from ``AsymPlan.scaled`` and the symbolic check of one column."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from ccsched.dof import DofWitness, RegionBudget
 from ccsched.model import ScheduleColumn, ScheduleTable
 from ccsched.rates import RatePoint
 from ccsched.symmetric import HatParams, SymmetricPlan, schedule_symmetric
-from ccsched.verifier import BeamformerSolution, NumericReport, SymbolicReport, Witness, check_column
+from ccsched.verifier import BeamformerSolution, NumericReport, SymbolicReport, Witness, decodability_check
 
 TABLE = ScheduleTable((1, 2, 3), 1, 2, 2, (ScheduleColumn.of([(1, 2), (2, 3)]),))
 # shared by every instance, so that two instances built alike compare equal
@@ -143,11 +143,11 @@ def test_scaled_plan_values():
 
 def test_check_column_values():
     col = ScheduleColumn.of([(1, 2)] * 3 + [(2, 3)])
-    witnesses, slack = check_column(col, (1, 2, 3), 2, 2, column_index=4)
-    assert slack == -2 and all(type(w) is Witness for w in witnesses)
-    assert witnesses == [
-        Witness(4, "tx", (1, 2), 4, 2),
-        Witness(4, "tx", (2, 3), 4, 2),
-        Witness(4, "rx", (1,), 3, 2),
-        Witness(4, "rx", (2,), 4, 2),
-    ]
+    report = decodability_check(ScheduleTable((1, 2, 3), 0, 2, 2, (col,)))
+    assert report.min_slack == -2 and all(type(w) is Witness for w in report.witnesses)
+    assert report.witnesses == (
+        Witness(1, "tx", (1, 2), 4, 2),
+        Witness(1, "tx", (2, 3), 4, 2),
+        Witness(1, "rx", (1,), 3, 2),
+        Witness(1, "rx", (2,), 4, 2),
+    )
