@@ -149,7 +149,6 @@ def linear_feasible_check(
     donor_groups: list[Group],
     L: int,
     G: int,
-    served_users,
 ) -> list[Group]:
     """Donor groups, sorted and distinct, whose addition to host+pending
     keeps both antenna bounds (``ColumnLoad.admits``)."""

@@ -1,11 +1,12 @@
 """Command-line front end: schedule construction, verification, DoF region
 enumeration, rate sweeps, and the bundled reproduction runner.
 
-``--seed`` sets only the channel draws: seed + trial in ``verify --numeric``,
-and seed + 7919*trial + column index in ``rate-sweep``.  The constructions
-are deterministic: ``schedule``, ``dof-region`` and ``reproduce`` accept
-``--seed`` and ignore it, so identical (config, seed) runs produce
-byte-identical artifacts.  Parameter problems, unreadable input files and
+``--seed`` sets only the channel draws, by the two seed rules of the
+numeric run (``verifier``'s module docstring): one draw per trial in
+``verify --numeric``, one per (trial, column) in ``rate-sweep``.  The
+constructions are deterministic: ``schedule``, ``dof-region`` and
+``reproduce`` accept ``--seed`` and ignore it, so identical (config, seed)
+runs produce byte-identical artifacts.  Parameter problems, unreadable input files and
 requests too large for memory (a table whose antenna counts no channel draw
 can hold) exit 2, construction failures 3, verification failures 4, with a
 machine-readable JSON reason on stderr.

@@ -10,23 +10,15 @@ Absolute values are in normalized rate units (log2(1+SINR) per channel use
 with the file normalization folded into Theta); only orderings and
 high-SNR slopes are meaningful quantities here.
 
-``snr_sweep`` evaluates a whole table through the numeric oracle's kernel
-(``verifier._stream_gains``), planned once per table: one producer of gains,
-with the oracle's margin scan and this module's SINR step as its two
-reductions.  Per trial block and batch of columns, sized as the oracle's (8
-columns at 32 trials or more), the sweep draws the batch's channels at once,
-one draw per column; the kernel takes one combined channel per (user, stream
-count), one nullspace SVD per (column, outside-stream count), and every stream
-set's gains.  The SINR step inverts each (user, stream count) stack of
-effective matrices and takes its noise and leakage gains; the SINRs, rates and
-per-trial symmetric rates follow in array passes.  Every rate is bit for bit
-the one ``build_beamformers`` and ``stream_coefficients`` give on the column's
-own draws; those stay public, and the tests compare against them.  A batch's
-draws are seeded in bulk: when it has at least BULK_SEEDS seeds below 2**32,
-they are hashed in one numpy pass and set, one after another, as the state of
-one PCG64, which gives ``np.random.default_rng``'s draws bit for bit; other
-seeds, and every seed if that path disagrees with numpy's seeding, use
-``default_rng``.
+``snr_sweep`` evaluates a whole table in one numeric run of the oracle's
+kernel, one draw per (trial, column); ``verifier``'s module docstring
+describes the run, its batches and seeds (``verifier._numeric_run``).  This
+module's reduction, the SINR step, inverts each (user, stream count) stack
+of effective matrices and takes its noise and leakage gains; the SINRs,
+rates and per-trial symmetric rates follow in array passes.  Every rate is
+bit for bit the one ``build_beamformers`` and ``stream_coefficients`` give
+on the column's own draws; those stay public, and the tests compare
+against them.
 """
 
 from __future__ import annotations
@@ -39,19 +31,15 @@ import numpy as np
 from .errors import ParameterError, VerificationError
 from .model import ScheduleColumn, ScheduleTable
 from .verifier import (
-    TRIAL_BLOCK,
     BeamformerSolution,
     ChannelRealization,
-    _batch_columns,
-    _kernel_layout,
     _KernelLayout,
-    _plan_table,
-    _stream_gains,
+    _numeric_run,
     _TablePlan,
-    _worker_threads,
     decodability_check,
     effective_matrix,
 )
+
 
 def stream_coefficients(
     column: ScheduleColumn,
@@ -194,38 +182,22 @@ def _batch_sinrs(plan: _TablePlan, layout: _KernelLayout, kernel, T: int, powers
 
 def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: int, N0: float) -> np.ndarray:
     """Rate of every (power, trial, column), (P, trials, C): log2(1 + SINR) of
-    the column's bottleneck stream on the draw of seed + 7919*trial + column
-    index, with ``powers`` the total transmit powers.
-
-    Per trial block, each batch of ``_batch_columns(trials)`` columns, as in
-    the oracle, draws its channels at once and goes through the oracle's
-    kernel, one draw per column: at most BATCH_COLUMN_TRIALS draws.  An empty
-    column raises ParameterError before any draw; a degenerate draw, the
-    first error in scan order: trial block, batch, the nullspaces (column,
-    then group), then the effective matrices (column, then user)."""
+    the column's bottleneck stream on its own draw of each trial, with
+    ``powers`` the total transmit powers.  An empty column raises
+    ParameterError before any draw; a degenerate draw, the first error in
+    scan order: trial block, batch, the nullspaces (column, then group), then
+    the effective matrices (column, then user)."""
     if not all(column.groups for column in table.columns):
         raise ParameterError("column has no scheduled streams")
-    users = tuple(sorted(table.users))
-    width = _batch_columns(trials)
-    plan = _plan_table(table.columns, users, width)
-    batches: dict[int, list] = {}  # the stream sets of every batch of columns
-    for streams in plan.sets:
-        batches.setdefault(int(streams.columns[0]) // width, []).append(streams)
-    draw = np.arange(len(table.columns)) % width  # one draw per column of a batch
-    layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
     rates = np.empty((len(powers), trials, len(table.columns)))
-    with _worker_threads() as workers:
-        for first in range(0, trials, TRIAL_BLOCK):
-            block = range(first, min(first + TRIAL_BLOCK, trials))
-            for layout in layouts:
-                seeds = [seed + 7919 * trial + c for c in layout.columns.tolist() for trial in block]
-                channels = ChannelRealization.draw(users, table.G, table.L, N0=N0, seed=seeds)
-                kernel = _stream_gains(plan, layout, channels, workers)
-                del channels  # the kernel frees the draw once it has combined it
-                sinrs = _batch_sinrs(plan, layout, kernel, len(block), powers, N0)
-                # math.log2, as the rate of one column was taken
-                rate = np.reshape([math.log2(1.0 + s) for s in sinrs.ravel().tolist()], sinrs.shape)
-                rates[:, block.start : block.stop, layout.columns] = rate.swapaxes(1, 2)
+
+    def store(plan, block, layout, kernel):
+        sinrs = _batch_sinrs(plan, layout, kernel, len(block), powers, N0)
+        # math.log2, as the rate of one column was taken
+        rate = np.reshape([math.log2(1.0 + s) for s in sinrs.ravel().tolist()], sinrs.shape)
+        rates[:, block.start : block.stop, layout.columns] = rate.swapaxes(1, 2)
+
+    _numeric_run(table, trials, seed, False, store)
     return rates
 
 

@@ -11,41 +11,43 @@ nullspace by thresholded SVD, places one unit-norm beamformer per stream
 instance inside that nullspace, and verifies rank-nullity, interference
 leakage, and per-user invertibility of the effective channel.  Every numeric
 array may carry a leading trial axis, so one call handles a batch of draws.
-A whole table goes through one kernel, planned once per table, which the
-oracle and the rate sweep (``rates.snr_sweep``) share: per batch of stream
-sets, laid out once, and trial block, ``_stream_gains`` takes one combined
-channel per (user, stream count), one stacked nullspace SVD per (draw,
-outside-stream count) over the outside-user profiles present, and one
-direction library, and yields every stream set's own and cross gains.  The
-oracle shares one draw per trial among all columns, so it takes one SVD
-per outside-stream count; the sweep draws one per (trial, column).  The
-oracle's batch holds a fixed number of column-trials, so a run of few
-trials takes few large batches, and its reduction (``_MarginScan``) folds
-the leakage norms and the conditioning margin, which is screened: a batched
-inverse bounds every effective matrix's smallest singular value from both
-sides, and LAPACK's SVD runs only on the matrices that can be the minimum
-or can fail, so the report is exactly the one a full SVD gives.
 
-The kernel's nullspace SVDs run on every usable core.  The workers are one
-thread per usable core but the calling one's (``_worker_count``).  A
-kernel call of at least THREAD_MATRICES matrices hands whole (draw,
-outside-stream count) stacks to the calling thread and the workers,
-balanced by matrix count; a smaller call, or a run on one core, stays on
-the calling thread.  A stack is never split, and LAPACK factors each
-matrix on its own, so every basis and rank, the nullity check's scan
-order, and any error are the serial loop's, bit for bit.  The workers live
-for one oracle or sweep run (``_worker_threads``): a worker's thread
-starts with its first share and is joined before the run returns.
+A numeric run of a table, the oracle's (``verify_table_numeric``) or the
+rate sweep's (``rates.column_rates``), has one driver, ``_numeric_run``.  It
+plans the table once (``_plan_table``) in batches of ``_batch_columns``
+columns, a fixed number of column-trials, so a run of few trials takes few
+large batches.  The oracle shares one draw per trial among all columns,
+seeded seed + trial, and lays all stream sets out once (``_kernel_layout``);
+the sweep draws one per (trial, column), seeded seed + 7919*trial + column
+index, and lays each batch out once.  Per trial block of TRIAL_BLOCK trials
+and layout, the driver draws the channels and hands the kernel,
+``_stream_gains``, to the caller's reduction: the oracle's margin scan
+(``_MarginScan.add``) or the sweep's SINR step (``rates._batch_sinrs``).
+The kernel takes one combined channel per (user, stream count), one stacked
+nullspace SVD per (draw, outside-stream count) over the outside-user
+profiles present, and one direction library, and yields every stream set's
+own and cross gains.  The margin scan's conditioning margin is screened: a
+batched inverse bounds every effective matrix's smallest singular value
+from both sides, and LAPACK's SVD runs only on the matrices that can be
+the minimum or can fail, so the report is exactly the one a full SVD gives.
+
+The kernel's nullspace SVDs run on every usable core.  A run opens one
+``concurrent.futures.ThreadPoolExecutor``, imported only then, of one
+thread per usable core but the calling one's (``_worker_count``).  A kernel
+call of at least THREAD_MATRICES matrices hands whole (draw, outside-stream
+count) stacks to the calling thread and the pool, balanced by matrix count;
+a smaller call, or a run on one core, stays on the calling thread.  A stack
+is never split, and LAPACK factors each matrix on its own, so every basis
+and rank, the nullity check's scan order, and any error are the serial
+loop's, bit for bit.  A pool thread starts with its first share, none on
+one core, and every one is joined before the run returns or raises.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 import os
-import queue
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -305,18 +307,17 @@ class ChannelRealization:
     users: tuple[int, ...]
     G: int
     L: int
-    N0: float
     seed: int | tuple[int, ...]
     H: dict[int, np.ndarray] = field(compare=False, default_factory=dict)
 
     @staticmethod
-    def draw(users, G: int, L: int, N0: float = 1.0, seed=0) -> "ChannelRealization":
+    def draw(users, G: int, L: int, seed=0) -> "ChannelRealization":
         """I.i.d. unit-variance complex Gaussian entries, users in sorted order."""
         users = tuple(sorted(users))
         seed = seed if np.ndim(seed) == 0 else tuple(seed)
         h = _complex_normals(seed, (len(users), G, L))
         h /= np.sqrt(2)
-        return ChannelRealization(users, G, L, N0, seed, dict(zip(users, np.moveaxis(h, -3, 0))))
+        return ChannelRealization(users, G, L, seed, dict(zip(users, np.moveaxis(h, -3, 0))))
 
     def haar_combiner_pool(self) -> dict[int, np.ndarray]:
         """One GxG random unitary per user (QR of a Gaussian draw); combiners
@@ -656,58 +657,6 @@ def _worker_count() -> int:
         return (os.cpu_count() or 1) - 1
 
 
-class _Worker:
-    """A thread, started at the first call handed to it, that runs the calls
-    it is handed one at a time; a with block joins it at the end."""
-
-    def __init__(self) -> None:
-        self._calls: queue.SimpleQueue = queue.SimpleQueue()
-        self._outcomes: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
-
-    def __enter__(self) -> "_Worker":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._calls.put(None)
-            self._thread.join()
-
-    def _serve(self) -> None:
-        for task in iter(self._calls.get, None):
-            call, args = task
-            try:
-                outcome = True, call(*args)
-            except BaseException as error:  # handed back, so that result() never waits in vain
-                outcome = False, error
-            self._outcomes.put(outcome)
-            # drop the call's arrays now, not when the next call comes
-            del task, call, args, outcome
-
-    def submit(self, call, *args) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, name="ccsched-kernel")
-            self._thread.start()
-        self._calls.put((call, args))
-
-    def result(self):
-        """The outcome of the earliest call not yet taken: its value, or its error raised here."""
-        ok, value = self._outcomes.get()
-        if not ok:
-            raise value
-        return value
-
-
-@contextlib.contextmanager
-def _worker_threads():
-    """The workers of one oracle or sweep run, ``_worker_count`` of them: a
-    worker's thread starts with its first share of a kernel call and is
-    joined when the block ends, so no thread outlives the run, and none
-    starts on one core."""
-    with contextlib.ExitStack() as stack:
-        yield [stack.enter_context(_Worker()) for _ in range(_worker_count())]
-
-
 def _shares(sizes: list[int], count: int) -> list[list[int]]:
     """``count`` lists of stack indices, each ascending, that split stacks of
     ``sizes`` matrices evenly: the largest first, each to the least loaded."""
@@ -747,21 +696,20 @@ def _stack_nullspaces(rows: np.ndarray, stacks, workers: list) -> tuple[np.ndarr
     """The (trials, direction, L) direction library of every (draw,
     outside-stream count) stack, in stack order, and each stack's ranks.  A
     call of at least THREAD_MATRICES matrices hands whole stacks to the
-    calling thread and the ``workers``, balanced by matrix count; LAPACK
-    factors each matrix on its own, so every basis is the one the serial
-    loop gives, bit for bit.  The first error in stack order is raised, as
-    the serial loop raises it."""
+    calling thread and the ``workers``, one pool ``submit`` per worker
+    thread, balanced by matrix count; LAPACK factors each matrix on its own,
+    so every basis is the one the serial loop gives, bit for bit.  The first
+    error in stack order is raised, as the serial loop raises it."""
     T, L = rows.shape[1], rows.shape[-1]
     sizes = [len(index) * T for _, _, index, _ in stacks]
     starts = np.cumsum([0] + [len(index) * m for _, _, index, m in stacks]).tolist()
     library = np.empty((T, starts[-1], L), dtype=rows.dtype)
     shares = _shares(sizes, len(workers) + 1 if sum(sizes) >= THREAD_MATRICES else 1)
-    busy = [(worker, share) for worker, share in zip(workers, shares[1:]) if share]
-    for worker, share in busy:
-        worker.submit(_share_nullspaces, rows, stacks, share, library, starts)
+    futures = [submit(_share_nullspaces, rows, stacks, share, library, starts)
+               for submit, share in zip(workers, shares[1:]) if share]
     done = _share_nullspaces(rows, stacks, shares[0], library, starts)
-    for worker, _ in busy:
-        done.update(worker.result())
+    for future in futures:
+        done.update(future.result())
     for i in range(len(stacks)):  # a share stops at its first error, before any stack it skips
         if isinstance(done[i], Exception):
             raise done[i]
@@ -800,6 +748,40 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     for streams, draws, index in layout.sets:
         # no reference to the beams here: the entries' generator frees them
         yield streams, _set_gains(plan, streams, _stream_beams(library, index, streams.l_fast), combined, draws)
+
+
+def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, reduce) -> None:
+    """Run the kernel over ``trials`` draws of a table, as the module
+    docstring describes: one draw per trial shared by every column if
+    ``shared``, else one per (trial, column).  Per trial block and layout,
+    calls ``reduce(plan, block, layout, kernel)`` with the block's range of
+    trials and the kernel's generator of stream sets and gains."""
+    users, width = tuple(sorted(table.users)), _batch_columns(trials)
+    plan = _plan_table(table.columns, users, width)
+    if shared:
+        layouts = [_kernel_layout(plan, plan.sets, np.zeros(len(plan.columns), dtype=np.intp))]
+    else:
+        batches: dict[int, list] = {}  # the stream sets of every batch of columns
+        for streams in plan.sets:
+            batches.setdefault(int(streams.columns[0]) // width, []).append(streams)
+        draw = np.arange(len(plan.columns)) % width  # one draw per column of a batch
+        layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
+    from concurrent.futures import ThreadPoolExecutor  # here: no other command needs it
+
+    workers = _worker_count()
+    # a pool needs room for one thread, which starts only when handed a share
+    with ThreadPoolExecutor(max(workers, 1), "ccsched-kernel") as pool:
+        submit = [pool.submit] * workers
+        for first in range(0, trials, TRIAL_BLOCK):
+            block = range(first, min(first + TRIAL_BLOCK, trials))
+            for layout in layouts:
+                seeds = [seed + t for t in block] if shared else [
+                    seed + 7919 * t + c for c in layout.columns.tolist() for t in block]
+                # no name here for the draw: the kernel, its only holder, frees it once combined
+                kernel = _stream_gains(plan, layout, ChannelRealization.draw(users, table.G, table.L, seed=seeds), submit)
+                reduce(plan, block, layout, kernel)
+            if not plan.sets:  # no column carries a stream
+                break
 
 
 def _frobenius_sq(a: np.ndarray) -> np.ndarray:
@@ -1012,40 +994,26 @@ def verify_table_numeric(
     sigma_tol: float = 1e-6,
     symbolic: SymbolicReport | None = None,
 ) -> NumericReport:
-    """Aggregate numeric verification over random channel seeds seed + trial.
+    """Aggregate numeric verification over one random channel draw per trial,
+    shared by every column (the module docstring's numeric run).
 
     Every (column, trial) must pass; the report carries the worst leakage
     and conditioning seen anywhere and where they occur, the first in
-    (trial block, column, trial, user, stream) order on ties.  The table is
-    planned once: stream order, outside-user profiles, and per batch of
-    columns and stream total the index arrays of every (user, stream count).
-    A batch holds BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK) columns, so
-    a run of few trials takes few large batches and a full trial block no
-    more than BATCH_COLUMN_TRIALS column-trials.  Trials then run in blocks
-    of TRIAL_BLOCK draws, one draw shared by every column, through the
-    kernel ``_stream_gains``: one stacked nullspace SVD per outside-stream
-    count, over the distinct profiles with that count, and one stacked
-    matmul per (user, stream count) and stream set.  Failures read (trial,
-    column, kind, user, ...), in scan order.  ``trials`` must be at least 1
-    and ``tol`` and ``sigma_tol`` finite and positive.  A table failing the
-    symbolic check is refused; pass ``symbolic``, the table's own
-    ``decodability_check`` report, to skip running that check again."""
+    (trial block, column, trial, user, stream) order on ties.  Failures read
+    (trial, column, kind, user, ...), in scan order.  ``trials`` must be at
+    least 1 and ``tol`` and ``sigma_tol`` finite and positive.  A table
+    failing the symbolic check is refused; pass ``symbolic``, the table's
+    own ``decodability_check`` report, to skip running that check again."""
     scan = _MarginScan(tol, sigma_tol)
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
     report = symbolic if symbolic is not None else decodability_check(table)
     if not report.ok:
         raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
-    plan = _plan_table(table.columns, tuple(sorted(table.users)), _batch_columns(trials))
-    layout = _kernel_layout(plan, plan.sets, np.zeros(len(table.columns), dtype=np.intp))
-    with _worker_threads() as workers:
-        for first in range(0, trials, TRIAL_BLOCK):
-            block = range(first, min(first + TRIAL_BLOCK, trials))
-            channels = ChannelRealization.draw(table.users, table.G, table.L, seed=[seed + t for t in block])
-            kernel = _stream_gains(plan, layout, channels, workers)
-            del channels  # the kernel frees the draw once it has combined it
-            for streams, gains in kernel:
-                scan.add(plan, streams, gains, block)
-            if not plan.sets:  # no column carries a stream
-                break
+
+    def fold(plan, block, layout, kernel):
+        for streams, gains in kernel:
+            scan.add(plan, streams, gains, block)
+
+    _numeric_run(table, trials, seed, True, fold)
     return scan.report()

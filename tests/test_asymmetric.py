@@ -159,14 +159,13 @@ def _algorithm2_oracle(host_groups, pending, candidate, L, G, users):
 
 def test_linear_feasible_check_example2_sequence(ex2_reference_baseline):
     host = ex2_reference_baseline.columns[0]
-    users = range(1, 6)
     # candidate 125 against the bare host: per-user counts (4,4,3,3,4)
-    feas = linear_feasible_check(host, [], [(1, 2, 5)], 11, 6, users)
+    feas = linear_feasible_check(host, [], [(1, 2, 5)], 11, 6)
     assert feas == [(1, 2, 5)]
     # the reference first m-set passes one group at a time
     pending = []
     for cand in [(1, 2, 5), (1, 3, 4), (2, 3, 4)]:
-        assert cand in linear_feasible_check(host, pending, [cand], 11, 6, users)
+        assert cand in linear_feasible_check(host, pending, [cand], 11, 6)
         assert _algorithm2_oracle(host.groups, pending, cand, 11, 6, range(1, 6))
         pending.append(cand)
 
@@ -182,7 +181,7 @@ def test_linear_feasible_check_matches_oracle_randomized(ex2_reference_baseline)
         pending = rng.sample(donor, rng.randint(0, 2))
         L = rng.randint(8, 13)
         G = rng.randint(3, 7)
-        got = linear_feasible_check(host, pending, donor, L, G, users)
+        got = linear_feasible_check(host, pending, donor, L, G)
         want = [g for g in sorted(set(donor)) if _algorithm2_oracle(host.groups, pending, g, L, G, users)]
         assert got == want
 
@@ -190,16 +189,16 @@ def test_linear_feasible_check_matches_oracle_randomized(ex2_reference_baseline)
 def test_linear_feasible_check_saturated_host():
     # every user already decodes G streams; nothing can be added
     host = ScheduleColumn.of([(1, 2), (1, 2), (1, 3), (2, 3), (1, 3), (2, 3)])
-    feas = linear_feasible_check(host, [], [(1, 2), (1, 3), (2, 3)], 20, 4, [1, 2, 3])
+    feas = linear_feasible_check(host, [], [(1, 2), (1, 3), (2, 3)], 20, 4)
     assert feas == []
 
 
 def test_linear_feasible_check_single_group_system():
     # omega = t+1: no outside users, n(T) equals the copy count
     host = ScheduleColumn.of([(1, 2)] * 3)
-    assert linear_feasible_check(host, [], [(1, 2)], 4, 9, [1, 2]) == [(1, 2)]
+    assert linear_feasible_check(host, [], [(1, 2)], 4, 9) == [(1, 2)]
     full = ScheduleColumn.of([(1, 2)] * 4)
-    assert linear_feasible_check(full, [], [(1, 2)], 4, 9, [1, 2]) == []
+    assert linear_feasible_check(full, [], [(1, 2)], 4, 9) == []
 
 
 @st.composite
@@ -246,7 +245,7 @@ def test_collection_validator_rejects_bad_regularity(ex2_reference_baseline):
         validate_collection(bad, ex2_reference_baseline.columns[1], plan)
 
 
-def _all_regular_pair_collections(donor_groups, d, r, host, L, G, users):
+def _all_regular_pair_collections(donor_groups, d, r, host, L, G):
     """Exhaustive oracle: every multiset of d two-element subsets of the donor
     column in which each donor group appears exactly r times and every set
     passes the feasibility check."""
@@ -254,8 +253,8 @@ def _all_regular_pair_collections(donor_groups, d, r, host, L, G, users):
     feasible_pairs = [
         p
         for p in pairs
-        if p[1] in linear_feasible_check(host, [p[0]], [p[1]], L, G, users)
-        and p[0] in linear_feasible_check(host, [], [p[0]], L, G, users)
+        if p[1] in linear_feasible_check(host, [p[0]], [p[1]], L, G)
+        and p[0] in linear_feasible_check(host, [], [p[0]], L, G)
     ]
     out = []
     for combo in itertools.combinations_with_replacement(feasible_pairs, d):
@@ -270,7 +269,7 @@ def test_balanced_greedy_example1_matches_exhaustive_oracle(ex1_baseline):
     coll = balanced_greedy(1, plan, ex1_baseline)
     donor = list(ex1_baseline.columns[1].groups)
     oracle = _all_regular_pair_collections(
-        donor, plan.d, plan.r, ex1_baseline.columns[0], 10, 3, range(1, 6)
+        donor, plan.d, plan.r, ex1_baseline.columns[0], 10, 3
     )
     assert oracle, "the exhaustive search must find at least one valid collection"
     assert Counter(coll.sets) in oracle

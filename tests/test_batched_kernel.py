@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -635,7 +636,7 @@ def reference_rates(table, powers, trials, seed, N0=1.0):
         for first in range(0, trials, TRIAL_BLOCK):
             last = min(first + TRIAL_BLOCK, trials)
             seeds = [seed + 7919 * trial + idx for trial in range(first, last)]
-            channels = ChannelRealization.draw(table.users, table.G, table.L, N0=N0, seed=seeds)
+            channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
             solution = build_beamformers(column, channels)
             coeffs = np.array(list(stream_coefficients(column, channels, solution).values()))
             p = powers[:, None, None] / len(solution.streams)
@@ -872,16 +873,22 @@ def test_sweep_checks_a_whole_batch_of_nullspaces_first(monkeypatch):
 # -- the nullspace stage on worker threads ------------------------------------
 
 
+def thread_kind(name):
+    """A kernel pool thread's name without the number the pool gives it
+    (ccsched-kernel_<n>); any other thread's name as it is."""
+    return "ccsched-kernel" if name.startswith("ccsched-kernel") else name
+
+
 def use_workers(monkeypatch, workers, floor=0):
     """Run the kernel with ``workers`` worker threads, splitting every call
-    of at least ``floor`` matrices; returns the names of the threads that
-    factored each stack, by call."""
+    of at least ``floor`` matrices; returns the kinds (``thread_kind``) of
+    the threads that factored each stack, by call."""
     monkeypatch.setattr(verifier, "_worker_count", lambda: workers)
     monkeypatch.setattr(verifier, "THREAD_MATRICES", floor)
     factored, share = [], verifier._share_nullspaces
 
     def spy(rows, stacks, indices, *library):
-        factored.append((threading.current_thread().name, list(indices)))
+        factored.append((thread_kind(threading.current_thread().name), list(indices)))
         return share(rows, stacks, indices, *library)
 
     monkeypatch.setattr(verifier, "_share_nullspaces", spy)
@@ -997,12 +1004,12 @@ def test_worker_errors_are_raised_in_stack_order(monkeypatch, failing, raised):
 
     monkeypatch.setattr(verifier, "nullspace_basis", failing_basis)
     monkeypatch.setattr(verifier, "THREAD_MATRICES", 0)
-    with verifier._Worker() as worker:
+    with ThreadPoolExecutor(1) as pool:
         with pytest.raises(np.linalg.LinAlgError, match=f"stack {raised}"):
-            verifier._stack_nullspaces(rows, stacks, [worker])
-        # the worker is left ready for the next call, whose results come in stack order
+            verifier._stack_nullspaces(rows, stacks, [pool.submit])
+        # the pool is left ready for the next call, whose results come in stack order
         failing.clear()
-        library, ranks = verifier._stack_nullspaces(rows, stacks, [worker])
+        library, ranks = verifier._stack_nullspaces(rows, stacks, [pool.submit])
     serial_library, serial_ranks = verifier._stack_nullspaces(rows, stacks, [])
     assert [rank.shape for rank in ranks] == [(1, 1), (2, 1), (3, 1), (4, 1)]
     assert library.shape == (1, 10, 3) and library.tobytes() == serial_library.tobytes()
@@ -1015,10 +1022,16 @@ NUMERIC_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=["rate-sweep", "verify"])
-def test_no_thread_outlives_a_command(monkeypatch, capsys, argv):
+@pytest.mark.parametrize(
+    "argv,code", [(NUMERIC_COMMANDS[0], 0), (NUMERIC_COMMANDS[1], 0), (NUMERIC_COMMANDS[0], 4)],
+    ids=["rate-sweep", "verify", "failing-rate-sweep"],
+)
+def test_no_thread_outlives_a_command(monkeypatch, capsys, argv, code):
     """A numeric command starts at most one worker per usable core but its
-    own, and every worker has ended when the command returns."""
+    own, and every worker has ended when the command returns, also when it
+    fails: with user 3's channel zero in every draw, every stack holding
+    user 3, in either thread's share, has a nullity above the rank-nullity
+    value, and the sweep exits 4 at its first kernel call."""
     before, started, alive = threading.active_count(), [], []
     start, share = threading.Thread.start, verifier._share_nullspaces
 
@@ -1032,11 +1045,21 @@ def test_no_thread_outlives_a_command(monkeypatch, capsys, argv):
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
     monkeypatch.setattr(verifier, "_share_nullspaces", spy)
-    assert main(argv) == 0
-    capsys.readouterr()
+    if code:
+        draw = ChannelRealization.draw
+
+        def silent(*args, **kwargs):
+            channels = draw(*args, **kwargs)
+            channels.H[3][:] = 0.0
+            return channels
+
+        monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert ("NullityDeficientError" in err) == bool(code)
     workers = verifier._worker_count()
     assert threading.active_count() == before
-    assert set(started) <= {"ccsched-kernel"} and len(started) <= workers
+    assert set(map(thread_kind, started)) <= {"ccsched-kernel"} and len(started) <= workers
     assert bool(started) == (workers > 0)
     assert max(alive) - before <= workers
 

@@ -188,10 +188,14 @@ def test_table_with_an_empty_column(tmp_path, capsys, monkeypatch):
 
 
 def test_import_loads_neither_fractions_nor_decimal():
-    """The package's start-up imports no exact-arithmetic module."""
+    """The package's start-up imports no exact-arithmetic module, nor the
+    thread pool (with its logging) that only a numeric run opens."""
     src = str(Path(ccsched.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, ccsched.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    probe = (
+        "import sys, ccsched.cli; "
+        "print(sorted({'fractions', 'decimal', 'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
