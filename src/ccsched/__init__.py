@@ -31,16 +31,12 @@ from .model import (
     Group,
     ScheduleColumn,
     ScheduleTable,
-    SystemParams,
-    cc_gain,
-    column_multiplicities,
     enumerate_groups,
     make_group,
     table_from_json,
     table_to_json,
-    total_subpacketization,
 )
-from .rates import RatePoint, column_rate, snr_sweep, stream_sinrs
+from .rates import RatePoint, column_rate, snr_sweep
 from .symmetric import (
     HatParams,
     SymmetricPlan,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -249,7 +250,7 @@ def cmd_dof_region(args) -> int:
         if witness_dir is not None:
             witness_dir.mkdir(parents=True, exist_ok=True)
             (witness_dir / name).write_text(table_to_json(region.witnesses[dof].table))
-            return str((witness_dir / name).relative_to(out.parent) if out else witness_dir / name)
+            return os.path.relpath(witness_dir / name, out.parent) if out else str(witness_dir / name)
         return name
 
     rows = ["scheme,omega,t,beta,m,dof,witness_file"]

@@ -33,38 +33,6 @@ def make_group(users: Iterable[int], size: int | None = None) -> Group:
     return g
 
 
-def cc_gain(K: int, M: int, N: int) -> int:
-    """Cumulative normalized cache size t = K*M/N; rejects non-integer results."""
-    if K <= 0 or M <= 0 or N <= 0:
-        raise ParameterError("K, M, N must be positive")
-    t, rem = divmod(K * M, N)
-    if rem != 0:
-        raise ParameterError(f"K*M/N = {K * M}/{N} is not an integer")
-    return t
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Network-level parameters: antennas, library, caches, multicast gain."""
-
-    K: int
-    L: int
-    G: int
-    N: int
-    M: int
-
-    def __post_init__(self) -> None:
-        if self.L < 1 or self.G < 1:
-            raise ParameterError("L and G must be at least 1")
-        t = cc_gain(self.K, self.M, self.N)
-        if not 1 <= t + 1 <= self.K:
-            raise ParameterError(f"need 1 <= t+1 <= K, got t={t}, K={self.K}")
-
-    @property
-    def t(self) -> int:
-        return cc_gain(self.K, self.M, self.N)
-
-
 def enumerate_groups(served_users: Iterable[int], t: int) -> list[Group]:
     """All (t+1)-subsets of the served set, lexicographic in sorted indices."""
     users = sorted(set(served_users))
@@ -102,18 +70,6 @@ class ScheduleColumn:
         return len(self.groups)
 
 
-def column_multiplicities(
-    col: ScheduleColumn, served_users: Iterable[int]
-) -> tuple[dict[Group, int], dict[int, int]]:
-    """(theta, beta) maps of a column; checks the group/user universe.
-
-    Always satisfies sum(beta) == (t+1) * sum(theta).
-    """
-    beta = col.beta(served_users)
-    theta = dict(col.theta())
-    return theta, beta
-
-
 @dataclass(frozen=True)
 class ScheduleTable:
     """An ordered family of transmission intervals plus its replication record.
@@ -137,10 +93,6 @@ class ScheduleTable:
     @property
     def omega(self) -> int:
         return len(self.users)
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.columns)
 
     @property
     def subpacketization_factor(self) -> int:
@@ -174,11 +126,6 @@ class ScheduleTable:
                 f"conservation violated: expected every group {want} times, "
                 f"got deviations {sorted(bad.items())[:3]}, missing {sorted(missing)[:3]}"
             )
-
-
-def total_subpacketization(params: SystemParams, table: ScheduleTable) -> int:
-    """Final number of fragments per file: placement times delivery splitting."""
-    return math.comb(params.K, params.t) * table.subpacketization_factor
 
 
 def table_to_json(table: ScheduleTable) -> str:

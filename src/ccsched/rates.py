@@ -16,9 +16,10 @@ describes the run, its batches and seeds (``verifier._numeric_run``).  This
 module's reduction, the SINR step, inverts each (user, stream count) stack
 of effective matrices and takes its noise and leakage gains; the SINRs,
 rates and per-trial symmetric rates follow in array passes.  Every rate is
-bit for bit the one ``build_beamformers`` and ``stream_coefficients`` give
-on the column's own draws; those stay public, and the tests compare
-against them.
+bit for bit the one the per-column reference gives on the column's own
+draws: ``verifier.build_beamformers``, then ``stream_coefficients``,
+``sinrs_from_coefficients`` and ``column_rate``.  That path stays public,
+and the tests compare against it.
 """
 
 from __future__ import annotations
@@ -79,24 +80,14 @@ def sinrs_from_coefficients(
     power_total: float,
     N0: float,
 ) -> dict[tuple, float]:
+    """SINR of every (group, instance, member user) stream of ``coeffs``
+    (``stream_coefficients``) at total power, shared by ``n_streams``."""
     if power_total < 0:
         raise ParameterError("power_total must be non-negative")
     if power_total == 0:
         return {key: 0.0 for key in coeffs}
     p = power_total / n_streams
     return {key: p / (N0 * c + p * l) for key, (c, l) in coeffs.items()}
-
-
-def stream_sinrs(
-    column: ScheduleColumn,
-    channels: ChannelRealization,
-    solution: BeamformerSolution,
-    power_total: float,
-    N0: float,
-) -> dict[tuple, float]:
-    """SINR of every (group, instance, member user) stream at total power."""
-    coeffs = stream_coefficients(column, channels, solution)
-    return sinrs_from_coefficients(coeffs, len(solution.streams), power_total, N0)
 
 
 def column_rate(sinrs: dict[tuple, float]) -> float:

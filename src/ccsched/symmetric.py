@@ -89,11 +89,9 @@ def feasible_beta_set(
     if delta_max < 1:
         raise ParameterError("delta_max must be at least 1")
     hat = hat_params(omega, t)
-    betas = set()
-    for eta in range(1, _eta_bound(L, G, t, omega, hat) + 1):
-        if min_delta(eta, hat.S_hat) <= delta_max:
-            betas.add(eta * hat.beta_hat)
-    return sorted(betas)
+    # min_delta(eta, S_hat) >= eta / S_hat, so no eta past delta_max * S_hat admits one
+    top = min(_eta_bound(L, G, t, omega, hat), delta_max * hat.S_hat)
+    return [eta * hat.beta_hat for eta in range(1, top + 1) if min_delta(eta, hat.S_hat) <= delta_max]
 
 
 def plan_symmetric(

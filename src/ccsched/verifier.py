@@ -11,6 +11,9 @@ nullspace by thresholded SVD, places one unit-norm beamformer per stream
 instance inside that nullspace, and verifies rank-nullity, interference
 leakage, and per-user invertibility of the effective channel.  Every numeric
 array may carry a leading trial axis, so one call handles a batch of draws.
+For one column on its own draw, ``build_beamformers``, ``effective_matrix``
+and ``verify_numeric`` state that oracle directly; they are the reference
+the table kernel below is checked against, and share nothing across columns.
 
 A numeric run of a table, the oracle's (``verify_table_numeric``) or the
 rate sweep's (``rates.column_rates``), has one driver, ``_numeric_run``.  It
@@ -358,40 +361,6 @@ class BeamformerSolution(NamedTuple):
     stacked: np.ndarray
 
 
-def _combiner_pool(channels: ChannelRealization, cache: dict) -> dict:
-    """Per user, a random G x G unitary whose leading columns are its
-    combiners for any stream count, kept in ``cache["combiners"]``."""
-    if "combiners" not in cache:
-        cache["combiners"] = channels.haar_combiner_pool()
-    return cache["combiners"]
-
-
-def _combined(channels: ChannelRealization, cache: dict, k: int, b: int) -> np.ndarray:
-    """User k's combined channel combiner^H H over its first b combiners,
-    (..., b, L), formed once per (user, stream count) in ``cache``."""
-    key = ("combined", k, b)
-    if key not in cache:
-        cache[key] = _hermitian(cache["combiners"][k][..., :b]) @ channels.H[k]
-    return cache[key]
-
-
-def _profile_nullspaces(profiles, channels: ChannelRealization, cache: dict) -> None:
-    """The nullspace of every outside-user profile in ``profiles``, all with
-    the same outside-stream count r, from one SVD of their (P, ..., r, L)
-    stack of combined channels.  Each is kept in ``cache`` as its basis and
-    its own smallest and largest nullity over the batch.
-
-    LAPACK factors each matrix of the stack on its own, so a profile's
-    basis is the one an SVD of its rows alone gives whenever its nullity is
-    the rank-nullity value everywhere, the only case in which it is used."""
-    L = channels.L
-    empty = channels.H[channels.users[0]][..., :0, :]  # no outside user: (..., 0, L)
-    rows = [np.concatenate([_combined(channels, cache, k, b) for k, b in p] or [empty], axis=-2) for p in profiles]
-    basis, rank = nullspace_basis(np.stack(rows))
-    for p, own_basis, own_rank in zip(profiles, basis, rank):
-        cache[p] = own_basis, L - int(np.max(own_rank)), L - int(np.min(own_rank))
-
-
 def _check_nullity(group: Group, theta: int, nullity: int, widest: int, expected: int) -> None:
     """Raise NullityDeficientError unless a group's nullspace, of smallest
     and largest dimension ``nullity`` and ``widest`` over a batch, hosts its
@@ -407,40 +376,35 @@ def _check_nullity(group: Group, theta: int, nullity: int, widest: int, expected
         )
 
 
-def build_beamformers(
-    column: ScheduleColumn,
-    channels: ChannelRealization,
-    cache: dict | None = None,
-) -> BeamformerSolution:
+def build_beamformers(column: ScheduleColumn, channels: ChannelRealization) -> BeamformerSolution:
     """Nullspace beamformers for one column under random channels.
 
     Combiners are fixed first: random orthonormal columns.  For every
     scheduled group the interference channel of all outside users is
     stacked and the group's stream instances take the first theta
-    orthonormal nullspace directions.
+    orthonormal nullspace directions.  The column is built from its own
+    draw alone; the table kernel (``_stream_gains``) gives the same beams
+    while sharing nullspaces across columns.
 
-    Nullspaces depend only on the outside users and their stream counts: a
-    caller passes one ``cache`` dict per realization to share the
-    combiners and the nullspace of every outside-user profile across columns.
     Raises NullityDeficientError when a nullspace cannot host its group's
     instances, or when its dimension anywhere in the batch is not the
     rank-nullity value L minus the outside streams.
     """
-    cache = {} if cache is None else cache
-    pool = _combiner_pool(channels, cache)
+    pool = channels.haar_combiner_pool()
     users, L = channels.users, channels.L
     theta = column.theta()
     beta = column.beta(users)
     combiners = {k: pool[k][..., : beta[k]] for k in users}
+    empty = channels.H[users[0]][..., :0, :]  # no outside user: (..., 0, L)
     beams: dict[Group, np.ndarray] = {}
     nullities: dict[Group, int] = {}
     for g in sorted(theta):
-        profile = tuple((k, beta[k]) for k in users if k not in g and beta[k] > 0)
-        if profile not in cache:
-            _profile_nullspaces((profile,), channels, cache)
-        basis, nullity, widest = cache[profile]  # smallest and largest nullity over the batch
-        nullities[g] = L - sum(b for _, b in profile)
-        _check_nullity(g, theta[g], nullity, widest, nullities[g])
+        outside = [k for k in users if k not in g and beta[k] > 0]
+        # the outside users' combined channels combiner^H H, stacked
+        rows = [_hermitian(combiners[k]) @ channels.H[k] for k in outside]
+        basis, rank = nullspace_basis(np.concatenate(rows or [empty], axis=-2))
+        nullities[g] = L - sum(beta[k] for k in outside)
+        _check_nullity(g, theta[g], L - int(np.max(rank)), L - int(np.min(rank)), nullities[g])
         beams[g] = basis[..., : theta[g]]
     streams = tuple((g, inst) for g in sorted(theta) for inst in range(theta[g]))
     batch = channels.H[users[0]].shape[:-2]
@@ -467,9 +431,8 @@ def effective_matrix(
     """User k's beta_k x beta_k effective matrix over its own streams, and its
     gains from every other stream, (..., beta_k, n_other); both are columns
     of one combiner^H H @ W product, in ``solution.streams`` order."""
-    cache = {"combiners": solution.combiners}
     own = np.array([k in g for g, _ in solution.streams])
-    gains = _combined(channels, cache, k, solution.beta[k]) @ solution.stacked
+    gains = _hermitian(solution.combiners[k]) @ channels.H[k] @ solution.stacked
     return gains[..., own], gains[..., ~own]
 
 
@@ -978,8 +941,8 @@ def verify_numeric(
     scan = _MarginScan(tol, sigma_tol, named=False)
     plan = _plan_table((column,), channels.users, 1)
     beams = solution.stacked[None] if solution.stacked.ndim == 3 else solution.stacked[None, None]
-    cache = {"combiners": solution.combiners}
-    combined = {(k, b): _combined(channels, cache, k, b)[None] for k, b in solution.beta.items() if b}  # one draw
+    combined = {(k, b): (_hermitian(solution.combiners[k]) @ channels.H[k])[None]  # one draw
+                for k, b in solution.beta.items() if b}
     for streams in plan.sets:
         gains = _set_gains(plan, streams, beams, combined, np.zeros(1, dtype=np.intp))
         scan.add(plan, streams, gains, range(beams.shape[1]))

@@ -173,10 +173,10 @@ def test_table_scan_names_the_first_deficient_group(monkeypatch):
         return channels
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
-    channels, cache = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4)), {}
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4))
     with pytest.raises(NullityDeficientError, match="non-generic") as want:
         for column in table.columns:
-            build_beamformers(column, channels, cache=cache)
+            build_beamformers(column, channels)
     with pytest.raises(NullityDeficientError) as got:
         verify_table_numeric(table, trials=4)
     assert str(got.value) == str(want.value)
@@ -190,6 +190,22 @@ def profiles_by_outside_streams(table):
     return by_streams
 
 
+def profile_rows(channels, profile):
+    """The (..., r, L) combined channels combiner^H H of a profile's outside
+    users, over their leading combiners."""
+    pool = channels.haar_combiner_pool()
+    rows = [pool[k][..., :b].conj().swapaxes(-1, -2) @ channels.H[k] for k, b in profile]
+    return np.concatenate(rows or [channels.H[channels.users[0]][..., :0, :]], axis=-2)
+
+
+def stacked_nullspaces(channels, profiles):
+    """Per profile, its basis and its smallest and largest nullity over the
+    batch, from one nullspace SVD of the profiles' stacked rows."""
+    basis, rank = nullspace_basis(np.stack([profile_rows(channels, p) for p in profiles]))
+    L = channels.L
+    return {p: (b, L - r.max(), L - r.min()) for p, b, r in zip(profiles, basis, rank)}
+
+
 def test_stacked_nullspaces_match_one_profile_at_a_time(monkeypatch):
     """One nullspace SVD per outside-stream count and trial block, and every
     profile's basis and nullities bit for bit those of its rows alone."""
@@ -197,15 +213,12 @@ def test_stacked_nullspaces_match_one_profile_at_a_time(monkeypatch):
     by_streams = profiles_by_outside_streams(table)
     assert max(map(len, by_streams.values())) > 1
     channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(5, 9))
-    cache = {}
-    verifier._combiner_pool(channels, cache)
     for profiles in by_streams.values():
-        verifier._profile_nullspaces(profiles, channels, cache)
+        stacked = stacked_nullspaces(channels, profiles)
         for profile in profiles:
-            rows = np.concatenate([verifier._combined(channels, cache, k, b) for k, b in profile], axis=-2)
-            basis, rank = nullspace_basis(rows)
-            assert np.array_equal(cache[profile][0], basis)
-            assert cache[profile][1:] == (table.L - rank.max(), table.L - rank.min())
+            basis, rank = nullspace_basis(profile_rows(channels, profile))
+            assert np.array_equal(stacked[profile][0], basis)
+            assert stacked[profile][1:] == (table.L - rank.max(), table.L - rank.min())
     shapes = []
     monkeypatch.setattr(verifier, "nullspace_basis", lambda A: shapes.append(A.shape) or nullspace_basis(A))
     verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=3)
@@ -232,13 +245,12 @@ def test_stacked_nullspaces_name_the_first_deficient_group(monkeypatch):
         return channels
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
-    channels, cache = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4)), {}
-    verifier._combiner_pool(channels, cache)
-    verifier._profile_nullspaces(profiles_by_outside_streams(table)[2], channels, cache)
-    assert cache[((2, 1), (3, 1))][1:] == (4, 5) and cache[((5, 2),)][1:] == (4, 6)
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4))
+    stacked = stacked_nullspaces(channels, profiles_by_outside_streams(table)[2])
+    assert stacked[((2, 1), (3, 1))][1:] == (4, 5) and stacked[((5, 2),)][1:] == (4, 6)
     with pytest.raises(NullityDeficientError) as want:
         for column in table.columns:
-            build_beamformers(column, channels, cache={})
+            build_beamformers(column, channels)
     with pytest.raises(NullityDeficientError) as got:
         verify_table_numeric(table, trials=4)
     assert str(got.value) == str(want.value) == (
@@ -255,10 +267,10 @@ def test_stacked_nullspaces_without_outside_streams():
     ), delta=1)
     table.validate()
     assert sorted(profiles_by_outside_streams(table)) == [0, 1]
-    channels, cache = ChannelRealization.draw(table.users, table.G, table.L, seed=range(3)), {}
-    verifier._profile_nullspaces([()], channels, cache)
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(3))
+    stacked = stacked_nullspaces(channels, [()])
     basis, _ = nullspace_basis(channels.H[1][..., :0, :])
-    assert np.array_equal(cache[()][0], basis) and cache[()][1:] == (4, 4)
+    assert np.array_equal(stacked[()][0], basis) and stacked[()][1:] == (4, 4)
     rep = verify_table_numeric(table, trials=3, seed=2, tol=1e-300, sigma_tol=1e300)
     max_leakage, leak_at, min_sigma, sigma_at, failures = fold_column_reports(table, 3, 2, 1e-300, 1e300)
     assert (rep.max_leakage, rep.max_leakage_at) == (max_leakage, leak_at)
@@ -350,9 +362,8 @@ def fold_column_reports(table, trials, seed, tol, sigma_tol):
     for first in range(0, trials, TRIAL_BLOCK):
         seeds = range(seed + first, seed + min(first + TRIAL_BLOCK, trials))
         channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
-        cache = {}
         for idx, column in enumerate(table.columns, start=1):
-            solution = build_beamformers(column, channels, cache=cache)
+            solution = build_beamformers(column, channels)
             ((leak, at), (sigma, sat)), found = column_report(channels, solution, tol, sigma_tol)
             failures += [(first + f[0], idx) + f[1:] for f in found]
             if at is not None and (leak_at is None or leak > max_leakage):

@@ -263,6 +263,23 @@ def test_dof_region_csv_and_witnesses(tmp_path, capsys):
         table.validate()
 
 
+def test_dof_region_witness_dir_beside_the_csv(tmp_path, capsys, monkeypatch):
+    """A witness directory outside the CSV's own is named relative to the
+    CSV's directory, so every row's path resolves from there."""
+    monkeypatch.chdir(tmp_path)
+    for out, witness_dir in ((tmp_path / "A" / "region.csv", tmp_path / "B"), (Path("C/region.csv"), Path("D/w"))):
+        out.parent.mkdir(parents=True)
+        code, _, _ = run_cli(capsys, "dof-region", "--L", "11", "--G", "8", "--t", "1",
+                             "--omega", "4", "-o", str(out), "--witness-dir", str(witness_dir))
+        assert code == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 9 and len(list(witness_dir.iterdir())) == 9
+        for row in rows:
+            witness = out.parent / row.split(",")[6]
+            assert witness.resolve().parent == witness_dir.resolve()
+            table_from_json(witness.read_text()).validate()
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("L = 11\nG = 8\nt = 2\nomega = 4  # comment\n")

@@ -7,36 +7,11 @@ from ccsched.errors import MalformedTableError, ParameterError
 from ccsched.model import (
     ScheduleColumn,
     ScheduleTable,
-    SystemParams,
-    cc_gain,
-    column_multiplicities,
     enumerate_groups,
     make_group,
     table_from_json,
     table_to_json,
-    total_subpacketization,
 )
-
-
-def test_cc_gain_examples():
-    assert cc_gain(20, 1, 20) == 1
-    assert cc_gain(20, 2, 20) == 2  # 20*2/20, direct arithmetic
-    with pytest.raises(ParameterError):
-        cc_gain(6, 5, 4)  # 30/4 is not an integer
-
-
-def test_cc_gain_rejects_nonpositive():
-    with pytest.raises(ParameterError):
-        cc_gain(0, 1, 1)
-
-
-def test_system_params_validation():
-    p = SystemParams(K=20, L=10, G=3, N=20, M=1)
-    assert p.t == 1
-    with pytest.raises(ParameterError):
-        SystemParams(K=20, L=0, G=3, N=20, M=1)
-    with pytest.raises(ParameterError):
-        SystemParams(K=4, L=4, G=2, N=4, M=5)  # t+1 > K
 
 
 def test_make_group_canonicalization():
@@ -70,14 +45,14 @@ def test_enumerate_groups_edge_and_errors():
 
 def test_column_multiplicities_example2_column():
     col = ScheduleColumn.of([(1, 2, 3), (1, 2, 4), (3, 4, 5), (2, 3, 5), (1, 4, 5)])
-    theta, beta = column_multiplicities(col, range(1, 6))
+    theta, beta = col.theta(), col.beta(range(1, 6))
     assert all(v == 1 for v in theta.values())
     assert beta == {k: 3 for k in range(1, 6)}
 
 
 def test_column_multiplicities_repeated_group():
     col = ScheduleColumn.of([(1, 2), (1, 2)])
-    theta, beta = column_multiplicities(col, [1, 2, 3])
+    theta, beta = col.theta(), col.beta([1, 2, 3])
     assert theta == {(1, 2): 2}
     assert beta == {1: 2, 2: 2, 3: 0}
 
@@ -85,7 +60,7 @@ def test_column_multiplicities_repeated_group():
 def test_column_multiplicities_foreign_user():
     col = ScheduleColumn.of([(1, 9)])
     with pytest.raises(MalformedTableError):
-        column_multiplicities(col, [1, 2, 3])
+        col.beta([1, 2, 3])
 
 
 def test_counting_identity_random_columns():
@@ -97,7 +72,7 @@ def test_counting_identity_random_columns():
         t = rng.randint(1, omega - 1)
         pool = enumerate_groups(range(1, omega + 1), t)
         col = ScheduleColumn.of(rng.choices(pool, k=rng.randint(1, 12)))
-        theta, beta = column_multiplicities(col, range(1, omega + 1))
+        theta, beta = col.theta(), col.beta(range(1, omega + 1))
         assert sum(beta.values()) == (t + 1) * sum(theta.values())
 
 
@@ -112,14 +87,11 @@ def _toy_table(columns, users=(1, 2, 3, 4, 5), t=1, **kw):
     )
 
 
-def test_total_subpacketization():
-    params = SystemParams(K=5, L=10, G=3, N=5, M=1)
+def test_table_subpacketization():
+    """Theta over the served users: C(omega, t) * delta * delta_tilde."""
     pairs = list(itertools.combinations(range(1, 6), 2))
-    table = _toy_table([pairs], delta=1, delta_tilde=7)
-    assert total_subpacketization(params, table) == math.comb(5, 1) * 7 == 35
-    plain = _toy_table([pairs], delta=1, delta_tilde=1)
-    assert total_subpacketization(params, plain) == math.comb(5, 1)
-    params2 = SystemParams(K=5, L=11, G=6, N=5, M=2)
+    assert _toy_table([pairs], delta=1, delta_tilde=7).subpacketization == math.comb(5, 1) * 7
+    assert _toy_table([pairs], delta=1, delta_tilde=1).subpacketization == math.comb(5, 1)
     table2 = ScheduleTable(
         users=tuple(range(1, 6)),
         t=2,
@@ -129,9 +101,6 @@ def test_total_subpacketization():
         delta=1,
         delta_tilde=8,
     )
-    assert total_subpacketization(params2, table2) == 10 * 8 == 80
-    # Theta over the served users: C(omega, t) * delta * delta_tilde
-    assert table.subpacketization == math.comb(5, 1) * 7
     assert table2.subpacketization == math.comb(5, 2) * 8
 
 

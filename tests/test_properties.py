@@ -10,7 +10,6 @@ from ccsched.errors import InfeasibleMError
 from ccsched.model import (
     ScheduleColumn,
     ScheduleTable,
-    column_multiplicities,
     enumerate_groups,
     table_to_json,
 )
@@ -36,7 +35,7 @@ def test_counting_identity(om_t, data):
     pool = enumerate_groups(range(1, omega + 1), t)
     picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=15))
     col = ScheduleColumn.of(picks)
-    theta, beta = column_multiplicities(col, range(1, omega + 1))
+    theta, beta = col.theta(), col.beta(range(1, omega + 1))
     assert sum(beta.values()) == (t + 1) * sum(theta.values())
     assert all(v >= 1 for v in theta.values())
 

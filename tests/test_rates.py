@@ -13,7 +13,6 @@ from ccsched.rates import (
     sinrs_from_coefficients,
     snr_sweep,
     stream_coefficients,
-    stream_sinrs,
     sweep_to_csv,
     symmetric_rate_from_columns,
 )
@@ -40,7 +39,7 @@ def test_single_user_scalar_channel_sinr():
     ch = ChannelRealization.draw((1,), G=1, L=1, seed=0)
     ch.H[1][:] = 1.0
     sol = build_beamformers(col, ch)
-    sinrs = stream_sinrs(col, ch, sol, power_total=5.0, N0=0.5)
+    sinrs = sinrs_from_coefficients(stream_coefficients(col, ch, sol), len(sol.streams), power_total=5.0, N0=0.5)
     assert len(sinrs) == 1
     assert next(iter(sinrs.values())) == pytest.approx(10.0, rel=1e-12)
 
@@ -57,8 +56,9 @@ def test_perfect_zf_leakage_negligible(ex1_tables):
 def test_doubling_power_doubles_sinr(ex1_tables):
     _, asym = ex1_tables
     col, ch, sol = _solution(asym, 1, seed=22)
-    s1 = stream_sinrs(col, ch, sol, power_total=2.0, N0=1.0)
-    s2 = stream_sinrs(col, ch, sol, power_total=4.0, N0=1.0)
+    coeffs, n = stream_coefficients(col, ch, sol), len(sol.streams)
+    s1 = sinrs_from_coefficients(coeffs, n, power_total=2.0, N0=1.0)
+    s2 = sinrs_from_coefficients(coeffs, n, power_total=4.0, N0=1.0)
     for key in s1:
         assert s2[key] == pytest.approx(2 * s1[key], rel=1e-9)
 
@@ -66,8 +66,9 @@ def test_doubling_power_doubles_sinr(ex1_tables):
 def test_scale_invariance(ex1_tables):
     _, asym = ex1_tables
     col, ch, sol = _solution(asym, 2, seed=23)
-    a = stream_sinrs(col, ch, sol, power_total=3.0, N0=1.0)
-    b = stream_sinrs(col, ch, sol, power_total=30.0, N0=10.0)
+    coeffs, n = stream_coefficients(col, ch, sol), len(sol.streams)
+    a = sinrs_from_coefficients(coeffs, n, power_total=3.0, N0=1.0)
+    b = sinrs_from_coefficients(coeffs, n, power_total=30.0, N0=10.0)
     for key in a:
         assert b[key] == pytest.approx(a[key], rel=1e-12)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ccsched import symmetric
 from ccsched.errors import ParameterError
 from ccsched.model import ScheduleColumn
 from ccsched.symmetric import (
@@ -51,6 +52,25 @@ def test_feasible_beta_set_matches_a_fraction_reference():
                 if min_delta(eta, hat.S_hat) <= DEFAULT_DELTA_MAX
             ]
             assert feasible_beta_set(L, G, t, omega) == want, (L, G, t, omega)
+
+
+def test_feasible_beta_set_scans_no_eta_past_delta_max_times_s_hat(monkeypatch):
+    """min_delta(eta, S_hat) >= eta / S_hat, so the scan stops at delta_max *
+    S_hat whatever the antenna counts, with the sets of the full scan."""
+    calls = []
+    monkeypatch.setattr(symmetric, "min_delta", lambda eta, s_hat: calls.append(eta) or min_delta(eta, s_hat))
+    # (4, 1): beta_hat 1, S_hat 3
+    assert feasible_beta_set(10**9, 10**9, 1, 4) == list(range(1, 13)) + list(range(15, 37, 3))
+    assert len(calls) == DEFAULT_DELTA_MAX * 3
+    for delta_max in (1, 2):
+        for L, G, t in itertools.product(range(1, 31), range(1, 13), range(3)):
+            for omega in range(t + 1, 9):
+                hat = hat_params(omega, t)
+                eta_max = symmetric._eta_bound(L, G, t, omega, hat)
+                want = [eta * hat.beta_hat for eta in range(1, eta_max + 1) if min_delta(eta, hat.S_hat) <= delta_max]
+                calls.clear()
+                assert feasible_beta_set(L, G, t, omega, delta_max) == want, (L, G, t, omega, delta_max)
+                assert len(calls) == min(eta_max, delta_max * hat.S_hat)
 
 
 def test_feasible_beta_set_members_bounded_by_G():
