@@ -12,9 +12,9 @@ can hold) exit 2, construction failures 3, verification failures 4, with a
 machine-readable JSON reason on stderr.
 
 The argument parser is built once per process, on the first call of
-``main``, and reused by every later call.  A command line with ``--config``
-(or one that the shared parser rejects) gets a parser of its own, so a
-config file's values never reach another call.
+``main``, and parses every call.  A config file's values become the
+subcommand's own flags on the command line, so argparse checks them as it
+checks any flag, with the same messages, and they reach no other call.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -37,10 +38,8 @@ from .symmetric import DEFAULT_DELTA_MAX, feasible_beta_set, schedule_symmetric
 from .verifier import decodability_check, verify_table_numeric
 
 
-def load_config(path: str | None) -> dict[str, str]:
+def load_config(path: str) -> dict[str, str]:
     """Flat key = value document mirroring the CLI flags; # starts a comment."""
-    if path is None:
-        return {}
     config = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         if "\0" in raw:  # no file name or flag value holds one
@@ -55,29 +54,23 @@ def load_config(path: str | None) -> dict[str, str]:
     return config
 
 
-def config_defaults(subparser: argparse.ArgumentParser, config: dict[str, str]) -> dict:
-    """Config values cast like the subcommand's flags: each with its flag's
-    type, store_true flags from true/false, choices checked."""
+def config_argv(subparser: argparse.ArgumentParser, config: dict[str, str]) -> list[str]:
+    """Config values as the subcommand's own flags: ``--flag=value``, or the
+    bare switch for ``true`` (nothing for ``false``)."""
     actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
-    defaults = {}
+    argv = []
     for key, value in config.items():
         action = actions.get(key)
         if action is None:
             raise ParameterError(f"unknown config key: {key}")
-        if action.nargs == 0:  # a flag without a value (store_true)
-            if value.lower() not in ("true", "false"):
-                raise ParameterError(f"config key {key}: expected true or false, got {value!r}")
-            defaults[key] = value.lower() == "true"
-            continue
-        try:
-            defaults[key] = action.type(value) if action.type else value
-        except ValueError:
-            raise ParameterError(
-                f"config key {key}: {value!r} is not a valid {action.type.__name__}"
-            ) from None
-        if action.choices is not None and defaults[key] not in action.choices:
-            raise ParameterError(f"config key {key}: {value!r} is not one of {action.choices}")
-    return defaults
+        flag = action.option_strings[-1]  # the long spelling
+        if action.nargs != 0:
+            argv.append(f"{flag}={value}")
+        elif value.lower() not in ("true", "false"):  # a flag without a value (store_true)
+            raise ParameterError(f"config key {key}: expected true or false, got {value!r}")
+        elif value.lower() == "true":
+            argv.append(flag)
+    return argv
 
 
 # SNR grids: a sweep's arrays grow with the point count, and above ~3082 dB
@@ -201,16 +194,7 @@ def cmd_verify(args) -> int:
     report = decodability_check(table)
     doc = {
         "symbolic": "PASS" if report.ok else "FAIL",
-        "witnesses": [
-            {
-                "column": w.column,
-                "condition": w.condition,
-                "subject": list(w.subject),
-                "lhs": w.lhs,
-                "bound": w.bound,
-            }
-            for w in report.witnesses
-        ],
+        "witnesses": [w._asdict() for w in report.witnesses],
         "min_slack": report.min_slack,
     }
     ok = report.ok
@@ -275,84 +259,73 @@ def cmd_rate_sweep(args) -> int:
     return 0
 
 
-def _reproduce_example(name: str, L, G, t, omega, beta, m, expects, outdir) -> list[str]:
-    lines = []
+def _reproduce_example(name: str, L, G, t, omega, beta, m, plan_want, dof, shape, outdir):
     baseline = schedule_symmetric(L, G, t, omega, beta, min_columns=2)
     table, plan, _ = schedule_asymmetric(baseline, m)
-    report = decodability_check(table)
-    checks = {
-        "plan (d, r, delta_tilde, S_tilde)": (plan.d, plan.r, plan.delta_tilde, plan.S_tilde)
-        == expects["plan"],
-        f"dof = {expects['dof']}": dof_of_table(table) == expects["dof"],
-        "columns": (len(table.columns), len(table.columns[0].groups))
-        == expects["shape"],
-        "symbolic check": report.ok,
-    }
     if outdir is not None:
         (outdir / f"{name}.json").write_text(table_to_json(table))
-    for label, ok in checks.items():
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {label}")
-    return lines
+    return [
+        (f"{name}: plan (d, r, delta_tilde, S_tilde)",
+         (plan.d, plan.r, plan.delta_tilde, plan.S_tilde) == plan_want),
+        (f"{name}: dof = {dof}", dof_of_table(table) == dof),
+        (f"{name}: columns", (len(table.columns), len(table.columns[0].groups)) == shape),
+        (f"{name}: symbolic check", decodability_check(table).ok),
+    ]
+
+
+def _reproduce_feasible_sets(outdir):
+    checks = []
+    for (L, G, t, omega), want in (
+        ((11, 8, 2, 4), [3, 6]),
+        ((10, 3, 1, 3), [2]),
+        ((10, 3, 1, 5), [2]),
+        ((10, 3, 1, 10), [1]),
+    ):
+        got = feasible_beta_set(L, G, t, omega)
+        checks.append((f"feasible-set L={L} G={G} t={t} omega={omega}: {got}", got == want))
+    return checks
+
+
+def _reproduce_fig3(outdir):
+    checks = []
+    for (omega, t), (sym_want, asym_want) in {
+        (4, 1): ([4, 8, 12, 16], list(range(4, 21, 2))),
+        (6, 2): ([6, 12, 18], list(range(6, 31, 3))),
+        (8, 3): ([8, 16], list(range(8, 41, 4))),
+    }.items():
+        sym = symmetric_region(11, 8, t, omega)
+        region = asymmetric_region(11, 8, t, omega)
+        asym = list(region.asymmetric_dofs)
+        checks.append((f"region sym omega={omega} t={t}: {sym}", sym == sym_want))
+        checks.append((f"region asym omega={omega} t={t}: {asym}", asym == asym_want))
+        if outdir is not None:
+            for dof, witness in sorted(region.witnesses.items()):
+                path = outdir / f"fig3_omega{omega}_t{t}_dof{dof}.json"
+                path.write_text(table_to_json(witness.table))
+    return checks
+
+
+# each case takes the artifact directory (or None) and returns its (label, passed) checks
+REPRODUCE_CASES = {
+    "example1": partial(_reproduce_example, "example1", 10, 3, 1, 5, 2, 2, (5, 2, 7, 10), 14, (10, 7)),
+    "example2": partial(_reproduce_example, "example2", 11, 6, 2, 5, 3, 3, (5, 3, 8, 10), 24, (10, 8)),
+    "feasible-sets": _reproduce_feasible_sets,
+    "fig3": _reproduce_fig3,
+}
 
 
 def cmd_reproduce(args) -> int:
     outdir = Path(args.output) if args.output else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    cases = ("example1", "example2", "feasible-sets", "fig3") if args.case == "all" else (args.case,)
-    lines: list[str] = []
-    for case in cases:
-        if case == "example1":
-            lines += _reproduce_example(
-                "example1", 10, 3, 1, 5, 2, 2,
-                {"plan": (5, 2, 7, 10), "dof": 14, "shape": (10, 7)}, outdir,
-            )
-        elif case == "example2":
-            lines += _reproduce_example(
-                "example2", 11, 6, 2, 5, 3, 3,
-                {"plan": (5, 3, 8, 10), "dof": 24, "shape": (10, 8)}, outdir,
-            )
-        elif case == "feasible-sets":
-            for (L, G, t, omega), want in (
-                ((11, 8, 2, 4), [3, 6]),
-                ((10, 3, 1, 3), [2]),
-                ((10, 3, 1, 5), [2]),
-                ((10, 3, 1, 10), [1]),
-            ):
-                got = feasible_beta_set(L, G, t, omega)
-                ok = got == want
-                lines.append(
-                    f"{'PASS' if ok else 'FAIL'}  feasible-set L={L} G={G} t={t} omega={omega}: {got}"
-                )
-        elif case == "fig3":
-            targets = {
-                (4, 1): ([4, 8, 12, 16], list(range(4, 21, 2))),
-                (6, 2): ([6, 12, 18], list(range(6, 31, 3))),
-                (8, 3): ([8, 16], list(range(8, 41, 4))),
-            }
-            for (omega, t), (sym_want, asym_want) in targets.items():
-                sym = symmetric_region(11, 8, t, omega)
-                region = asymmetric_region(11, 8, t, omega)
-                ok_sym = sym == sym_want
-                ok_asym = list(region.asymmetric_dofs) == asym_want
-                lines.append(f"{'PASS' if ok_sym else 'FAIL'}  region sym omega={omega} t={t}: {sym}")
-                lines.append(
-                    f"{'PASS' if ok_asym else 'FAIL'}  region asym omega={omega} t={t}: "
-                    f"{list(region.asymmetric_dofs)}"
-                )
-                if outdir is not None:
-                    for dof, witness in sorted(region.witnesses.items()):
-                        path = outdir / f"fig3_omega{omega}_t{t}_dof{dof}.json"
-                        path.write_text(table_to_json(witness.table))
-        else:
-            raise ParameterError(f"unknown reproduce case: {case}")
-    summary = "\n".join(lines) + "\n"
-    overall = "PASS" if all(line.startswith("PASS") for line in lines) else "FAIL"
-    summary += f"{overall}  overall\n"
+    cases = list(REPRODUCE_CASES) if args.case == "all" else [args.case]
+    checks = [check for case in cases for check in REPRODUCE_CASES[case](outdir)]
+    checks.append(("overall", all(ok for _, ok in checks)))
+    summary = "".join(f"{'PASS' if ok else 'FAIL'}  {label}\n" for label, ok in checks)
     sys.stdout.write(summary)
     if outdir is not None:
         (outdir / "summary.txt").write_text(summary)
-    if overall != "PASS":
+    if not checks[-1][1]:
         raise VerificationError("reproduction summary contains failures")
     return 0
 
@@ -427,52 +400,43 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="re-run the bundled reference checks")
     p.add_argument("--config", help="key = value file mirroring the flags")
-    p.add_argument(
-        "--case",
-        choices=["example1", "example2", "feasible-sets", "fig3", "all"],
-        default="all",
-    )
+    p.add_argument("--case", choices=[*REPRODUCE_CASES, "all"], default="all")
     p.add_argument("--seed", type=int, default=0, help=inert_seed)
     p.add_argument("-o", "--output", default=None, help="artifact directory")
     p.set_defaults(func=cmd_reproduce)
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+
+
+# finds --config in a command line; one without a file name is left to parse_args
+_CONFIG_FLAG = _ArgumentParser(prog="ccsched", add_help=False)
+_CONFIG_FLAG.add_argument("--config", nargs="?")
+
+
 def parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse ``argv``; the values of a ``--config`` file become the
-    subcommand's defaults, so explicit flags win and the file may supply
-    required flags.
-
-    ``parser`` is never changed, so it can serve every call: a command line
-    that names a config file, or that ``parser`` rejects, is parsed again on
-    a parser of its own, whose defaults and required flags are then set."""
+    subcommand's own flags, placed right after the subcommand, so argparse
+    types and checks them as it does every flag, explicit flags win and the
+    file may supply required flags.  ``parser`` is never changed, so it can
+    serve every call."""
+    path = _CONFIG_FLAG.parse_known_args(argv)[0].config
+    subcommands = _subcommands(parser)
+    if path is not None and argv[0] in subcommands:
+        argv = [argv[0], *config_argv(subcommands[argv[0]], load_config(path)), *argv[1:]]
     try:
-        args = parser.parse_args(argv)
-        if args.config is None:
-            return args
+        return parser.parse_args(argv)
     except ParameterError:
-        pass
-    parser = make_parser()
-    subcommands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
-    required = [a for p in subcommands.values() for a in p._actions if a.required]
-    try:
-        args = parser.parse_args(argv)
-    except ParameterError:
-        # a required flag may be in the config file: find the file with no
-        # flag required, and fail as before when there is none
-        for action in required:
-            action.required = False
-        args = parser.parse_args(argv)
-        if args.config is None:
-            raise
-    if args.config is None:
-        return args
-    subparser = subcommands[args.command]
-    config = config_defaults(subparser, load_config(args.config))
-    subparser.set_defaults(**config)
-    for action in required:
-        action.required = action.dest not in config
-    return parser.parse_args(argv)
+        # argparse names a missing required flag before an unknown one: name
+        # an unknown one first, found on a parser of its own with none required
+        lenient = make_parser()
+        for subparser in _subcommands(lenient).values():
+            for action in subparser._actions:
+                action.required = False
+        lenient.parse_args(argv)
+        raise
 
 
 def join_snr_grid(argv: list[str]) -> list[str]:
@@ -486,7 +450,7 @@ def join_snr_grid(argv: list[str]) -> list[str]:
     return joined
 
 
-# the parser of every call without a config file, built on the first call
+# the parser of every call, built on the first call
 _PARSER: argparse.ArgumentParser | None = None
 
 

@@ -128,7 +128,7 @@ def _singular(E: np.ndarray) -> list[int]:
     return found
 
 
-def _batch_sinrs(plan: _TablePlan, layout: _KernelLayout, kernel, T: int, powers, N0: float):
+def _batch_sinrs(plan: _TablePlan, layout: _KernelLayout, kernel, T: int, powers):
     """Bottleneck SINR of every (grid point, column, trial) of a batch and a
     trial block of T trials, (P, C, T), from the kernel's gains (``kernel``):
     per stream set and stream count, one inverse of the stacked effective
@@ -168,22 +168,22 @@ def _batch_sinrs(plan: _TablePlan, layout: _KernelLayout, kernel, T: int, powers
         raise VerificationError(f"singular effective matrix at user {plan.users[min(singular)[1]]}")
     streams_per_column = np.array([len(plan.columns[c]) for c in layout.columns.tolist()])
     p = (powers[:, None] / streams_per_column)[:, :, None, None, None]
-    return np.where(cells, p / (N0 * noise + p * leak), np.inf).min(axis=(-2, -1))
+    return np.where(cells, p / (noise + p * leak), np.inf).min(axis=(-2, -1))
 
 
-def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: int, N0: float) -> np.ndarray:
+def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """Rate of every (power, trial, column), (P, trials, C): log2(1 + SINR) of
     the column's bottleneck stream on its own draw of each trial, with
-    ``powers`` the total transmit powers.  An empty column raises
-    ParameterError before any draw; a degenerate draw, the first error in
-    scan order: trial block, batch, the nullspaces (column, then group), then
-    the effective matrices (column, then user)."""
+    ``powers`` the total transmit powers over a unit noise power.  An empty
+    column raises ParameterError before any draw; a degenerate draw, the
+    first error in scan order: trial block, batch, the nullspaces (column,
+    then group), then the effective matrices (column, then user)."""
     if not all(column.groups for column in table.columns):
         raise ParameterError("column has no scheduled streams")
     rates = np.empty((len(powers), trials, len(table.columns)))
 
     def store(plan, block, layout, kernel):
-        sinrs = _batch_sinrs(plan, layout, kernel, len(block), powers, N0)
+        sinrs = _batch_sinrs(plan, layout, kernel, len(block), powers)
         # math.log2, as the rate of one column was taken
         rate = np.reshape([math.log2(1.0 + s) for s in sinrs.ravel().tolist()], sinrs.shape)
         rates[:, block.start : block.stop, layout.columns] = rate.swapaxes(1, 2)
@@ -192,14 +192,9 @@ def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: in
     return rates
 
 
-def snr_sweep(
-    table: ScheduleTable,
-    snr_grid_db,
-    trials: int = 200,
-    seed: int = 0,
-    N0: float = 1.0,
-) -> list[RatePoint]:
-    """Average symmetric rate across random channels for every SNR point.
+def snr_sweep(table: ScheduleTable, snr_grid_db, trials: int = 200, seed: int = 0) -> list[RatePoint]:
+    """Average symmetric rate across random channels for every SNR point,
+    the total transmit power over a unit noise power.
 
     Channel draws are shared across the grid (paired sampling) and the SINR
     coefficients are computed once per (trial, column), so each per-column
@@ -217,8 +212,8 @@ def snr_sweep(
     snr_grid_db = [float(s) for s in snr_grid_db]
     n_users = len(table.users)
     theta = table.subpacketization
-    powers = np.array([N0 * 10.0 ** (s / 10.0) for s in snr_grid_db])
-    rates = column_rates(table, powers, trials, seed, N0)
+    powers = np.array([10.0 ** (s / 10.0) for s in snr_grid_db])
+    rates = column_rates(table, powers, trials, seed)
     # symmetric_rate_from_columns of every trial: a sequential cumsum sums
     # left to right, as sum() does
     with np.errstate(divide="ignore"):

@@ -676,7 +676,7 @@ def assert_sweep_matches_reference(table, trials, seed):
     """Every rate and every rate point, bit for bit."""
     grid = [0.0, 17.0, 35.0]
     powers = np.array([10.0 ** (s / 10.0) for s in grid])
-    got = column_rates(table, powers, trials, seed, 1.0)
+    got = column_rates(table, powers, trials, seed)
     assert got.tobytes() == reference_rates(table, powers, trials, seed).tobytes()
     assert snr_sweep(table, grid, trials=trials, seed=seed) == reference_sweep(table, grid, trials, seed)
 
@@ -713,7 +713,7 @@ def test_sweep_batch_width_is_the_budget_over_the_block(monkeypatch, trials, wid
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(spy))
-    column_rates(table, np.array([1.0]), trials, seed, 1.0)
+    column_rates(table, np.array([1.0]), trials, seed)
     C, block = len(table.columns), min(trials, TRIAL_BLOCK)
     for first in range(0, trials, TRIAL_BLOCK):
         trials_in_block = list(range(first, min(first + TRIAL_BLOCK, trials)))
@@ -920,10 +920,10 @@ def test_sweep_is_bit_for_bit_the_same_on_worker_threads(monkeypatch, trials):
     for table in example1_tables():
         with pytest.MonkeyPatch.context() as patch:
             serial_threads = use_workers(patch, 0)
-            serial = column_rates(table, powers, trials, 42, 1.0)
+            serial = column_rates(table, powers, trials, 42)
         with pytest.MonkeyPatch.context() as patch:
             threaded_threads = use_workers(patch, 1)
-            threaded = column_rates(table, powers, trials, 42, 1.0)
+            threaded = column_rates(table, powers, trials, 42)
         assert serial.tobytes() == threaded.tobytes()
         assert {name for name, _ in serial_threads} == {threading.main_thread().name}
         assert {name for name, _ in threaded_threads} == {threading.main_thread().name, "ccsched-kernel"}
@@ -949,12 +949,12 @@ def test_more_workers_than_cores_give_the_serial_bits(monkeypatch):
     powers = np.array([1.0, 10.0**3.5])
     with pytest.MonkeyPatch.context() as patch:
         use_workers(patch, 0)
-        serial = column_rates(table, powers, 40, 7, 1.0)
+        serial = column_rates(table, powers, 40, 7)
     factored = use_workers(monkeypatch, verifier._worker_count() + 2)
     got, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run = threading.Thread(target=lambda: got.append(column_rates(table, powers, 40, 7, 1.0)))
+        run = threading.Thread(target=lambda: got.append(column_rates(table, powers, 40, 7)))
         run.start()
         run.join(timeout=60)
     finally:

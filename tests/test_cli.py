@@ -339,6 +339,38 @@ def test_config_badly_typed_value_exits_2(tmp_path, capsys, line):
     assert error["type"] == "ParameterError" and line.split()[0] in error["reason"]
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("verify", "trials", "many"),
+    ("verify", "tol", "small"),
+    ("schedule", "mode", "both"),
+])
+def test_config_value_gets_its_flags_reason(tmp_path, capsys, command, key, value):
+    """A bad config value is refused with the message its flag gets."""
+    base = {
+        "verify": ["--table", str(DATA / "example1_dof14.json")],
+        "schedule": ["--L", "10", "--G", "3", "--t", "1", "--omega", "5"],
+    }[command]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *base)
+    assert code == 2 and out == ""
+    code, _, flag_err = run_cli(capsys, command, f"--{key}", value, *base)
+    assert code == 2
+    assert json.loads(err)["error"] == json.loads(flag_err)["error"]
+    assert f"argument --{key}: invalid" in json.loads(err)["error"]["reason"]
+
+
+def test_config_value_with_a_leading_dash(tmp_path, capsys):
+    """A config value that starts with "-" is a value, not a flag."""
+    table = str(DATA / "example1_dof14.json")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("snr = -10:5:30\n")
+    code, out, _ = run_cli(capsys, "rate-sweep", "--config", str(cfg), "--table", table, "--trials", "3")
+    assert code == 0
+    code, want, _ = run_cli(capsys, "rate-sweep", "--snr=-10:5:30", "--table", table, "--trials", "3")
+    assert code == 0 and out == want and out.split("\n")[1].startswith("-10,")
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 3\n")
@@ -535,6 +567,22 @@ def test_reproduce_example2(tmp_path, capsys):
     assert "FAIL" not in out
     table = table_from_json((tmp_path / "art" / "example2.json").read_text())
     assert table.delta_tilde == 8 and len(table.columns) == 10
+
+
+def test_reproduce_failed_check_exits_4(tmp_path, monkeypatch, capsys):
+    """A failed check gets a FAIL line, and so does the overall verdict,
+    on stdout and in summary.txt."""
+    monkeypatch.setattr(cli, "feasible_beta_set", lambda L, G, t, omega: [2])
+    code, out, err = run_cli(capsys, "reproduce", "--case", "feasible-sets", "-o", str(tmp_path))
+    assert code == 4 and json.loads(err)["error"]["type"] == "VerificationError"
+    assert out.splitlines() == [
+        "FAIL  feasible-set L=11 G=8 t=2 omega=4: [2]",
+        "PASS  feasible-set L=10 G=3 t=1 omega=3: [2]",
+        "PASS  feasible-set L=10 G=3 t=1 omega=5: [2]",
+        "FAIL  feasible-set L=10 G=3 t=1 omega=10: [2]",
+        "FAIL  overall",
+    ]
+    assert (tmp_path / "summary.txt").read_text() == out
 
 
 def test_reproduce_determinism(tmp_path, capsys):
