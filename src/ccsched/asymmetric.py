@@ -334,7 +334,7 @@ def assemble_table(
 
 def dof_of_table(table: ScheduleTable) -> int | list[int]:
     """Per-column total stream count; the per-column vector if not uniform."""
-    sums = [ColumnLoad(table.L, table.G, col.groups).n for col in table.columns]
+    sums = [sum(map(len, col.groups)) for col in table.columns]
     if not sums:
         raise ParameterError("table has no columns")
     if len(set(sums)) == 1:

@@ -41,7 +41,6 @@ from .symmetric import (
     DEFAULT_DELTA_MAX,
     build_base_partition,
     feasible_beta_set,
-    plan_symmetric,
     schedule_symmetric,
 )
 from .verifier import decodability_check
@@ -209,12 +208,13 @@ def asymmetric_region(
     for beta in betas:
         dof_ref = omega * beta
         sym_dofs.append(dof_ref)
+        symmetric = schedule_symmetric(L, G, t, omega, beta, budget.delta_max, base=base)
         if dof_ref not in witnesses:
-            table = schedule_symmetric(L, G, t, omega, beta, budget.delta_max, base=base)
-            witnesses[dof_ref] = DofWitness("sym", beta, 0, dof_ref, table)
-        B = plan_symmetric(L, G, t, omega, beta, budget.delta_max).B
+            witnesses[dof_ref] = DofWitness("sym", beta, 0, dof_ref, symmetric)
+        B = len(symmetric.columns[0])
         m_cap = min(max_additions(G, beta, omega, t), L - 1 - B)
-        baseline = None
+        # the donor greedy needs two columns; a table of one is rebuilt with more
+        baseline = symmetric if len(symmetric.columns) >= 2 else None
         for m in range(1, m_cap + 1):
             dof = dof_ref + m * (t + 1)
             if dof in witnesses:

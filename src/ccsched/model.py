@@ -195,6 +195,9 @@ def table_from_json(text: str) -> ScheduleTable:
     ):
         raise MalformedTableError("table field 'columns' must list columns of integer groups")
     users = tuple(sorted(doc["users"]))
+    repeated = [k for k, j in zip(users, users[1:]) if k == j]
+    if repeated:
+        raise MalformedTableError(f"user {repeated[0]} repeats in the user list")
     if len(users) != doc["omega"]:
         raise MalformedTableError("omega does not match the user list")
     t = doc["t"]

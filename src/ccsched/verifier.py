@@ -29,10 +29,12 @@ and layout, the driver draws the channels and hands the kernel,
 The kernel takes one combined channel per (user, stream count), one stacked
 nullspace SVD per (draw, outside-stream count) over the outside-user
 profiles present, and one direction library, and yields every stream set's
-own and cross gains.  The margin scan's conditioning margin is screened: a
-batched inverse bounds every effective matrix's smallest singular value
-from both sides, and LAPACK's SVD runs only on the matrices that can be
-the minimum or can fail, so the report is exactly the one a full SVD gives.
+own and cross gains from beams in C order, the one layout of a column's
+own stack (``BeamformerSolution.stacked``), as a BLAS product rounds by
+layout.  The margin scan's conditioning margin is screened: a batched
+inverse bounds every effective matrix's smallest singular value from both
+sides, and LAPACK's SVD runs only on the matrices that can be the minimum
+or can fail, so the report is exactly the one a full SVD gives.
 
 The kernel's nullspace SVDs run on every usable core.  A run opens one
 ``concurrent.futures.ThreadPoolExecutor``, imported only then, of one
@@ -350,8 +352,8 @@ def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
 
 class BeamformerSolution(NamedTuple):
     """Receive combiners and transmit beamformers for one column: ``stacked``
-    is (..., L, n), one beamformer per stream in ``streams`` (group, instance)
-    order, and ``beams[g]`` is the (..., L, theta_g) block of group g."""
+    is (..., L, n) in C order, one beamformer per stream in ``streams`` order,
+    and ``beams[g]`` is the (..., L, theta_g) block of group g."""
 
     combiners: dict[int, np.ndarray]
     beams: dict[Group, np.ndarray]
@@ -409,7 +411,7 @@ def build_beamformers(column: ScheduleColumn, channels: ChannelRealization) -> B
     streams = tuple((g, inst) for g in sorted(theta) for inst in range(theta[g]))
     batch = channels.H[users[0]].shape[:-2]
     stacked = np.concatenate([beams[g] for g in sorted(theta)] or [np.zeros(batch + (L, 0))], axis=-1)
-    return BeamformerSolution(combiners, beams, nullities, dict(beta), streams, stacked)
+    return BeamformerSolution(combiners, beams, nullities, dict(beta), streams, np.ascontiguousarray(stacked))
 
 
 class NumericReport(NamedTuple):
@@ -437,18 +439,13 @@ def effective_matrix(
 
 
 class _StreamSet(NamedTuple):
-    """The columns of one batch with the same number n of streams and the
-    same layout of beams."""
+    """The columns of one batch with the same number n of streams."""
 
     columns: np.ndarray  # (C,) 0-based column indices
     # (C, n) every stream's outside-user profile, and its instance: the
     # profile's direction that its beam takes
     profiles: np.ndarray
     instances: np.ndarray
-    # the layout of each column's own stack of beams (BeamformerSolution.stacked):
-    # np.concatenate makes L the fast axis when a group repeats and C order
-    # otherwise, and a BLAS product rounds by layout, so the set's beams follow it
-    l_fast: bool
     # per (user position u, stream count b > 0): the rows of the R columns
     # that give the user b streams (a slice when all do), arange(R)[:, None],
     # and the indices of its own (R, b) and cross (R, n - b) streams, each in
@@ -464,10 +461,9 @@ class _TablePlan(NamedTuple):
     # per run of equal groups in a column, in scan order: the column, the
     # run's first position in it, its profile and its theta
     runs: np.ndarray
-    # per outside-user profile: its (user, stream count) pairs and the most
-    # instances any of its groups takes, and the latter and the profile's
-    # outside-stream count as (P,) arrays
-    directions: tuple[tuple[tuple, int], ...]
+    # per outside-user profile: its (user, stream count) pairs, and as (P,)
+    # arrays the most instances any of its groups takes and its outside-stream count
+    directions: tuple[tuple, ...]
     take: np.ndarray
     outside: np.ndarray
     sets: tuple[_StreamSet, ...]
@@ -481,8 +477,7 @@ def _batch_columns(trials: int) -> int:
 def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
     """Stream order, outside-user profiles and per-(user, stream count) index
     arrays of every column, in array passes over the table's group slots;
-    batches of ``width`` columns are split into stream sets by stream total
-    and layout."""
+    batches of ``width`` columns are split into stream sets by stream total."""
     cols = tuple(tuple(sorted(c.groups)) for c in columns)
     U, n = len(users), np.array([len(c) for c in cols], dtype=np.intp)
     slots = [g for c in cols for g in c]
@@ -516,14 +511,11 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
     starts = np.cumsum(n) - n
     runs = np.stack([col[heads], heads - starts[col[heads]], pid, theta], axis=1)
     profile, instance = pid[run], np.arange(len(slots)) - heads[run]
-    l_fast = np.zeros(len(cols), dtype=bool)
-    l_fast[col[heads[theta > 1]]] = True
     step, sets = int(beta.max(initial=0)) + 1, []
     for c0 in range(0, len(cols), width):
         block = np.arange(c0, min(c0 + width, len(cols)))
-        kind = 2 * n[block] + l_fast[block]
-        for total, fast in (divmod(k, 2) for k in sorted(set(kind.tolist()))):
-            rows_all = block[kind == 2 * total + fast]
+        for total in sorted(set(n[block].tolist())):
+            rows_all = block[n[block] == total]
             stream = starts[rows_all][:, None] + np.arange(total)
             # (user, row) pairs with streams, by user and stream count, rows ascending
             pair_user, pair_row = np.nonzero(beta[rows_all].T)
@@ -539,19 +531,16 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
                 at = slice(None) if hi - lo == len(rows_all) else pair_row[lo:hi]
                 entries.append((user, b, at, r[: hi - lo], order[lo:hi, :b], order[lo:hi, b:]))
             if entries:
-                sets.append(_StreamSet(rows_all, profile[stream], instance[stream], bool(fast), tuple(entries)))
-    return _TablePlan(users, cols, runs, tuple(zip(keys, take.tolist())), take, outside[by[new]].sum(axis=1), tuple(sets))
+                sets.append(_StreamSet(rows_all, profile[stream], instance[stream], tuple(entries)))
+    return _TablePlan(users, cols, runs, tuple(keys), take, outside[by[new]].sum(axis=1), tuple(sets))
 
 
-def _stream_beams(library: np.ndarray, index: np.ndarray, l_fast: bool) -> np.ndarray:
-    """The (C, trials, L, n) beams of C columns with n streams each, gathered
-    from a contiguous (trials, direction, L) library by their (C, n)
-    direction ``index``, in the layout of each column's own stack
-    (_StreamSet.l_fast)."""
+def _stream_beams(library: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The (C, trials, L, n) beams of C columns with n streams each, in C
+    order as ``BeamformerSolution.stacked``, gathered from a contiguous
+    (trials, direction, L) library by their (C, n) direction ``index``."""
     trials, directions, L = library.shape
     rows = index[:, None, :] + np.arange(trials)[:, None] * directions  # (C, trials, n)
-    if l_fast:
-        return library.reshape(-1, L)[rows].swapaxes(-1, -2)
     return library.ravel()[rows[:, :, None, :] * L + np.arange(L)[:, None]]
 
 
@@ -602,7 +591,7 @@ def _kernel_layout(plan: _TablePlan, sets, draw: np.ndarray) -> _KernelLayout:
     offset = np.zeros((D, len(plan.directions)), dtype=np.intp)  # where each pair's directions start
     stacks, seen = [], 0
     for (d, r), profiles in pairs.items():
-        rows = [[first[k, b] + i for k, b in plan.directions[p][0] for i in range(b)] for p in profiles]
+        rows = [[first[k, b] + i for k, b in plan.directions[p] for i in range(b)] for p in profiles]
         m = int(plan.take[profiles].max())
         offset[d, profiles] = seen + m * np.arange(len(profiles))
         seen += m * len(profiles)
@@ -710,7 +699,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
             _check_nullity(plan.columns[c][at], theta, *nullity[int(layout.draw[c]), p], L - int(plan.outside[p]))
     for streams, draws, index in layout.sets:
         # no reference to the beams here: the entries' generator frees them
-        yield streams, _set_gains(plan, streams, _stream_beams(library, index, streams.l_fast), combined, draws)
+        yield streams, _set_gains(plan, streams, _stream_beams(library, index), combined, draws)
 
 
 def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, reduce) -> None:

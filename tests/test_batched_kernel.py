@@ -132,6 +132,17 @@ def test_batch_matches_single_draws(example_tables, name, seeds):
         assert reports[at["trial"]].max_leakage_at == dict(at, trial=0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, (0, 1, 2)])
+def test_reference_stack_of_beams_is_c_ordered(seed):
+    """A column's own stack of beams is in C order, the kernel's one layout,
+    also when a group repeats, where concatenating the groups' blocks makes L
+    the fast axis; a single draw and a batch alike."""
+    column = ScheduleColumn.of([(1, 2), (1, 2), (3, 4)])
+    channels = ChannelRealization.draw((1, 2, 3, 4), G=2, L=6, seed=seed)
+    stacked = build_beamformers(column, channels).stacked
+    assert stacked.shape[-2:] == (6, 3) and stacked.flags.c_contiguous
+
+
 def test_nullspace_basis_batch_matches_single_matrices():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 3, 7)) + 1j * rng.standard_normal((6, 3, 7))
@@ -185,7 +196,7 @@ def test_table_scan_names_the_first_deficient_group(monkeypatch):
 def profiles_by_outside_streams(table):
     plan = verifier._plan_table(table.columns, tuple(sorted(table.users)), 1)
     by_streams = {}
-    for profile, _ in plan.directions:
+    for profile in plan.directions:
         by_streams.setdefault(sum(b for _, b in profile), []).append(profile)
     return by_streams
 

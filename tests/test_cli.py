@@ -633,6 +633,22 @@ def test_huge_antenna_count_exits_2(tmp_path, capsys, command, field):
     assert error["type"] == "MemoryError" and error["reason"].startswith("Unable to allocate")
 
 
+@pytest.mark.parametrize("command", ["verify", "rate-sweep"])
+def test_repeated_user_exits_2(tmp_path, capsys, command):
+    """Example 1's table with user 5 listed twice and omega 6 would take
+    theta 42 instead of 35; the parser refuses it."""
+    doc = json.loads((DATA / "example1_dof14.json").read_text())
+    doc["users"].append(5)
+    doc["omega"] = 6
+    table = tmp_path / "repeated.json"
+    table.write_text(json.dumps(doc))
+    argv = [command, "--table", str(table), "--trials", "4"] + (["--numeric"] if command == "verify" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error == {"type": "MalformedTableError", "reason": "user 5 repeats in the user list"}
+
+
 def test_memory_error_without_a_message_exits_2(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -124,7 +126,6 @@ def test_json_roundtrip():
 
 
 def test_json_schema_fields():
-    import json
 
     pairs = list(itertools.combinations(range(1, 6), 2))
     doc = json.loads(table_to_json(_toy_table([pairs], delta_tilde=1)))
@@ -169,3 +170,13 @@ def test_json_reports_the_first_bad_group_of_a_column():
         table_from_json(head + '"columns":[[[1,2]],[[1,2],[4,1],[1,4]]]}')
     table = table_from_json(head + '"columns":[[[2,1],[1,2]],[[3,1],[1,2]]]}')
     assert [c.groups for c in table.columns] == [((1, 2), (1, 2)), ((1, 2), (1, 3))]
+
+
+def test_json_rejects_a_repeated_user():
+    """A user listed twice would count twice in omega and in the served set's
+    rates; the parser names it instead."""
+    doc = json.loads((Path(__file__).parent / "data" / "example1_dof14.json").read_text())
+    doc["users"].append(5)
+    doc["omega"] = 6
+    with pytest.raises(MalformedTableError, match="user 5 repeats in the user list"):
+        table_from_json(json.dumps(doc))
