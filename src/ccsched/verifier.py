@@ -38,18 +38,21 @@ or can fail, so the report is exactly the one a full SVD gives.
 
 The kernel's nullspace SVDs run on every usable core.  A run opens one
 ``concurrent.futures.ThreadPoolExecutor``, imported only then, of one
-thread per usable core but the calling one's (``_worker_count``).  A kernel
-call of at least THREAD_MATRICES matrices hands whole (draw, outside-stream
-count) stacks to the calling thread and the pool, balanced by matrix count;
-a smaller call, or a run on one core, stays on the calling thread.  A stack
-is never split, and LAPACK factors each matrix on its own, so every basis
-and rank, the nullity check's scan order, and any error are the serial
-loop's, bit for bit.  A pool thread starts with its first share, none on
-one core, and every one is joined before the run returns or raises.
+thread per usable core (``_worker_count``), or none on one core.  A kernel
+call of two or more (draw, outside-stream count) stacks and at least
+THREAD_MATRICES matrices maps its whole stacks over the pool, which queues
+and balances them, while the calling thread waits; any other call loops
+over its stacks on the calling thread.  A stack is never split, and LAPACK
+factors each matrix on its own, so every basis and rank, the nullity
+check's scan order, and any error are the loop's, bit for bit.  The pool's
+threads start at the run's first mapped call, at most one per usable
+core, and every one is joined before the run returns or raises, whether
+the kernel or the caller's reduction raised.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -73,6 +76,12 @@ TRIAL_BLOCK = 32
 # 512: 18 % at 6 % more), and against 2 columns 5 % of the 200-trial sweep
 # at 4 % more.  The conditioning screen inverts about this many at a time.
 BATCH_COLUMN_TRIALS = 256
+# the most complex entries a numeric run's trial block may hold in its channel
+# draws and combiner pools (users x G x (L + G) per draw) and its kernel
+# calls' L x L nullspace SVD factors, about 0.8 GB at 16 bytes an entry: a
+# table whose antenna counts need more is refused before the first draw
+# (_numeric_run).  The tables of the tests and the benchmark hold under 10**6.
+MAX_KERNEL_ENTRIES = 5 * 10**7
 # the conditioning screen (_MarginScan._sigma_min): the relative margin by
 # which a cell's lower bound must clear the threshold to skip its SVD, and the
 # largest estimated condition number at which that bound is trusted
@@ -82,13 +91,17 @@ SCREEN_CEILING = 1e6
 # bulk hash costs about 0.1 ms of numpy calls however many seeds it takes,
 # and saves about 10 us per seed over default_rng
 BULK_SEEDS = 16
-# the fewest matrices a kernel call's nullspace SVDs must hold to be split
-# across threads (_stack_nullspaces).  On 2 cores, a worker's first share in
-# a run takes about 400 us more than on the calling thread (the thread's
-# start, OpenBLAS's set-up at its first LAPACK call, and the join), a later
-# one about 20 us more, and the cheapest kernel matrix (one outside stream,
-# L = 10) about 3 us; a split moves at most half of a call's matrices off
-# the calling thread, so below about 2 x 400 / 3 matrices it may not pay
+# the fewest matrices a kernel call's nullspace SVDs must hold to be mapped
+# over the pool (_stack_nullspaces): every stack of a mapped call goes to the
+# pool, and a run's first mapped call starts its threads.  On 2 cores, a
+# matrix takes about 20 us, the threads' start about 0.1 ms, and a stack's
+# handoff up to about 0.2 ms.  Timed call by call on the two workloads'
+# tables, pooled against serial, floors from 0 to 256 gave the same totals
+# within 3 ms: 432-434 ms against 693 ms serial over the 35 calls of the
+# 200-trial Example 1 sweeps (80 to 1792 matrices), and 46-48 ms against
+# 48 ms over the 27 of the 4-trial Fig. 3 oracle (16 to 840).  So the floor
+# stays at 256: a lower one gains nothing measurable, and would start the
+# threads, and their memory, in most oracle runs instead of one in 27
 THREAD_MATRICES = 256
 
 
@@ -601,95 +614,69 @@ def _kernel_layout(plan: _TablePlan, sets, draw: np.ndarray) -> _KernelLayout:
 
 
 def _worker_count() -> int:
-    """The threads that share the kernel's nullspace SVDs with the calling
-    one: one per usable core but its own."""
+    """The threads of the kernel's pool: one per usable core, or none on
+    one core, where the calling thread factors every stack."""
     try:
-        return len(os.sched_getaffinity(0)) - 1
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
-        return (os.cpu_count() or 1) - 1
+        cores = os.cpu_count() or 1
+    return cores if cores > 1 else 0
 
 
-def _shares(sizes: list[int], count: int) -> list[list[int]]:
-    """``count`` lists of stack indices, each ascending, that split stacks of
-    ``sizes`` matrices evenly: the largest first, each to the least loaded."""
-    shares, load = [[] for _ in range(count)], [0] * count
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        j = load.index(min(load))
-        shares[j].append(i)
-        load[j] += sizes[i]
-    return [sorted(share) for share in shares]
+def _stack_nullspaces(rows: np.ndarray, stacks, pool) -> tuple[np.ndarray, list]:
+    """The (trials, direction, L) direction library of every (draw,
+    outside-stream count) stack, in stack order, and each stack's ranks.
 
-
-def _share_nullspaces(rows: np.ndarray, stacks, share: list[int], library: np.ndarray, starts: list[int]) -> dict:
-    """Factor every stack in ``share``, in order, up to the first that
-    raises: each writes its profiles' leading directions to its part of the
-    direction ``library``, from ``starts``, and maps its index to its ranks,
-    or to its error."""
+    A call of two or more stacks and at least THREAD_MATRICES matrices maps
+    its stacks over the ``pool``, when there is one, while the calling
+    thread waits; any other call loops over them on the calling thread (a
+    single stack has nothing to share, and a handoff alone costs).  No
+    stack is split, and LAPACK factors each matrix on its own, so every
+    basis and rank is the loop's, bit for bit.  ``map`` yields in stack
+    order and raises the first error in stack order, the one the loop
+    raises, after cancelling the stacks not yet started."""
     T, L = rows.shape[1], rows.shape[-1]
-    done = {}
-    for i in share:
+    starts = np.cumsum([0] + [len(index) * m for _, _, index, m in stacks]).tolist()
+    library = np.empty((T, starts[-1], L), dtype=rows.dtype)
+
+    def factor(i: int) -> np.ndarray:
         d, _, index, m = stacks[i]
-        try:
-            # one SVD of the (P, T, r, L) stack of the profiles' outside combined channels
-            basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1))
-        except Exception as error:
-            done[i] = error
-            break
+        # one SVD of the (P, T, r, L) stack of the profiles' outside combined channels
+        basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1))
         # (trials, profile, direction, L), each direction contiguous; a basis
         # narrower than m directions fails the nullity check before any is used
         k = min(m, basis.shape[-1])
         part = library[:, starts[i] : starts[i + 1]].reshape(T, len(index), m, L)
         part[:, :, :k] = basis[..., :k].swapaxes(-1, -2).swapaxes(0, 1)
-        done[i] = rank
-    return done
+        return rank
+
+    matrices = T * sum(len(index) for _, _, index, _ in stacks)
+    split = pool is not None and len(stacks) > 1 and matrices >= THREAD_MATRICES
+    return library, list((pool.map if split else map)(factor, range(len(stacks))))
 
 
-def _stack_nullspaces(rows: np.ndarray, stacks, workers: list) -> tuple[np.ndarray, list]:
-    """The (trials, direction, L) direction library of every (draw,
-    outside-stream count) stack, in stack order, and each stack's ranks.  A
-    call of at least THREAD_MATRICES matrices hands whole stacks to the
-    calling thread and the ``workers``, one pool ``submit`` per worker
-    thread, balanced by matrix count; LAPACK factors each matrix on its own,
-    so every basis is the one the serial loop gives, bit for bit.  The first
-    error in stack order is raised, as the serial loop raises it."""
-    T, L = rows.shape[1], rows.shape[-1]
-    sizes = [len(index) * T for _, _, index, _ in stacks]
-    starts = np.cumsum([0] + [len(index) * m for _, _, index, m in stacks]).tolist()
-    library = np.empty((T, starts[-1], L), dtype=rows.dtype)
-    shares = _shares(sizes, len(workers) + 1 if sum(sizes) >= THREAD_MATRICES else 1)
-    futures = [submit(_share_nullspaces, rows, stacks, share, library, starts)
-               for submit, share in zip(workers, shares[1:]) if share]
-    done = _share_nullspaces(rows, stacks, shares[0], library, starts)
-    for future in futures:
-        done.update(future.result())
-    for i in range(len(stacks)):  # a share stops at its first error, before any stack it skips
-        if isinstance(done[i], Exception):
-            raise done[i]
-    return library, [done[i] for i in range(len(stacks))]
-
-
-def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization, workers: list):
+def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization, pool):
     """The numeric kernel of a batch of stream sets and a trial block, whose
     channels stack the layout's draws: every set with its entries' gains
     (``_set_gains``), from one combined channel per (user, stream count),
-    one nullspace SVD per (draw, outside-stream count), shared with the
-    ``workers`` (``_stack_nullspaces``), and one direction library.  LAPACK
-    and BLAS see each matrix on its own and in the layout of its one-column
-    product, so every gain is the one-column one, bit for bit.  Before any
-    gain, raises NullityDeficientError at the first run of groups in scan
-    order (column, then group) whose nullspace is not the rank-nullity value
-    in every trial or cannot host its instances."""
-    pool = channels.haar_combiner_pool()
+    one nullspace SVD per (draw, outside-stream count), mapped over the
+    ``pool`` when it pays (``_stack_nullspaces``), and one direction
+    library.  LAPACK and BLAS see each matrix on its own and in the layout
+    of its one-column product, so every gain is the one-column one, bit for
+    bit.  Before any gain, raises NullityDeficientError at the first run of
+    groups in scan order (column, then group) whose nullspace is not the
+    rank-nullity value in every trial or cannot host its instances."""
+    combiners = channels.haar_combiner_pool()
     if not layout.sets:
         return
     L, D = channels.L, layout.draws
     T = len(channels.H[plan.users[0]]) // D
     # (D, T, row, L): the entries' combined channels, which hold every profile's
-    rows = np.concatenate([_hermitian(pool[k][..., :b]) @ channels.H[k] for k, b, _ in layout.combined], axis=1)
+    rows = np.concatenate([_hermitian(combiners[k][..., :b]) @ channels.H[k] for k, b, _ in layout.combined], axis=1)
     rows = rows.reshape(D, T, -1, L)
-    del channels, pool  # frees the draw, when the caller keeps no reference to it
+    del channels, combiners  # frees the draw, when the caller keeps no reference to it
     combined = {(k, b): rows[:, :, i : i + b] for k, b, i in layout.combined}
-    library, ranks = _stack_nullspaces(rows, layout.stacks, workers)
+    library, ranks = _stack_nullspaces(rows, layout.stacks, pool)
     if any((rank != index.shape[1]).any() or m > L - index.shape[1] for rank, (_, _, index, m) in zip(ranks, layout.stacks)):
         # raise at the first run of groups, in scan order, that a failing
         # (draw, profile) pair shapes, with the pair's smallest and largest nullity
@@ -707,7 +694,10 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
     docstring describes: one draw per trial shared by every column if
     ``shared``, else one per (trial, column).  Per trial block and layout,
     calls ``reduce(plan, block, layout, kernel)`` with the block's range of
-    trials and the kernel's generator of stream sets and gains."""
+    trials and the kernel's generator of stream sets and gains.  Before
+    any draw, raises ParameterError if a trial block's channel draws,
+    combiner pools and nullspace SVD factors would hold more than
+    MAX_KERNEL_ENTRIES complex entries."""
     users, width = tuple(sorted(table.users)), _batch_columns(trials)
     plan = _plan_table(table.columns, users, width)
     if shared:
@@ -718,19 +708,25 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
             batches.setdefault(int(streams.columns[0]) // width, []).append(streams)
         draw = np.arange(len(plan.columns)) % width  # one draw per column of a batch
         layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
+    G, L = table.G, table.L
+    for layout in layouts:  # a trial block's draws, combiner pools and L x L SVD factors
+        matrices = sum(len(index) for _, _, index, _ in layout.stacks)
+        entries = min(trials, TRIAL_BLOCK) * (layout.draws * len(users) * G * (L + G) + matrices * L * L)
+        if entries > MAX_KERNEL_ENTRIES:
+            raise ParameterError(f"L = {L}, G = {G}: a trial block would hold {entries} complex entries, "
+                                 f"more than {MAX_KERNEL_ENTRIES}, in its channel draws and nullspace SVD factors")
     from concurrent.futures import ThreadPoolExecutor  # here: no other command needs it
 
     workers = _worker_count()
-    # a pool needs room for one thread, which starts only when handed a share
-    with ThreadPoolExecutor(max(workers, 1), "ccsched-kernel") as pool:
-        submit = [pool.submit] * workers
+    # a pool thread starts only when handed a stack; on one core there is no pool
+    with ThreadPoolExecutor(workers, "ccsched-kernel") if workers else contextlib.nullcontext() as pool:
         for first in range(0, trials, TRIAL_BLOCK):
             block = range(first, min(first + TRIAL_BLOCK, trials))
             for layout in layouts:
                 seeds = [seed + t for t in block] if shared else [
                     seed + 7919 * t + c for c in layout.columns.tolist() for t in block]
                 # no name here for the draw: the kernel, its only holder, frees it once combined
-                kernel = _stream_gains(plan, layout, ChannelRealization.draw(users, table.G, table.L, seed=seeds), submit)
+                kernel = _stream_gains(plan, layout, ChannelRealization.draw(users, G, L, seed=seeds), pool)
                 reduce(plan, block, layout, kernel)
             if not plan.sets:  # no column carries a stream
                 break

@@ -902,18 +902,18 @@ def thread_kind(name):
 
 
 def use_workers(monkeypatch, workers, floor=0):
-    """Run the kernel with ``workers`` worker threads, splitting every call
-    of at least ``floor`` matrices; returns the kinds (``thread_kind``) of
-    the threads that factored each stack, by call."""
+    """Run the kernel with a pool of ``workers`` threads, none for a serial
+    run, splitting every call of at least ``floor`` matrices; returns the
+    kind (``thread_kind``) of the thread that factored each stack."""
     monkeypatch.setattr(verifier, "_worker_count", lambda: workers)
     monkeypatch.setattr(verifier, "THREAD_MATRICES", floor)
-    factored, share = [], verifier._share_nullspaces
+    factored, basis = [], verifier.nullspace_basis
 
-    def spy(rows, stacks, indices, *library):
-        factored.append((thread_kind(threading.current_thread().name), list(indices)))
-        return share(rows, stacks, indices, *library)
+    def spy(A):
+        factored.append(thread_kind(threading.current_thread().name))
+        return basis(A)
 
-    monkeypatch.setattr(verifier, "_share_nullspaces", spy)
+    monkeypatch.setattr(verifier, "nullspace_basis", spy)
     return factored
 
 
@@ -926,7 +926,7 @@ def example1_tables():
 @pytest.mark.parametrize("trials", [33, 200])
 def test_sweep_is_bit_for_bit_the_same_on_worker_threads(monkeypatch, trials):
     """Every rate of the three Example 1 sweeps is the same bits whether the
-    calling thread factors every stack or hands half of them to a worker."""
+    calling thread factors every stack or a pool thread does."""
     powers = np.array([1.0, 10.0**3.5])
     for table in example1_tables():
         with pytest.MonkeyPatch.context() as patch:
@@ -936,8 +936,8 @@ def test_sweep_is_bit_for_bit_the_same_on_worker_threads(monkeypatch, trials):
             threaded_threads = use_workers(patch, 1)
             threaded = column_rates(table, powers, trials, 42)
         assert serial.tobytes() == threaded.tobytes()
-        assert {name for name, _ in serial_threads} == {threading.main_thread().name}
-        assert {name for name, _ in threaded_threads} == {threading.main_thread().name, "ccsched-kernel"}
+        assert set(serial_threads) == {threading.main_thread().name}
+        assert set(threaded_threads) == {"ccsched-kernel"}
 
 
 def test_oracle_is_bit_for_bit_the_same_on_worker_threads(monkeypatch):
@@ -948,13 +948,13 @@ def test_oracle_is_bit_for_bit_the_same_on_worker_threads(monkeypatch):
             factored = use_workers(patch, workers)
             # margins tight enough that both kinds of failure are listed
             reports.append(verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=9, tol=1e-15, sigma_tol=0.05))
-        assert ("ccsched-kernel" in {name for name, _ in factored}) == bool(workers)
+        assert ("ccsched-kernel" in factored) == bool(workers)
     assert repr(reports[0]) == repr(reports[1]) and reports[0].failures
 
 
 def test_more_workers_than_cores_give_the_serial_bits(monkeypatch):
-    """More workers than usable cores, switching threads as often as the
-    interpreter allows: a lost, doubled or misplaced share would change
+    """More pool threads than usable cores, switching threads as often as
+    the interpreter allows: a lost, doubled or misplaced stack would change
     the rates.  The run gets a minute."""
     table = table_from_json((DATA / "example1_dof14.json").read_text())
     powers = np.array([1.0, 10.0**3.5])
@@ -972,16 +972,16 @@ def test_more_workers_than_cores_give_the_serial_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not run.is_alive() and len(got) == 1
     assert got[0].tobytes() == serial.tobytes()
-    assert sum(name == "ccsched-kernel" for name, _ in factored) > 1
+    assert factored.count("ccsched-kernel") > 1
 
 
-@pytest.mark.parametrize("swap", [False, True])
-def test_worker_shares_name_the_first_deficient_group(monkeypatch, swap):
+@pytest.mark.parametrize("pooled", [False, True])
+def test_worker_shares_name_the_first_deficient_group(monkeypatch, pooled):
     """The table and silent users of
-    ``test_stacked_nullspaces_name_the_first_deficient_group``, with the
-    stacks split between the calling thread and a worker, either way round:
-    both shares hold deficient profiles, and the error names the first
-    group in scan order, with its own profile's nullities."""
+    ``test_stacked_nullspaces_name_the_first_deficient_group``, with every
+    stack factored on the calling thread or on a pool thread: several
+    stacks hold deficient profiles, and either way the error names the
+    first group in scan order, with its own profile's nullities."""
     table = ScheduleTable((1, 2, 3, 4, 5), 0, 6, 2, (
         ScheduleColumn.of([(1,), (2,), (3,)]),
         ScheduleColumn.of([(4,), (5,), (5,)]),
@@ -996,26 +996,22 @@ def test_worker_shares_name_the_first_deficient_group(monkeypatch, swap):
         return channels
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
-    factored = use_workers(monkeypatch, 1)
-    shares = verifier._shares
-    monkeypatch.setattr(verifier, "_shares", lambda sizes, count: shares(sizes, count)[:: -1 if swap else 1])
+    factored = use_workers(monkeypatch, int(pooled))
     with pytest.raises(NullityDeficientError) as got:
         verify_table_numeric(table, trials=4)
     assert str(got.value) == (
         "group (1,): computed nullity (min 4, max 5) != rank-nullity value 4 (non-generic channel draw)"
     )
-    # stack 0 holds that group's profile (two outside streams); swapped, the worker factors it
-    assert ("ccsched-kernel", [0, 1] if swap else [2]) in factored
+    assert set(factored) == {"ccsched-kernel" if pooled else threading.main_thread().name}
 
 
 @pytest.mark.parametrize("failing,raised", [({1, 3}, 1), ({0, 2}, 0), ({2}, 2)])
 def test_worker_errors_are_raised_in_stack_order(monkeypatch, failing, raised):
-    """Stacks of 1 to 4 matrices split as (0, 3) on the calling thread and
-    (1, 2) on the worker: the first stack in stack order that raises is the
-    one whose error comes out, whichever thread factored it."""
+    """Stacks of 1 to 4 matrices mapped over a pool of two threads: the
+    first stack in stack order that raises is the one whose error comes
+    out, whichever thread factored it and whenever it finished."""
     rows = np.ones((1, 1, 4, 3), dtype=complex)
     stacks = [(0, None, np.zeros((p, 1), dtype=np.intp), 1) for p in (1, 2, 3, 4)]
-    assert verifier._shares([1, 2, 3, 4], 2) == [[0, 3], [1, 2]]
 
     failing = set(failing)
 
@@ -1026,13 +1022,13 @@ def test_worker_errors_are_raised_in_stack_order(monkeypatch, failing, raised):
 
     monkeypatch.setattr(verifier, "nullspace_basis", failing_basis)
     monkeypatch.setattr(verifier, "THREAD_MATRICES", 0)
-    with ThreadPoolExecutor(1) as pool:
+    with ThreadPoolExecutor(2) as pool:
         with pytest.raises(np.linalg.LinAlgError, match=f"stack {raised}"):
-            verifier._stack_nullspaces(rows, stacks, [pool.submit])
+            verifier._stack_nullspaces(rows, stacks, pool)
         # the pool is left ready for the next call, whose results come in stack order
         failing.clear()
-        library, ranks = verifier._stack_nullspaces(rows, stacks, [pool.submit])
-    serial_library, serial_ranks = verifier._stack_nullspaces(rows, stacks, [])
+        library, ranks = verifier._stack_nullspaces(rows, stacks, pool)
+    serial_library, serial_ranks = verifier._stack_nullspaces(rows, stacks, None)
     assert [rank.shape for rank in ranks] == [(1, 1), (2, 1), (3, 1), (4, 1)]
     assert library.shape == (1, 10, 3) and library.tobytes() == serial_library.tobytes()
     assert all(np.array_equal(a, b) for a, b in zip(ranks, serial_ranks))
@@ -1049,24 +1045,24 @@ NUMERIC_COMMANDS = [
     ids=["rate-sweep", "verify", "failing-rate-sweep"],
 )
 def test_no_thread_outlives_a_command(monkeypatch, capsys, argv, code):
-    """A numeric command starts at most one worker per usable core but its
-    own, and every worker has ended when the command returns, also when it
-    fails: with user 3's channel zero in every draw, every stack holding
-    user 3, in either thread's share, has a nullity above the rank-nullity
+    """A numeric command starts at most one pool thread per usable core,
+    and every one has ended when the command returns, also when it fails:
+    with user 3's channel zero in every draw, every stack holding user 3,
+    whichever thread factors it, has a nullity above the rank-nullity
     value, and the sweep exits 4 at its first kernel call."""
     before, started, alive = threading.active_count(), [], []
-    start, share = threading.Thread.start, verifier._share_nullspaces
+    start, basis = threading.Thread.start, verifier.nullspace_basis
 
     def counting_start(thread):
         started.append(thread.name)
         start(thread)
 
-    def spy(*args):
+    def spy(A):
         alive.append(threading.active_count())
-        return share(*args)
+        return basis(A)
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    monkeypatch.setattr(verifier, "_share_nullspaces", spy)
+    monkeypatch.setattr(verifier, "nullspace_basis", spy)
     if code:
         draw = ChannelRealization.draw
 
@@ -1084,6 +1080,30 @@ def test_no_thread_outlives_a_command(monkeypatch, capsys, argv, code):
     assert set(map(thread_kind, started)) <= {"ccsched-kernel"} and len(started) <= workers
     assert bool(started) == (workers > 0)
     assert max(alive) - before <= workers
+
+
+def test_no_thread_outlives_a_failing_reduction(monkeypatch, capsys):
+    """The sweep's reduction raises after the kernel has split its call
+    over the pool, forced on whatever the cores: the command exits 4, and
+    every pool thread has ended."""
+    before, started, start = threading.active_count(), [], threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    def failing_sinrs(plan, layout, kernel, *args):
+        for _ in kernel:  # the kernel factors its stacks on the pool
+            pass
+        raise VerificationError("reduction fails")
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    factored = use_workers(monkeypatch, 2)
+    monkeypatch.setattr("ccsched.rates._batch_sinrs", failing_sinrs)
+    assert main(NUMERIC_COMMANDS[0]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == {"type": "VerificationError", "reason": "reduction fails"}
+    assert set(factored) == {"ccsched-kernel"} and started
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=["rate-sweep", "verify"])

@@ -616,21 +616,35 @@ def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
 
 
 @pytest.mark.parametrize("command", ["verify", "rate-sweep"])
-@pytest.mark.parametrize("field", ["L", "G"])
-def test_huge_antenna_count_exits_2(tmp_path, capsys, command, field):
-    """A table with 10**12 antennas passes the symbolic check, but no channel
-    draw can hold it: the allocation fails at once, and the command exits 2
-    with numpy's reason instead of a traceback."""
+@pytest.mark.parametrize("field,value", [
+    pytest.param("L", 10**12, id="L"),
+    pytest.param("G", 10**12, id="G"),
+    pytest.param("L", 10**6, id="L=10**6"),
+    pytest.param("L", 2**62, id="L=2**62"),
+    pytest.param("L", 10**20, id="L=10**20"),
+    pytest.param("G", 10**20, id="G=10**20"),
+])
+def test_huge_antenna_count_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
+    """A table with a huge antenna count passes the symbolic check, but its
+    channel draws or nullspace SVD factors would not fit the kernel's
+    budget: the command exits 2 with a JSON reason before it draws a
+    channel, so nothing of that size is allocated."""
     doc = json.loads((DATA / "example1_dof14.json").read_text())
-    doc[field] = 10**12
+    doc[field] = value
     table = tmp_path / "huge.json"
     table.write_text(json.dumps(doc))
     assert run_cli(capsys, "verify", "--table", str(table))[0] == 0
-    argv = [command, "--table", str(table), "--trials", "4"] + (["--numeric"] if command == "verify" else [])
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(no_draw))
+    argv = [command, "--table", str(table), "--trials", "1"] + (["--numeric"] if command == "verify" else ["--snr", "10"])
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "MemoryError" and error["reason"].startswith("Unable to allocate")
+    assert error["type"] == "ParameterError"
+    assert error["reason"].startswith(f"L = {doc['L']}, G = {doc['G']}: ") and "more than" in error["reason"]
 
 
 @pytest.mark.parametrize("command", ["verify", "rate-sweep"])
