@@ -7,10 +7,11 @@ Symbolic side: the two antenna conditions, checked on every column of a table at
 
 Numeric side: a Monte-Carlo oracle that draws random channels, stacks the
 combined interference channel of every scheduled group, computes its
-nullspace by thresholded SVD, places one unit-norm beamformer per stream
-instance inside that nullspace, and verifies rank-nullity, interference
-leakage, and per-user invertibility of the effective channel.  Every numeric
-array may carry a leading trial axis, so one call handles a batch of draws.
+nullspace by complete QR with a screened rank (``nullspace_basis``), places
+one unit-norm beamformer per stream instance inside that nullspace, and
+verifies rank-nullity, interference leakage, and per-user invertibility of
+the effective channel.  Every numeric array may carry a leading trial axis,
+so one call handles a batch of draws.
 For one column on its own draw, ``build_beamformers``, ``effective_matrix``
 and ``verify_numeric`` state that oracle directly; they are the reference
 the table kernel below is checked against, and share nothing across columns.
@@ -27,7 +28,7 @@ and layout, the driver draws the channels and hands the kernel,
 ``_stream_gains``, to the caller's reduction: the oracle's margin scan
 (``_MarginScan.add``) or the sweep's SINR step (``rates._batch_sinrs``).
 The kernel takes one combined channel per (user, stream count), one stacked
-nullspace SVD per (draw, outside-stream count) over the outside-user
+nullspace QR per (draw, outside-stream count) over the outside-user
 profiles present, and one direction library, and yields every stream set's
 own and cross gains from beams in C order, the one layout of a column's
 own stack (``BeamformerSolution.stacked``), as a BLAS product rounds by
@@ -36,7 +37,7 @@ inverse bounds every effective matrix's smallest singular value from both
 sides, and LAPACK's SVD runs only on the matrices that can be the minimum
 or can fail, so the report is exactly the one a full SVD gives.
 
-The kernel's nullspace SVDs run on every usable core.  A run opens one
+The kernel's nullspace QRs run on every usable core.  A run opens one
 ``concurrent.futures.ThreadPoolExecutor``, imported only then, of one
 thread per usable core (``_worker_count``), or none on one core.  A kernel
 call of two or more (draw, outside-stream count) stacks and at least
@@ -78,7 +79,7 @@ TRIAL_BLOCK = 32
 BATCH_COLUMN_TRIALS = 256
 # the most complex entries a numeric run's trial block may hold in its channel
 # draws and combiner pools (users x G x (L + G) per draw) and its kernel
-# calls' L x L nullspace SVD factors, about 0.8 GB at 16 bytes an entry: a
+# calls' L x L nullspace Q factors, about 0.8 GB at 16 bytes an entry: a
 # table whose antenna counts need more is refused before the first draw
 # (_numeric_run).  The tables of the tests and the benchmark hold under 10**6.
 MAX_KERNEL_ENTRIES = 5 * 10**7
@@ -91,17 +92,19 @@ SCREEN_CEILING = 1e6
 # bulk hash costs about 0.1 ms of numpy calls however many seeds it takes,
 # and saves about 10 us per seed over default_rng
 BULK_SEEDS = 16
-# the fewest matrices a kernel call's nullspace SVDs must hold to be mapped
+# the fewest matrices a kernel call's nullspace QRs must hold to be mapped
 # over the pool (_stack_nullspaces): every stack of a mapped call goes to the
 # pool, and a run's first mapped call starts its threads.  On 2 cores, a
-# matrix takes about 20 us, the threads' start about 0.1 ms, and a stack's
+# matrix takes about 7-11 us, the threads' start about 0.1 ms, and a stack's
 # handoff up to about 0.2 ms.  Timed call by call on the two workloads'
-# tables, pooled against serial, floors from 0 to 256 gave the same totals
-# within 3 ms: 432-434 ms against 693 ms serial over the 35 calls of the
-# 200-trial Example 1 sweeps (80 to 1792 matrices), and 46-48 ms against
-# 48 ms over the 27 of the 4-trial Fig. 3 oracle (16 to 840).  So the floor
-# stays at 256: a lower one gains nothing measurable, and would start the
-# threads, and their memory, in most oracle runs instead of one in 27
+# tables, pooled against serial (medians of 15 rounds, two sets), floors
+# from 0 to 256 gave the same totals within 1.1 ms over the 35 calls of the
+# 200-trial Example 1 sweeps (80 to 1792 matrices): 252 and 203 ms against
+# 365 and 234 ms serial, and 273 and 207 ms at 512.  Over the 27 of the
+# 4-trial Fig. 3 oracle (16 to 840), floors from 128 to 512 took 26.7 and
+# 20.2 ms against 29.6 and 21.8 ms serial, and floors of 0 and 64 more.  So
+# the floor stays at 256: a lower one gains nothing measurable, and would
+# start the threads, and their memory, in most oracle runs instead of one in 27
 THREAD_MATRICES = 256
 
 
@@ -349,15 +352,60 @@ class ChannelRealization:
 
 
 def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthonormal nullspace basis of A (thresholded SVD), in C^n for an A
-    of n columns.
+    """Orthonormal nullspace basis of an r x L matrix A, in C^L.
 
-    Returns (basis, rank).  Singular values below RANK_RTOL times the largest
-    count as zero; an empty A means the nullspace is the whole space.  A stack
-    of matrices (leading batch axes) gets one batched SVD: the rank is then an
-    int array over the batch and the basis spans, in every matrix, the
-    directions past the largest rank of the stack.
+    Returns (basis, rank).  The rank is the thresholded SVD's: singular
+    values below RANK_RTOL times the largest count as zero; an empty A means
+    the nullspace is the whole space.  A stack of matrices (leading batch
+    axes) is factored in one batched call: the rank is then an int array over
+    the batch and the basis spans, in every matrix, the directions past the
+    largest rank of the stack.
+
+    For 0 < r < L the basis is the last L - r columns of Q in the complete QR
+    A^H = QR (Golub and Van Loan, Matrix Computations, s. 5.2): they are
+    orthogonal to A's row space, and span the nullspace when A has rank r.
+    QR does not reveal rank, so the rank is screened as
+    ``_MarginScan._sigma_min`` screens.  R's leading r x r block T has A's
+    singular values; with X^ a batched inverse of T, l^ = 1/|X^|_F bounds
+    the smallest from below and h^ = |T|_F the largest from above.  A matrix
+    with l^ > (1 + SCREEN_SLACK) RANK_RTOL h^ has rank r.  Every other matrix,
+    and every one when ``inv`` raises, takes the thresholded SVD's rank.  A
+    stack whose largest rank is below r, and an A with r = 0 or r >= L, take
+    the SVD's basis instead: its trailing right singular vectors.
+
+    Why a screened matrix has the SVD's rank (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002; u = 2^-53, small constants dropped).
+    - Householder QR is backward stable: the computed T is the exact factor of
+      A^H + E with |E|_F <= L r u |A|_F (Thm 19.4), so by Weyl's inequality
+      each of its singular values is within L r u h^ of A's.
+    - T is triangular, so ``inv``'s LU pivots nowhere and leaves T exact, and
+      each column of X^ is a triangular solve, (T + dT_j) x^_j = e_j with
+      |dT_j|_F <= r u h^ (Thm 8.5).  So l^ is within a relative r u k of
+      1/|inv(T)|_F, where k = h^/l^ < 1/RANK_RTOL = 1e8 for a screened matrix.
+    - zgesdd is backward stable: its values are within r u |A|_2 of A's
+      (LAPACK Users' Guide, s. 4.9).
+    At the shapes here (L, r below about 100) each error is below 1e-3 of
+    A's smallest singular value, for which l^ > RANK_RTOL h^ vouches, so the
+    slack of 1 % absorbs them all: the SVD's smallest value clears RANK_RTOL
+    times its largest, and its rank is r.
     """
+    r, L = A.shape[-2:]
+    if 0 < r < L:
+        q, R = np.linalg.qr(_hermitian(A), mode="complete")
+        T = R[..., :r, :]
+        rank = np.full(A.shape[:-2], r)
+        try:
+            X = np.linalg.inv(T)
+        except np.linalg.LinAlgError:  # an exactly singular T: every matrix in doubt
+            X = np.full_like(T, np.nan)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # in doubt also where the inverse is not finite: nan and 0 do not clear
+            doubt = ~(1 / np.sqrt(_frobenius_sq(X)) > (1 + SCREEN_SLACK) * RANK_RTOL * np.sqrt(_frobenius_sq(T)))
+        if doubt.any():
+            s = np.linalg.svd(A[doubt], compute_uv=False)
+            rank[doubt] = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+        if rank.max() == r:
+            return q[..., r:], int(rank) if rank.ndim == 0 else rank
     _, s, vh = np.linalg.svd(A)
     rank = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
     return _hermitian(vh[..., rank.max():, :]), int(rank) if rank.ndim == 0 else rank
@@ -641,7 +689,7 @@ def _stack_nullspaces(rows: np.ndarray, stacks, pool) -> tuple[np.ndarray, list]
 
     def factor(i: int) -> np.ndarray:
         d, _, index, m = stacks[i]
-        # one SVD of the (P, T, r, L) stack of the profiles' outside combined channels
+        # one QR of the (P, T, r, L) stack of the profiles' outside combined channels
         basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1))
         # (trials, profile, direction, L), each direction contiguous; a basis
         # narrower than m directions fails the nullity check before any is used
@@ -659,7 +707,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     """The numeric kernel of a batch of stream sets and a trial block, whose
     channels stack the layout's draws: every set with its entries' gains
     (``_set_gains``), from one combined channel per (user, stream count),
-    one nullspace SVD per (draw, outside-stream count), mapped over the
+    one nullspace QR per (draw, outside-stream count), mapped over the
     ``pool`` when it pays (``_stack_nullspaces``), and one direction
     library.  LAPACK and BLAS see each matrix on its own and in the layout
     of its one-column product, so every gain is the one-column one, bit for
@@ -696,7 +744,7 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
     calls ``reduce(plan, block, layout, kernel)`` with the block's range of
     trials and the kernel's generator of stream sets and gains.  Before
     any draw, raises ParameterError if a trial block's channel draws,
-    combiner pools and nullspace SVD factors would hold more than
+    combiner pools and nullspace Q factors would hold more than
     MAX_KERNEL_ENTRIES complex entries."""
     users, width = tuple(sorted(table.users)), _batch_columns(trials)
     plan = _plan_table(table.columns, users, width)
@@ -709,12 +757,12 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
         draw = np.arange(len(plan.columns)) % width  # one draw per column of a batch
         layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
     G, L = table.G, table.L
-    for layout in layouts:  # a trial block's draws, combiner pools and L x L SVD factors
+    for layout in layouts:  # a trial block's draws, combiner pools and L x L Q factors
         matrices = sum(len(index) for _, _, index, _ in layout.stacks)
         entries = min(trials, TRIAL_BLOCK) * (layout.draws * len(users) * G * (L + G) + matrices * L * L)
         if entries > MAX_KERNEL_ENTRIES:
             raise ParameterError(f"L = {L}, G = {G}: a trial block would hold {entries} complex entries, "
-                                 f"more than {MAX_KERNEL_ENTRIES}, in its channel draws and nullspace SVD factors")
+                                 f"more than {MAX_KERNEL_ENTRIES}, in its channel draws and nullspace Q factors")
     from concurrent.futures import ThreadPoolExecutor  # here: no other command needs it
 
     workers = _worker_count()

@@ -154,6 +154,84 @@ def test_nullspace_basis_batch_matches_single_matrices():
         assert np.array_equal(basis[i], one)
 
 
+def svd_nullspace(A, svd=np.linalg.svd):
+    """The thresholded-SVD nullspace: the trailing right singular vectors
+    past the stack's largest rank, with every matrix's rank and singular
+    values.  ``svd`` is bound here, so a spy on ``np.linalg.svd`` does not
+    see the reference's own calls."""
+    _, s, vh = svd(A)
+    rank = np.sum(s > verifier.RANK_RTOL * s[..., :1], axis=-1)
+    return verifier._hermitian(vh[..., rank.max():, :]), rank, s
+
+
+def nullspace_inputs():
+    """(label, A) over L = 1..14, r = 0..L + 1 and batch shapes (), (3,) and
+    (2, 4): random complex stacks, then rank-deficient ones (a duplicated
+    row, a zero row, a row equal to another plus eps noise for eps either
+    side of RANK_RTOL) and stacks mixing full-rank and deficient matrices."""
+    rng = np.random.default_rng(24)
+    for L in range(1, 15):
+        for r in range(L + 2):
+            for batch in ((), (3,), (2, 4)):
+                shape = batch + (r, L)
+                A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                yield "random", A
+                if r < 2:
+                    continue
+                noise = rng.standard_normal(shape[:-2] + (L,)) + 1j * rng.standard_normal(shape[:-2] + (L,))
+                for label, row in [("duplicated", A[..., 0, :]), ("zero", 0 * A[..., 0, :])] + [
+                    (f"eps {eps:g}", A[..., 0, :] + eps * noise) for eps in (1e-6, 1e-9, 1e-12)
+                ]:
+                    deficient = A.copy()
+                    deficient[..., -1, :] = row
+                    yield label, deficient
+                    if batch:  # the first matrix of the stack deficient, the others full rank
+                        mixed = A.copy()
+                        mixed.reshape((-1, r, L))[0] = deficient.reshape((-1, r, L))[0]
+                        yield "mixed " + label, mixed
+
+
+def test_nullspace_basis_matches_svd_reference(monkeypatch):
+    """The QR basis and screened rank against the thresholded SVD: the same
+    rank, exactly, and basis width; an orthonormal basis that A maps to
+    zero; on full-rank matrices the SVD's projector onto the nullspace.  A
+    stack whose largest rank is below r takes the SVD's basis, bit for bit.
+    Both SVD branches of the QR path are reached: the rank of the matrices
+    in doubt alone, and that rank followed by the whole stack's basis."""
+    svd, branches, reached = np.linalg.svd, [], set()
+
+    def spy(a, *args, **kwargs):
+        branches.append("rank" if kwargs.get("compute_uv") is False else "basis")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for label, A in nullspace_inputs():
+        want, want_rank, s = svd_nullspace(A)
+        branches.clear()
+        basis, rank = nullspace_basis(A)
+        r, L = A.shape[-2:]
+        if 0 < r < L:
+            reached.add(tuple(branches))
+        assert np.array_equal(rank, want_rank) and basis.shape == want.shape, (label, A.shape)
+        if A.ndim == 2:
+            assert isinstance(rank, int)
+        if not 0 < want_rank.max() == r < L:  # the SVD's path
+            assert np.array_equal(basis, want), (label, A.shape)
+            continue
+        width = basis.shape[-1]
+        assert np.abs(verifier._hermitian(basis) @ basis - np.eye(width)).max() <= TOL, (label, A.shape)
+        residual = np.linalg.norm(A @ basis, axis=(-2, -1))
+        assert (residual <= TOL * np.linalg.norm(A, axis=(-2, -1))).all(), (label, A.shape)
+        # the projectors differ by about u times A's condition number: to 1e-12
+        # up to a condition number of 1e3 (every random draw here is below
+        # 50), and to 1e-15 times it beyond (the rows eps = 1e-6 apart)
+        full = want_rank == r
+        error = np.abs(basis @ verifier._hermitian(basis) - want @ verifier._hermitian(want)).max(axis=(-2, -1))[full]
+        condition = s[full][:, 0] / s[full][:, -1]
+        assert (error <= TOL * np.maximum(1, condition / 1e3)).all(), (label, A.shape)
+    assert {("rank",), ("rank", "basis")} <= reached
+
+
 def test_overloaded_column_fails_inside_a_batch():
     # 11 copies of one pair at L = 10: the nullspace cannot host them in any trial
     col = ScheduleColumn.of([(1, 2)] * 11)
@@ -211,15 +289,16 @@ def profile_rows(channels, profile):
 
 def stacked_nullspaces(channels, profiles):
     """Per profile, its basis and its smallest and largest nullity over the
-    batch, from one nullspace SVD of the profiles' stacked rows."""
+    batch, from one nullspace factorization of the profiles' stacked rows."""
     basis, rank = nullspace_basis(np.stack([profile_rows(channels, p) for p in profiles]))
     L = channels.L
     return {p: (b, L - r.max(), L - r.min()) for p, b, r in zip(profiles, basis, rank)}
 
 
 def test_stacked_nullspaces_match_one_profile_at_a_time(monkeypatch):
-    """One nullspace SVD per outside-stream count and trial block, and every
-    profile's basis and nullities bit for bit those of its rows alone."""
+    """One nullspace factorization per outside-stream count and trial block,
+    and every profile's basis and nullities bit for bit those of its rows
+    alone."""
     table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
     by_streams = profiles_by_outside_streams(table)
     assert max(map(len, by_streams.values())) > 1
@@ -568,6 +647,31 @@ def test_screen_skips_most_cells_of_a_large_table(monkeypatch):
     total, cells[0] = cells[0], 0
     assert verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=9) == want
     assert 0 < cells[0] < total / 10
+
+
+def test_sweep_takes_no_nullspace_svd(monkeypatch):
+    """A 200-trial Example 1 DoF-14 sweep: every outside-channel matrix
+    clears the rank screen, so no nullspace takes an SVD."""
+    table = table_from_json((DATA / "example1_dof14.json").read_text())
+    inside, calls, svd_calls = threading.local(), [0], [0]
+    basis, svd = verifier.nullspace_basis, np.linalg.svd
+
+    def counting_basis(A):
+        calls[0] += 1
+        inside.on = True
+        try:
+            return basis(A)
+        finally:
+            inside.on = False
+
+    def counting_svd(a, *args, **kwargs):
+        svd_calls[0] += getattr(inside, "on", False)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "nullspace_basis", counting_basis)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    column_rates(table, np.array([1.0, 10.0**3.5]), 200, 42)
+    assert calls[0] > 0 and svd_calls[0] == 0
 
 
 def assert_screen_exact(got, E, sigma_tol):

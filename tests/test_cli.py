@@ -626,7 +626,7 @@ def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
 ])
 def test_huge_antenna_count_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
     """A table with a huge antenna count passes the symbolic check, but its
-    channel draws or nullspace SVD factors would not fit the kernel's
+    channel draws or nullspace Q factors would not fit the kernel's
     budget: the command exits 2 with a JSON reason before it draws a
     channel, so nothing of that size is allocated."""
     doc = json.loads((DATA / "example1_dof14.json").read_text())
