@@ -23,10 +23,13 @@ columns, a fixed number of column-trials, so a run of few trials takes few
 large batches.  The oracle shares one draw per trial among all columns,
 seeded seed + trial, and lays all stream sets out once (``_kernel_layout``);
 the sweep draws one per (trial, column), seeded seed + 7919*trial + column
-index, and lays each batch out once.  Per trial block of TRIAL_BLOCK trials
-and layout, the driver draws the channels and hands the kernel,
-``_stream_gains``, to the caller's reduction: the oracle's margin scan
-(``_MarginScan.add``) or the sweep's SINR step (``rates._batch_sinrs``).
+index, and lays each batch out once.  Seed s draws the channels from numpy's
+``Generator(Philox(key=[s, 0]))`` and the Haar combiners from
+``Philox(key=[s, 0x636F6D62])``, so every seed must lie in [0, 2**64), the
+range of a key word.  Per trial block of TRIAL_BLOCK trials and layout,
+the run draws the channels and hands the kernel, ``_stream_gains``, to the
+caller's reduction: the oracle's margin scan (``_MarginScan.add``) or
+the sweep's SINR step (``rates._batch_sinrs``).
 The kernel takes one combined channel per (user, stream count), one stacked
 nullspace QR per (draw, outside-stream count) over the outside-user
 profiles present, and one direction library, and yields every stream set's
@@ -88,10 +91,6 @@ MAX_KERNEL_ENTRIES = 5 * 10**7
 # largest estimated condition number at which that bound is trusted
 SCREEN_SLACK = 1e-2
 SCREEN_CEILING = 1e6
-# the fewest seeds below 2**32 a draw seeds in bulk (_complex_normals): the
-# bulk hash costs about 0.1 ms of numpy calls however many seeds it takes,
-# and saves about 10 us per seed over default_rng
-BULK_SEEDS = 16
 # the fewest matrices a kernel call's nullspace QRs must hold to be mapped
 # over the pool (_stack_nullspaces): every stack of a mapped call goes to the
 # pool, and a run's first mapped call starts its threads.  On 2 cores, a
@@ -176,132 +175,34 @@ def decodability_check(table: ScheduleTable) -> SymbolicReport:
     return SymbolicReport(not found, tuple(found), tuple((~bad).tolist()), L - int(lhs.max(initial=0)))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) over a pool of
-# four uint32 words, and PCG64's 128-bit multiplier
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
+# the second word of the Haar combiner pools' Philox key ("comb"); the channels' is 0
 _COMBINER_SALT = 0x636F6D62
 
 
-def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constant a hash step XORs in and the one it multiplies by, for
-    ``steps`` successive steps, as (steps, 1) uint32 columns: the hash
-    constant starts at ``init`` and is multiplied by ``mult`` at each step."""
-    const = [init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(steps + 1)]
-    return np.array(const[:-1], np.uint32)[:, None], np.array(const[1:], np.uint32)[:, None]
-
-
-# SeedSequence.mix_entropy takes 4 + 12 hash steps on an entropy of at most
-# four words, generate_state(4, np.uint64) one per output uint32 word
-_MIX_XOR, _MIX_MUL = _hash_constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
-_OUT_XOR, _OUT_MUL = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mul
-    return value ^ (value >> _XSHIFT)
-
-
-# the other words of each source's mixing step, and the pool word each
-# output word reads
-_MIX_DST = [np.array([d for d in range(_POOL) if d != src]) for src in range(_POOL)]
-_OUT_SRC = np.arange(2 * _POOL) % _POOL
-
-
-def _seed_words(seeds, salt: int | None) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed, or of
-    ``SeedSequence([s, salt])`` with a salt, as a (4, n) uint64 array.  Every
-    seed must lie in [0, 2**32), so that its entropy is one word: numpy's
-    hash then runs over all seeds at once in uint32 array arithmetic."""
-    entropy = np.zeros((_POOL, len(seeds)), np.uint32)
-    entropy[0] = seeds
-    if salt is not None:
-        entropy[1] = salt
-    with np.errstate(over="ignore"):
-        pool = _hashmix(entropy, _MIX_XOR[:_POOL], _MIX_MUL[:_POOL])
-        # every word mixed into every other, sources in order; one source's
-        # three hash steps do not depend on each other, so they run together
-        for src, dst in enumerate(_MIX_DST):
-            k = slice(_POOL + (_POOL - 1) * src, _POOL + (_POOL - 1) * (src + 1))
-            mixed = _MIX_MULT_L * pool[dst]
-            mixed -= _MIX_MULT_R * _hashmix(pool[src], _MIX_XOR[k], _MIX_MUL[k])
-            mixed ^= mixed >> _XSHIFT
-            pool[dst] = mixed
-        words = _hashmix(pool[_OUT_SRC], _OUT_XOR, _OUT_MUL).astype(np.uint64)
-    # uint32 words pair up little-endian into uint64 ones
-    return words[0::2] | (words[1::2] << np.uint64(32))
-
-
-def _pcg_states(seeds, salt: int | None):
-    """The state ``np.random.PCG64`` takes from each seed (salted as in
-    ``_seed_words``), by pcg's setseq seeding: with initstate and initseq the
-    128-bit numbers the seed words make, high word first, inc = (initseq << 1)
-    | 1 and state = ((inc + initstate) * MULT + inc) mod 2**128."""
-    for w0, w1, w2, w3 in zip(*_seed_words(seeds, salt).tolist()):
-        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-        state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-
-
-_bulk_seeding: bool | None = None
-
-
-def _bulk_seeding_works() -> bool:
-    """Whether bulk seeding reproduces ``SeedSequence`` and ``default_rng``
-    on this numpy, checked once per process on plain and salted seeds."""
-    global _bulk_seeding
-    if _bulk_seeding is None:
-        probe = [0, 1, 7919, (1 << 32) - 1]
-        try:
-            _bulk_seeding = all(
-                np.array_equal(
-                    _seed_words(probe, salt).T,
-                    [np.random.SeedSequence(s if salt is None else [s, salt]).generate_state(4, np.uint64) for s in probe],
-                )
-                and np.array_equal(_complex_normals(probe, (2, 3), salt, True), _complex_normals(probe, (2, 3), salt, False))
-                for salt in (None, _COMBINER_SALT)
-            )
-        except (AttributeError, KeyError, TypeError, ValueError):  # a numpy internal that moved
-            _bulk_seeding = False
-    return _bulk_seeding
-
-
-def _complex_normals(seed, shape: tuple, salt: int | None = None, bulk: bool | None = None) -> np.ndarray:
+def _complex_normals(seed, shape: tuple, salt: int = 0) -> np.ndarray:
     """Per leading index of ``shape``, a real then an imaginary block of
-    standard normals from ``default_rng(seed)``, or from
-    ``default_rng(SeedSequence([seed, salt]))`` if a salt is given; a sequence
+    standard normals from ``Generator(Philox(key=[seed, salt]))``; a sequence
     of seeds stacks one draw per seed on a leading axis.
 
-    The draws are ``default_rng``'s bit for bit, but with ``bulk`` the seeds
-    in [0, 2**32) are seeded together: they are hashed in one pass
-    (``_seed_words``) and each sets the state of one reused PCG64 before it
-    fills its block.  Larger seeds, whose entropy is more than one word, take
-    ``default_rng`` itself.  By default a call seeds in bulk when it has at
-    least BULK_SEEDS such seeds and the bulk path passed its check against
-    numpy.  The parts of a whole stack are combined in one operation, which
-    is exact."""
+    One Philox serves every seed.  Per seed, the ``state`` setter gives it
+    the seed's key, a zero counter and an empty buffer, the state a fresh
+    ``Philox(key=[seed, salt])`` starts in, so each draw is that generator's
+    bit for bit without building one per seed.  Raises ParameterError for a
+    seed that is not an integer in [0, 2**64), the range of a key word.  The
+    parts of a whole stack are combined in one operation, which is exact."""
     seeds = [seed] if np.ndim(seed) == 0 else seed
+    for s in seeds:
+        if not (isinstance(s, (int, np.integer)) and 0 <= int(s) < 1 << 64):
+            raise ParameterError(f"a channel draw's seed must be an integer in [0, 2**64), got {s}")
+    bitgen = np.random.Philox(key=[0, salt])
+    generator = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh Philox's: zero counter, empty buffer
+    key = state["state"]["key"]
     z = np.empty((len(seeds), shape[0], 2) + shape[1:])
-    # a seed in [0, 2**32) is one word of entropy, which is what _seed_words hashes
-    one_word = [isinstance(s, (int, np.integer)) and 0 <= s < 1 << 32 for s in seeds]
-    if bulk is None:
-        bulk = sum(one_word) >= BULK_SEEDS and _bulk_seeding_works()
-    fast = [bulk and w for w in one_word]
-    if any(fast):
-        bitgen = np.random.PCG64(0)
-        generator = np.random.Generator(bitgen)
-        states = _pcg_states([s for s, f in zip(seeds, fast) if f], salt)
-    for s, f, out in zip(seeds, fast, z):
-        if f:
-            bitgen.state = next(states)
-            generator.standard_normal(out=out)
-        else:
-            np.random.default_rng(s if salt is None else np.random.SeedSequence([s, salt])).standard_normal(out=out)
+    for s, out in zip(seeds, z):
+        key[0] = s
+        bitgen.state = state
+        generator.standard_normal(out=out)
     h = 1j * z[:, :, 1]
     h += z[:, :, 0]  # re + 1j * im in place: the real parts add a zero, the imaginary ones to a zero
     return h[0] if np.ndim(seed) == 0 else h
@@ -317,12 +218,10 @@ class ChannelRealization:
 
     ``seed`` may be a sequence: the realization is then a batch with one draw
     per seed, every array carries a leading trial axis, and each draw is bit
-    for bit the one its seed gives alone.  Every draw, the channels and the
-    Haar combiner pool, is the one ``np.random.default_rng`` gives on its
-    seed (the pool's salted).  A batch with at least BULK_SEEDS seeds below
-    2**32 hashes those together and sets them on one PCG64; the others, and
-    all of them if that path disagrees with numpy's own seeding, take
-    ``default_rng`` itself (``_complex_normals``).
+    for bit the one its seed gives alone.  Seed s draws the channels from
+    ``Generator(Philox(key=[s, 0]))`` and the Haar combiner pool from
+    ``Generator(Philox(key=[s, 0x636F6D62]))`` (``_complex_normals``), each
+    user in sorted order; a seed outside [0, 2**64) raises ParameterError.
     """
 
     users: tuple[int, ...]

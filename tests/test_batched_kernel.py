@@ -76,11 +76,12 @@ def reference_margins(column, channels, solution):
 
 
 def test_draws_match_the_per_user_reference():
-    """One draw per user from a shared generator, as the unbatched kernel drew them."""
+    """One draw per user from a shared generator, as the unbatched kernel drew
+    them: the channels keyed [seed, 0], the combiners [seed, 0x636F6D62]."""
     channels = ChannelRealization.draw((3, 1, 2), G=2, L=4, seed=9)
     pool = channels.haar_combiner_pool()
-    rng = np.random.default_rng(9)
-    pool_rng = np.random.default_rng(np.random.SeedSequence([9, 0x636F6D62]))
+    rng = np.random.Generator(np.random.Philox(key=[9, 0]))
+    pool_rng = np.random.Generator(np.random.Philox(key=[9, 0x636F6D62]))
     for k in (1, 2, 3):
         h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
         assert np.array_equal(channels.H[k], h)
@@ -373,7 +374,8 @@ SWEEP_GOLDENS = [
     ("example1_dof14.json", ["--trials", "20", "--seed", "5"], "example1_dof14_sweep_trials20_seed5.csv"),
     # two full trial blocks and a partial one, over more columns than one pass takes
     ("example1_dof12.json", ["--trials", "70", "--seed", "11"], "example1_dof12_sweep_trials70_seed11.csv"),
-    # seeds seed + 7919*trial + column cross 2**32 inside the first trial block
+    # seeds seed + 7919*trial + column cross 2**32 inside the first trial block:
+    # a large-seed run
     ("example1_dof14.json", ["--trials", "40", "--seed", "4294967280"],
      "example1_dof14_sweep_trials40_seed4294967280.csv"),
     # the benchmark's shape: six full trial blocks and a partial one, each in
@@ -383,8 +385,8 @@ SWEEP_GOLDENS = [
 
 
 def test_rate_sweep_csv_golden(tmp_path, capsys):
-    """The Example 1 sweeps are byte for byte what the per-column kernel wrote
-    (the last one what per-seed ``default_rng`` seeding wrote)."""
+    """The Example 1 sweeps are byte for byte what the CLI wrote when the
+    draws were first keyed by seed on a Philox."""
     for table, flags, golden in SWEEP_GOLDENS:
         out = tmp_path / golden
         code = main(["rate-sweep", "--table", str(DATA / table), *flags, "-o", str(out)])
@@ -401,12 +403,13 @@ def test_rate_sweep_csv_golden(tmp_path, capsys):
     # 33 trials cross a trial block; its large stacks skip most SVDs
     ("fig3_omega8_t3_dof24.json", ["--trials", "33", "--seed", "9"],
      "fig3_omega8_t3_dof24_verify_trials33_seed9.json"),
-    # seeds seed + trial cross 2**32 at trial 4
+    # seeds seed + trial cross 2**32 at trial 4: a large-seed run
     ("example1_dof14.json", ["--trials", "8", "--seed", "4294967292"],
      "example1_dof14_verify_trials8_seed4294967292.json"),
 ])
 def test_verify_numeric_output_golden(capsys, table, flags, golden):
-    """`verify --numeric` prints byte for byte what the one-column-at-a-time oracle printed."""
+    """`verify --numeric` prints byte for byte what the CLI printed when the
+    draws were first keyed by seed on a Philox."""
     code = main(["verify", "--table", str(DATA / table), "--numeric", *flags])
     assert code == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()

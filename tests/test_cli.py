@@ -601,6 +601,9 @@ def test_reproduce_determinism(tmp_path, capsys):
     (["--seed", "-5"], "--seed must be non-negative"),
     (["--trials", "0"], "--trials must be at least 1"),
     (["--trials", "-3"], "--trials must be at least 1"),
+    # the largest key word, but the draws' derived seeds pass it
+    (["--seed", "18446744073709551615"], "seed must be an integer in [0, 2**64)"),
+    (["--seed", "99999999999999999999999"], "seed must be an integer in [0, 2**64)"),
 ])
 def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
     table = tmp_path / "t.json"
