@@ -1,9 +1,9 @@
 """Command-line front end: schedule construction, verification, DoF region
 enumeration, rate sweeps, and the bundled reproduction runner.
 
-``--seed`` sets only the channel draws, by the two seed rules of the
-numeric run (``verifier``'s module docstring): one draw per trial in
-``verify --numeric``, one per (trial, column) in ``rate-sweep``.  The
+``--seed`` keys only the channel draws, each addressed by a (trial, column)
+cell (``verifier``'s module docstring): ``verify --numeric`` draws cell
+(trial, 0) for all columns, ``rate-sweep`` cell (trial, column).  The
 constructions are deterministic: ``schedule``, ``dof-region`` and
 ``reproduce`` accept ``--seed`` and ignore it, so identical (config, seed)
 runs produce byte-identical artifacts.  Parameter problems, unreadable input files and

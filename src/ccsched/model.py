@@ -112,15 +112,19 @@ class ScheduleTable:
         return total
 
     def validate(self) -> None:
-        """Check universe membership and the conservation invariant."""
-        expected = set(enumerate_groups(self.users, self.t))
+        """Check universe membership and conservation from the table's own groups alone."""
+        served, size = set(self.users), self.t + 1
+        if len(served) < size:
+            raise ParameterError(f"need at least t+1={size} users, got {len(served)}")
         totals = self.group_totals()
-        foreign = set(totals) - expected
+        foreign = [g for g in totals if not (len(g) == size and served.issuperset(g) and list(g) == sorted(set(g)))]
         if foreign:
             raise MalformedTableError(f"groups outside the served universe: {sorted(foreign)[:3]}")
         want = self.delta * self.delta_tilde
         bad = {g: c for g, c in totals.items() if c != want}
-        missing = expected - set(totals)
+        # all C(omega, t+1) groups are present, or a lazy walk finds the first three missing
+        missing = [] if len(totals) == math.comb(len(served), size) else list(itertools.islice(
+            (g for g in itertools.combinations(sorted(served), size) if g not in totals), 3))
         if bad or missing:
             raise MalformedTableError(
                 f"conservation violated: expected every group {want} times, "

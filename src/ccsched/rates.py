@@ -11,8 +11,8 @@ with the file normalization folded into Theta); only orderings and
 high-SNR slopes are meaningful quantities here.
 
 ``snr_sweep`` evaluates a whole table in one numeric run of the oracle's
-kernel, one draw per (trial, column); ``verifier``'s module docstring
-describes the run, its batches and seeds (``verifier._numeric_run``).  This
+kernel, one draw per (trial, column) cell; ``verifier``'s module docstring
+describes the run, its batches and draws (``verifier._numeric_run``).  This
 module's reduction, the SINR step, inverts each (user, stream count) stack
 of effective matrices and takes its noise and leakage gains; the SINRs,
 rates and per-trial symmetric rates follow in array passes.  Every rate is
@@ -98,7 +98,7 @@ def column_rate(sinrs: dict[tuple, float]) -> float:
 
 
 class RatePoint(NamedTuple):
-    """Aggregated rate statistics of one SNR grid point."""
+    """Rate statistics of one SNR grid point; ``std_rsym`` is the per-trial spread, not a standard error."""
 
     snr_db: float
     per_column_rate: tuple[float, ...]
@@ -201,8 +201,8 @@ def snr_sweep(table: ScheduleTable, snr_grid_db, trials: int = 200, seed: int = 
     mean rate is exactly non-decreasing in SNR.  Per-column rates are
     averaged over trials first; the symmetric rate then follows from the
     time-accounting identity applied to those means.  ``std_rsym`` is the
-    standard deviation of the per-trial symmetric rates.  ``trials`` must be
-    at least 1.
+    spread of the per-trial symmetric rates, not a standard error of the
+    symmetric rate.  ``trials`` must be at least 1.
     """
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")

@@ -20,15 +20,14 @@ A numeric run of a table, the oracle's (``verify_table_numeric``) or the
 rate sweep's (``rates.column_rates``), has one driver, ``_numeric_run``.  It
 plans the table once (``_plan_table``) in batches of ``_batch_columns``
 columns, a fixed number of column-trials, so a run of few trials takes few
-large batches.  The oracle shares one draw per trial among all columns,
-seeded seed + trial, and lays all stream sets out once (``_kernel_layout``);
-the sweep draws one per (trial, column), seeded seed + 7919*trial + column
-index, and lays each batch out once.  Seed s draws the channels from numpy's
-``Generator(Philox(key=[s, 0]))`` and the Haar combiners from
-``Philox(key=[s, 0x636F6D62])``, so every seed must lie in [0, 2**64), the
-range of a key word.  Per trial block of TRIAL_BLOCK trials and layout,
-the run draws the channels and hands the kernel, ``_stream_gains``, to the
-caller's reduction: the oracle's margin scan (``_MarginScan.add``) or
+large batches.  Every draw is keyed by the run's seed alone and addressed
+by a (trial, column) cell in Philox's counter (``_complex_normals``), so no
+two cells of a run share a draw.  The oracle shares the draw of cell
+(trial, 0) among all columns and lays all stream sets out once
+(``_kernel_layout``); the sweep draws cell (trial, column) for every column
+and lays each batch out once.  Per trial block of TRIAL_BLOCK trials and
+layout, the run draws the channels and hands the kernel, ``_stream_gains``,
+to the caller's reduction: the oracle's margin scan (``_MarginScan.add``) or
 the sweep's SINR step (``rates._batch_sinrs``).
 The kernel takes one combined channel per (user, stream count), one stacked
 nullspace QR per (draw, outside-stream count) over the outside-user
@@ -179,33 +178,33 @@ def decodability_check(table: ScheduleTable) -> SymbolicReport:
 _COMBINER_SALT = 0x636F6D62
 
 
-def _complex_normals(seed, shape: tuple, salt: int = 0) -> np.ndarray:
+def _complex_normals(seed: int, cells, shape: tuple, salt: int = 0) -> np.ndarray:
     """Per leading index of ``shape``, a real then an imaginary block of
-    standard normals from ``Generator(Philox(key=[seed, salt]))``; a sequence
-    of seeds stacks one draw per seed on a leading axis.
+    standard normals from ``Generator(Philox(key=[seed, salt], counter=[0, 0,
+    trial, column]))`` at one (trial, column) cell (None: (0, 0)), or one
+    draw per cell of a sequence, stacked on a leading axis.
 
-    One Philox serves every seed.  Per seed, the ``state`` setter gives it
-    the seed's key, a zero counter and an empty buffer, the state a fresh
-    ``Philox(key=[seed, salt])`` starts in, so each draw is that generator's
-    bit for bit without building one per seed.  Raises ParameterError for a
-    seed that is not an integer in [0, 2**64), the range of a key word.  The
-    parts of a whole stack are combined in one operation, which is exact."""
-    seeds = [seed] if np.ndim(seed) == 0 else seed
-    for s in seeds:
-        if not (isinstance(s, (int, np.integer)) and 0 <= int(s) < 1 << 64):
-            raise ParameterError(f"a channel draw's seed must be an integer in [0, 2**64), got {s}")
-    bitgen = np.random.Philox(key=[0, salt])
+    One reused Philox is set per cell, through its ``state`` setter, to that
+    generator's start: key, counter, empty buffer.  A draw advances only the
+    counter's two low words, so no two cells overlap.  A seed outside the key
+    word's range [0, 2**64) raises ParameterError.  The parts of a whole stack
+    are combined in one operation, which is exact."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 1 << 64):
+        raise ParameterError(f"a channel draw's seed must be an integer in [0, 2**64), got {seed}")
+    one = np.ndim(cells) < 2  # None or a single (trial, column) pair
+    cells = [(0, 0) if cells is None else cells] if one else cells
+    bitgen = np.random.Philox(key=np.array([seed, salt], dtype=np.uint64))
     generator = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh Philox's: zero counter, empty buffer
-    key = state["state"]["key"]
-    z = np.empty((len(seeds), shape[0], 2) + shape[1:])
-    for s, out in zip(seeds, z):
-        key[0] = s
+    counter = state["state"]["counter"]
+    z = np.empty((len(cells), shape[0], 2) + shape[1:])
+    for cell, out in zip(cells, z):
+        counter[2:] = cell
         bitgen.state = state
         generator.standard_normal(out=out)
     h = 1j * z[:, :, 1]
     h += z[:, :, 0]  # re + 1j * im in place: the real parts add a zero, the imaginary ones to a zero
-    return h[0] if np.ndim(seed) == 0 else h
+    return h[0] if one else h
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -214,35 +213,33 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-user complex channel matrices, reproducible from the seed.
+    """Per-user complex channel matrices, reproducible from the seed and cells.
 
-    ``seed`` may be a sequence: the realization is then a batch with one draw
-    per seed, every array carries a leading trial axis, and each draw is bit
-    for bit the one its seed gives alone.  Seed s draws the channels from
-    ``Generator(Philox(key=[s, 0]))`` and the Haar combiner pool from
-    ``Generator(Philox(key=[s, 0x636F6D62]))`` (``_complex_normals``), each
-    user in sorted order; a seed outside [0, 2**64) raises ParameterError.
-    """
+    ``cells`` is one (trial, column) cell of the seed's draws, None for cell
+    (0, 0), or a sequence of cells: a batch, every array with a leading trial
+    axis, each draw bit for bit its cell's alone (``_complex_normals``).  The
+    channels take the key [seed, 0] and the Haar combiner pool [seed,
+    0x636F6D62], users in sorted order."""
 
     users: tuple[int, ...]
     G: int
     L: int
-    seed: int | tuple[int, ...]
+    seed: int
+    cells: tuple | None = None
     H: dict[int, np.ndarray] = field(compare=False, default_factory=dict)
 
     @staticmethod
-    def draw(users, G: int, L: int, seed=0) -> "ChannelRealization":
+    def draw(users, G: int, L: int, seed: int = 0, cells=None) -> "ChannelRealization":
         """I.i.d. unit-variance complex Gaussian entries, users in sorted order."""
-        users = tuple(sorted(users))
-        seed = seed if np.ndim(seed) == 0 else tuple(seed)
-        h = _complex_normals(seed, (len(users), G, L))
+        users, cells = tuple(sorted(users)), cells if np.ndim(cells) < 2 else tuple(map(tuple, cells))
+        h = _complex_normals(seed, cells, (len(users), G, L))
         h /= np.sqrt(2)
-        return ChannelRealization(users, G, L, seed, dict(zip(users, np.moveaxis(h, -3, 0))))
+        return ChannelRealization(users, G, L, seed, cells, dict(zip(users, np.moveaxis(h, -3, 0))))
 
     def haar_combiner_pool(self) -> dict[int, np.ndarray]:
         """One GxG random unitary per user (QR of a Gaussian draw); combiners
         for any stream count are its leading columns."""
-        z = _complex_normals(self.seed, (len(self.users), self.G, self.G), salt=_COMBINER_SALT)
+        z = _complex_normals(self.seed, self.cells, (len(self.users), self.G, self.G), salt=_COMBINER_SALT)
         q, rmat = np.linalg.qr(z)
         # fix the phases so the factorization is unique
         d = np.diagonal(rmat, axis1=-2, axis2=-1)
@@ -638,8 +635,8 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
 
 def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, reduce) -> None:
     """Run the kernel over ``trials`` draws of a table, as the module
-    docstring describes: one draw per trial shared by every column if
-    ``shared``, else one per (trial, column).  Per trial block and layout,
+    docstring describes: cell (trial, 0) shared by every column if
+    ``shared``, else cell (trial, column).  Per trial block and layout,
     calls ``reduce(plan, block, layout, kernel)`` with the block's range of
     trials and the kernel's generator of stream sets and gains.  Before
     any draw, raises ParameterError if a trial block's channel draws,
@@ -670,10 +667,9 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
         for first in range(0, trials, TRIAL_BLOCK):
             block = range(first, min(first + TRIAL_BLOCK, trials))
             for layout in layouts:
-                seeds = [seed + t for t in block] if shared else [
-                    seed + 7919 * t + c for c in layout.columns.tolist() for t in block]
+                cells = [(t, 0) for t in block] if shared else [(t, c) for c in layout.columns.tolist() for t in block]
                 # no name here for the draw: the kernel, its only holder, frees it once combined
-                kernel = _stream_gains(plan, layout, ChannelRealization.draw(users, G, L, seed=seeds), pool)
+                kernel = _stream_gains(plan, layout, ChannelRealization.draw(users, G, L, seed=seed, cells=cells), pool)
                 reduce(plan, block, layout, kernel)
             if not plan.sets:  # no column carries a stream
                 break

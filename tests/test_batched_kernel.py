@@ -48,6 +48,11 @@ DATA = Path(__file__).parent / "data"
 TOL = 1e-12
 
 
+def trial_cells(trials, column=0):
+    """The (trial, column) draw cells of ``trials`` in one column."""
+    return [(t, column) for t in trials]
+
+
 @pytest.fixture(scope="module")
 def example_tables():
     ex1 = schedule_asymmetric(schedule_symmetric(10, 3, 1, 5, 2), m=2)[0]
@@ -91,16 +96,22 @@ def test_draws_match_the_per_user_reference():
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
-@pytest.mark.parametrize("seeds", [range(3, 8), range(100, 103)])
+@pytest.mark.parametrize("seeds", [range(3, 5), ((1 << 64) - 1,)])
 def test_batch_matches_single_draws(example_tables, name, seeds):
-    table = example_tables[name]
-    batch = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
-    singles = [ChannelRealization.draw(table.users, table.G, table.L, seed=s) for s in seeds]
+    """Per seed, a batch of cells in both counter words against each cell
+    drawn alone."""
+    for seed in seeds:
+        assert_batch_matches_single_draws(example_tables[name], seed, [(0, 0), (1, 0), (0, 1), (5, 2)])
+
+
+def assert_batch_matches_single_draws(table, seed, batch_cells):
+    batch = ChannelRealization.draw(table.users, table.G, table.L, seed=seed, cells=batch_cells)
+    singles = [ChannelRealization.draw(table.users, table.G, table.L, seed=seed, cells=c) for c in batch_cells]
     batch_pool = batch.haar_combiner_pool()
     for i, single in enumerate(singles):
         pool = single.haar_combiner_pool()
         for k in table.users:
-            # the draws themselves are bit for bit those of each seed alone
+            # the draws themselves are bit for bit those of each cell alone
             assert np.array_equal(batch.H[k][i], single.H[k])
             assert np.array_equal(batch_pool[k][i], pool[k])
     for column in table.columns:
@@ -137,9 +148,12 @@ def test_batch_matches_single_draws(example_tables, name, seeds):
 def test_reference_stack_of_beams_is_c_ordered(seed):
     """A column's own stack of beams is in C order, the kernel's one layout,
     also when a group repeats, where concatenating the groups' blocks makes L
-    the fast axis; a single draw and a batch alike."""
+    the fast axis; a single draw of each seed and a batch (the tuple: seed
+    0's trials 0 to 2) alike."""
     column = ScheduleColumn.of([(1, 2), (1, 2), (3, 4)])
-    channels = ChannelRealization.draw((1, 2, 3, 4), G=2, L=6, seed=seed)
+    batch = isinstance(seed, tuple)
+    channels = ChannelRealization.draw((1, 2, 3, 4), G=2, L=6, seed=0 if batch else seed,
+                                       cells=trial_cells(seed) if batch else None)
     stacked = build_beamformers(column, channels).stacked
     assert stacked.shape[-2:] == (6, 3) and stacked.flags.c_contiguous
 
@@ -236,14 +250,14 @@ def test_nullspace_basis_matches_svd_reference(monkeypatch):
 def test_overloaded_column_fails_inside_a_batch():
     # 11 copies of one pair at L = 10: the nullspace cannot host them in any trial
     col = ScheduleColumn.of([(1, 2)] * 11)
-    channels = ChannelRealization.draw((1, 2, 3), G=30, L=10, seed=range(5))
+    channels = ChannelRealization.draw((1, 2, 3), G=30, L=10, seed=0, cells=trial_cells(range(5)))
     with pytest.raises(NullityDeficientError):
         build_beamformers(col, channels)
 
 
 def test_one_degenerate_draw_fails_the_batch():
     col = ScheduleColumn.of([(1,), (2,)])
-    channels = ChannelRealization.draw((1, 2), G=2, L=4, seed=range(4))
+    channels = ChannelRealization.draw((1, 2), G=2, L=4, seed=0, cells=trial_cells(range(4)))
     assert build_beamformers(col, channels).nullities == {(1,): 3, (2,): 3}
     channels.H[2][1] = 0.0  # user 2 is silent in trial 1 only: its nullity there is 4
     with pytest.raises(NullityDeficientError, match="non-generic"):
@@ -263,7 +277,7 @@ def test_table_scan_names_the_first_deficient_group(monkeypatch):
         return channels
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
-    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4))
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=0, cells=trial_cells(range(4)))
     with pytest.raises(NullityDeficientError, match="non-generic") as want:
         for column in table.columns:
             build_beamformers(column, channels)
@@ -303,7 +317,7 @@ def test_stacked_nullspaces_match_one_profile_at_a_time(monkeypatch):
     table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
     by_streams = profiles_by_outside_streams(table)
     assert max(map(len, by_streams.values())) > 1
-    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(5, 9))
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=5, cells=trial_cells(range(4)))
     for profiles in by_streams.values():
         stacked = stacked_nullspaces(channels, profiles)
         for profile in profiles:
@@ -336,7 +350,7 @@ def test_stacked_nullspaces_name_the_first_deficient_group(monkeypatch):
         return channels
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
-    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(4))
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=0, cells=trial_cells(range(4)))
     stacked = stacked_nullspaces(channels, profiles_by_outside_streams(table)[2])
     assert stacked[((2, 1), (3, 1))][1:] == (4, 5) and stacked[((5, 2),)][1:] == (4, 6)
     with pytest.raises(NullityDeficientError) as want:
@@ -358,7 +372,7 @@ def test_stacked_nullspaces_without_outside_streams():
     ), delta=1)
     table.validate()
     assert sorted(profiles_by_outside_streams(table)) == [0, 1]
-    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=range(3))
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=0, cells=trial_cells(range(3)))
     stacked = stacked_nullspaces(channels, [()])
     basis, _ = nullspace_basis(channels.H[1][..., :0, :])
     assert np.array_equal(stacked[()][0], basis) and stacked[()][1:] == (4, 4)
@@ -374,19 +388,18 @@ SWEEP_GOLDENS = [
     ("example1_dof14.json", ["--trials", "20", "--seed", "5"], "example1_dof14_sweep_trials20_seed5.csv"),
     # two full trial blocks and a partial one, over more columns than one pass takes
     ("example1_dof12.json", ["--trials", "70", "--seed", "11"], "example1_dof12_sweep_trials70_seed11.csv"),
-    # seeds seed + 7919*trial + column cross 2**32 inside the first trial block:
-    # a large-seed run
+    # a seed above 2**32
     ("example1_dof14.json", ["--trials", "40", "--seed", "4294967280"],
      "example1_dof14_sweep_trials40_seed4294967280.csv"),
     # the benchmark's shape: six full trial blocks and a partial one, each in
-    # a full batch of columns and a partial one; written by 2-column batches
+    # a full batch of columns and a partial one; 2-column batches write it too
     ("example1_dof14.json", ["--trials", "200", "--seed", "42"], "example1_dof14_sweep_trials200_seed42.csv"),
 ]
 
 
 def test_rate_sweep_csv_golden(tmp_path, capsys):
-    """The Example 1 sweeps are byte for byte what the CLI wrote when the
-    draws were first keyed by seed on a Philox."""
+    """The Example 1 sweeps are byte for byte what the CLI wrote when each
+    draw was first addressed by its (trial, column) cell."""
     for table, flags, golden in SWEEP_GOLDENS:
         out = tmp_path / golden
         code = main(["rate-sweep", "--table", str(DATA / table), *flags, "-o", str(out)])
@@ -403,13 +416,13 @@ def test_rate_sweep_csv_golden(tmp_path, capsys):
     # 33 trials cross a trial block; its large stacks skip most SVDs
     ("fig3_omega8_t3_dof24.json", ["--trials", "33", "--seed", "9"],
      "fig3_omega8_t3_dof24_verify_trials33_seed9.json"),
-    # seeds seed + trial cross 2**32 at trial 4: a large-seed run
+    # a seed above 2**32
     ("example1_dof14.json", ["--trials", "8", "--seed", "4294967292"],
      "example1_dof14_verify_trials8_seed4294967292.json"),
 ])
 def test_verify_numeric_output_golden(capsys, table, flags, golden):
-    """`verify --numeric` prints byte for byte what the CLI printed when the
-    draws were first keyed by seed on a Philox."""
+    """`verify --numeric` prints byte for byte what the CLI printed when each
+    draw was first addressed by its (trial, column) cell."""
     code = main(["verify", "--table", str(DATA / table), "--numeric", *flags])
     assert code == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()
@@ -453,8 +466,8 @@ def fold_column_reports(table, trials, seed, tol, sigma_tol):
     max_leakage, leak_at, min_sigma, sigma_at = 0.0, None, math.inf, None
     failures = []
     for first in range(0, trials, TRIAL_BLOCK):
-        seeds = range(seed + first, seed + min(first + TRIAL_BLOCK, trials))
-        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
+        block = trial_cells(range(first, min(first + TRIAL_BLOCK, trials)))
+        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seed, cells=block)
         for idx, column in enumerate(table.columns, start=1):
             solution = build_beamformers(column, channels)
             ((leak, at), (sigma, sat)), found = column_report(channels, solution, tol, sigma_tol)
@@ -764,8 +777,8 @@ def reference_rates(table, powers, trials, seed, N0=1.0):
     for idx, column in enumerate(table.columns):
         for first in range(0, trials, TRIAL_BLOCK):
             last = min(first + TRIAL_BLOCK, trials)
-            seeds = [seed + 7919 * trial + idx for trial in range(first, last)]
-            channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
+            block = trial_cells(range(first, last), idx)
+            channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seed, cells=block)
             solution = build_beamformers(column, channels)
             coeffs = np.array(list(stream_coefficients(column, channels, solution).values()))
             p = powers[:, None, None] / len(solution.streams)
@@ -818,16 +831,17 @@ def test_sweep_kernel_matches_column_reference_across_passes(scan_tables):
 def test_sweep_batch_width_is_the_budget_over_the_block(monkeypatch, trials, width, copies):
     """A sweep of T trials draws BATCH_COLUMN_TRIALS // min(T, TRIAL_BLOCK)
     columns of a trial block at once, as the oracle batches them: no draw
-    takes more than BATCH_COLUMN_TRIALS seeds, a full batch takes exactly
+    takes more than BATCH_COLUMN_TRIALS cells, a full batch takes exactly
     width x min(T, TRIAL_BLOCK), and each batch draws its columns over the
-    block's trials once."""
+    block's trials once, each (trial, column) cell of the run's one seed."""
     example1 = table_from_json((DATA / "example1_dof14.json").read_text())
     table = replace(example1, columns=example1.columns * copies)
     assert _batch_columns(trials) == width and len(table.columns) > width
     seed, draw, drawn = 5, ChannelRealization.draw, []
 
     def spy(*args, **kwargs):
-        drawn.append([divmod(s - seed, 7919) for s in kwargs["seed"]])
+        assert kwargs["seed"] == seed
+        drawn.append(kwargs["cells"])
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(spy))
@@ -882,8 +896,8 @@ def test_sweep_names_the_first_error_in_scan_order(monkeypatch, capsys):
 
     def degenerate(*args, **kwargs):
         channels = draw(*args, **kwargs)
-        for i, s in enumerate(kwargs["seed"]):
-            user = silent.get(divmod(s - seed, 7919))
+        for i, cell in enumerate(kwargs["cells"]):
+            user = silent.get(cell)
             if user is not None:
                 channels.H[user][i] = 0.0
         return channels
@@ -891,8 +905,8 @@ def test_sweep_names_the_first_error_in_scan_order(monkeypatch, capsys):
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(degenerate))
     want = []
     for column, first in ((1, 0), (0, TRIAL_BLOCK)):
-        seeds = [seed + 7919 * trial + column for trial in range(first, min(first + TRIAL_BLOCK, trials))]
-        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seeds)
+        block = trial_cells(range(first, min(first + TRIAL_BLOCK, trials)), column)
+        channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seed, cells=block)
         with pytest.raises(NullityDeficientError) as err:
             build_beamformers(table.columns[column], channels)
         want.append(str(err.value))
@@ -965,26 +979,23 @@ def test_sweep_checks_a_whole_batch_of_nullspaces_first(monkeypatch):
     trials, seed = 3, 4
     draw, pool = ChannelRealization.draw, ChannelRealization.haar_combiner_pool
 
-    def column_of(s):
-        return (s - seed) % 7919
-
     def silent(*args, **kwargs):
         channels = draw(*args, **kwargs)
-        for i, s in enumerate(kwargs["seed"]):
-            if column_of(s) == 3:
+        for i, (_, column) in enumerate(kwargs["cells"]):
+            if column == 3:
                 channels.H[1][i] = 0.0
         return channels
 
     def repeated_column(self):
         combiners = pool(self)
-        for i, s in enumerate(self.seed):
-            if column_of(s) == 1:
+        for i, (_, column) in enumerate(self.cells):
+            if column == 1:
                 combiners[1][i, :, 1] = combiners[1][i, :, 0]
         return combiners
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
     monkeypatch.setattr(ChannelRealization, "haar_combiner_pool", repeated_column)
-    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=[seed + 7919 * t + 3 for t in range(trials)])
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seed, cells=trial_cells(range(trials), 3))
     with pytest.raises(NullityDeficientError) as want:
         build_beamformers(table.columns[3], channels)
     assert str(want.value).startswith("group (2, 3):")

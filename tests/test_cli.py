@@ -153,11 +153,12 @@ def test_verify_numeric_locates_worst_margins(tmp_path, capsys):
     numeric = json.loads(out)["numeric"]
     assert set(numeric["min_sigma_at"]) == {"trial", "column", "user"}
     assert set(numeric["max_leakage_at"]) == {"trial", "column", "user", "group"}
-    # the location names the draw and column that reproduce the worst sigma alone
+    # the location names the draw, cell (trial, 0) of the seed, and the column
+    # that reproduce the worst sigma alone
     at = numeric["min_sigma_at"]
     parsed = table_from_json(table.read_text())
     column = parsed.columns[at["column"] - 1]
-    channels = ChannelRealization.draw(parsed.users, parsed.G, parsed.L, seed=1 + at["trial"])
+    channels = ChannelRealization.draw(parsed.users, parsed.G, parsed.L, seed=1, cells=(at["trial"], 0))
     report = verify_numeric(column, channels, build_beamformers(column, channels))
     assert report.min_sigma == pytest.approx(numeric["min_sigma"], rel=1e-12)
     assert report.min_sigma_at["user"] == at["user"]
@@ -601,11 +602,12 @@ def test_reproduce_determinism(tmp_path, capsys):
     (["--seed", "-5"], "--seed must be non-negative"),
     (["--trials", "0"], "--trials must be at least 1"),
     (["--trials", "-3"], "--trials must be at least 1"),
-    # the largest key word, but the draws' derived seeds pass it
-    (["--seed", "18446744073709551615"], "seed must be an integer in [0, 2**64)"),
+    # one past the largest key word
+    (["--seed", "18446744073709551616"], "seed must be an integer in [0, 2**64)"),
     (["--seed", "99999999999999999999999"], "seed must be an integer in [0, 2**64)"),
 ])
 def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
+    """Each refusal names the value that was passed."""
     table = tmp_path / "t.json"
     run_cli(capsys, "schedule", "--mode", "sym", "--omega", "4", "--t", "1",
             "--L", "11", "--G", "8", "--beta", "1", "-o", str(table))
@@ -615,7 +617,19 @@ def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
     assert out == ""
     doc = json.loads(err)
     assert doc["error"]["type"] == "ParameterError"
-    assert reason in doc["error"]["reason"]
+    assert reason in doc["error"]["reason"] and doc["error"]["reason"].endswith(f"got {flags[1]}")
+
+
+@pytest.mark.parametrize("command", ["verify", "rate-sweep"])
+def test_largest_key_word_is_a_seed(capsys, command):
+    """--seed 2**64 - 1, the largest key word, keys every draw of the run."""
+    argv = [command, "--table", str(DATA / "example1_dof14.json"), "--trials", "3", "--seed", str((1 << 64) - 1)]
+    code, out, err = run_cli(capsys, *argv, *(["--numeric"] if command == "verify" else ["--snr", "0,30"]))
+    assert code == 0 and err == ""
+    if command == "verify":
+        assert json.loads(out)["numeric"]["ok"] is True
+    else:
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0", "30"]
 
 
 @pytest.mark.parametrize("command", ["verify", "rate-sweep"])
@@ -664,6 +678,29 @@ def test_repeated_user_exits_2(tmp_path, capsys, command):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error == {"type": "MalformedTableError", "reason": "user 5 repeats in the user list"}
+
+
+def test_validation_builds_no_universe_of_groups(tmp_path):
+    """A 1 KB table with omega = 60, t = 29 and one 30-user group: its
+    universe holds C(60, 30), about 1.2e17 groups, and validation builds
+    none of them.  Under a 2 GB address-space cap of its own, ``verify``
+    exits 2 and names the first three missing groups."""
+    pytest.importorskip("resource")
+    users = list(range(1, 61))
+    table = tmp_path / "wide.json"
+    table.write_text(json.dumps({"omega": 60, "t": 29, "L": 60, "G": 30, "users": users,
+                                 "delta": 1, "delta_tilde": 1, "m": 0, "columns": [[users[:30]]]}))
+    src = str(Path(ccsched.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+              "from ccsched.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = subprocess.run([sys.executable, "-c", capped, "verify", "--table", str(table)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 2 and out.stdout == "", out.stderr
+    missing = [tuple(users[:29] + [k]) for k in (31, 32, 33)]
+    assert json.loads(out.stderr)["error"] == {"type": "MalformedTableError", "reason": (
+        f"conservation violated: expected every group 1 times, got deviations [], missing {missing}")}
 
 
 def test_memory_error_without_a_message_exits_2(capsys, monkeypatch):

@@ -115,6 +115,53 @@ def test_table_validate_conservation():
         bad.validate()
 
 
+def universe_validate(table):
+    """The check ``validate`` replaced, which builds the whole universe of
+    (t+1)-groups: the reference for its verdicts and messages."""
+    expected = set(enumerate_groups(table.users, table.t))
+    totals = table.group_totals()
+    foreign = set(totals) - expected
+    if foreign:
+        raise MalformedTableError(f"groups outside the served universe: {sorted(foreign)[:3]}")
+    want = table.delta * table.delta_tilde
+    bad = {g: c for g, c in totals.items() if c != want}
+    missing = expected - set(totals)
+    if bad or missing:
+        raise MalformedTableError(
+            f"conservation violated: expected every group {want} times, "
+            f"got deviations {sorted(bad.items())[:3]}, missing {sorted(missing)[:3]}"
+        )
+
+
+PAIRS = list(itertools.combinations(range(1, 6), 2))
+
+
+@pytest.mark.parametrize("columns,delta", [
+    ([PAIRS], 1),
+    ([PAIRS[1:]], 1),  # three missing and more
+    ([PAIRS[:-2]], 1),  # the last two missing
+    ([PAIRS, PAIRS[:1]], 1),  # a deviation
+    ([PAIRS, PAIRS[:4]], 2),  # deviations and missing groups
+    ([PAIRS + [(1, 9)]], 1),  # a user outside the table
+    ([PAIRS + [(2, 1), (3, 3)]], 1),  # unsorted and repeated users
+    ([PAIRS + [(1, 2, 3)], [(1,)]], 1),  # groups of the wrong size
+    ([], 1),  # no group at all
+])
+def test_validate_matches_the_universe_check(columns, delta):
+    """Every verdict and message of ``validate``, which works from the
+    table's own groups, is the universe-building check's."""
+    table = ScheduleTable((1, 2, 3, 4, 5), 1, 10, 3, tuple(ScheduleColumn(tuple(c)) for c in columns), delta=delta)
+    outcomes = []
+    for check in (ScheduleTable.validate, universe_validate):
+        try:
+            check(table)
+            outcomes.append(None)
+        except MalformedTableError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (columns == [PAIRS])
+
+
 def test_json_roundtrip():
     pairs = list(itertools.combinations(range(1, 6), 2))
     table = _toy_table([pairs[:5], pairs[5:]], delta=1, delta_tilde=1)

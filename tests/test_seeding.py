@@ -1,33 +1,40 @@
-"""The channel draws against numpy's own Philox: every seed of a draw, alone
-or stacked, is bit for bit a fresh ``Generator(Philox(key=[seed, salt]))``,
-and a seed outside [0, 2**64) is refused."""
+"""The channel draws against numpy's own Philox: every (trial, column) cell
+of a seed's draws, alone or stacked, is bit for bit a fresh
+``Generator(Philox(key=[seed, salt], counter=[0, 0, trial, column]))``, a
+seed outside [0, 2**64) is refused, and no numeric run draws a cell twice."""
 
 import numpy as np
 import pytest
 
+from ccsched import verifier
 from ccsched.errors import ParameterError
-from ccsched.verifier import ChannelRealization
+from ccsched.model import ScheduleColumn, ScheduleTable
+from ccsched.rates import column_rates
+from ccsched.verifier import ChannelRealization, verify_table_numeric
 
 SALT = 0x636F6D62
 # both ends of the key word's range, both sides of 2**32 and 2**63, and
-# numpy integers, in one block
+# numpy integers
 STRADDLING = [
-    (1 << 32) - 3, (1 << 32) - 2, (1 << 32) - 1, 1 << 32, (1 << 32) + 1,
-    0, (1 << 64) - 1, np.int64(7919), np.uint64((1 << 64) - 2), 1 << 40, (1 << 63) - 1, 1 << 63, (1 << 63) + 1,
-] + list(range((1 << 32) - 7919 * 16, (1 << 32) - 7919, 7919))
+    (1 << 32) - 3, (1 << 32) - 1, 1 << 32, (1 << 32) + 1,
+    0, (1 << 64) - 1, np.int64(5), np.uint64((1 << 64) - 2), 1 << 40, (1 << 63) - 1, 1 << 63, (1 << 63) + 1,
+]
+# both counter words at 0, 1, across 2**32 and at the top of their range
+CELLS = [(0, 0), (1, 0), (0, 1), (7, 3), ((1 << 32) + 1, 1 << 32), ((1 << 64) - 1, (1 << 64) - 1), (3, 0)]
 
 
-def generator(seed, salt):
-    """A fresh generator keyed [seed, salt].  The key goes in as uint64 words:
-    numpy turns a list holding a word of 2**63 or more into floats first,
-    which rounds it."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, salt], dtype=np.uint64)))
+def generator(seed, salt, cell=(0, 0)):
+    """A fresh generator keyed [seed, salt] at the cell's counter.  Key and
+    counter go in as uint64 words: numpy turns a list holding a word of
+    2**63 or more into floats first, which rounds it."""
+    key = np.array([seed, salt], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=np.array([0, 0, *cell], dtype=np.uint64)))
 
 
-def reference_draw(seed, users, G, L):
-    """Channels and Haar combiners of one seed, each user from a fresh
+def reference_draw(seed, users, G, L, cell=(0, 0)):
+    """Channels and Haar combiners of one cell, each user from a fresh
     generator in turn, as the per-user kernel drew them."""
-    rng, pool_rng = generator(seed, 0), generator(seed, SALT)
+    rng, pool_rng = generator(seed, 0, cell), generator(seed, SALT, cell)
     H, pool = {}, {}
     for k in users:
         H[k] = (rng.standard_normal((G, L)) + 1j * rng.standard_normal((G, L))) / np.sqrt(2)
@@ -37,27 +44,95 @@ def reference_draw(seed, users, G, L):
     return H, pool
 
 
-def assert_draws_match_a_fresh_philox(seeds, users=(1, 2, 4), G=3, L=5):
-    channels = ChannelRealization.draw(users, G, L, seed=seeds)
+def assert_matches_reference(channels, seed, cell, users, index=()):
     pool = channels.haar_combiner_pool()
-    for i, seed in enumerate(seeds):
-        H, Q = reference_draw(seed, users, G, L)
-        for k in users:
-            assert np.array_equal(channels.H[k][i], H[k]), (seed, k)
-            assert np.array_equal(pool[k][i], Q[k]), (seed, k)
+    H, Q = reference_draw(seed, users, channels.G, channels.L, cell)
+    for k in users:
+        assert np.array_equal(channels.H[k][index], H[k]), (seed, cell, k)
+        assert np.array_equal(pool[k][index], Q[k]), (seed, cell, k)
 
 
 def test_draws_straddling_two_to_the_32_match_a_fresh_philox():
-    assert_draws_match_a_fresh_philox(STRADDLING)
-    assert_draws_match_a_fresh_philox(range((1 << 32) - 2, (1 << 32) + 2))
-    for seed in (0, (1 << 32) - 1, 1 << 32, np.uint64(1 << 63), (1 << 64) - 1):  # a single seed
+    """A single draw, cell (0, 0), of every seed: a fresh Philox at a zero
+    counter, the draw each seed gave before cells were counted."""
+    for seed in STRADDLING:
         one = ChannelRealization.draw((2, 1), 2, 3, seed=seed)
-        pool = one.haar_combiner_pool()
-        H, Q = reference_draw(seed, (1, 2), 2, 3)
-        assert all(np.array_equal(one.H[k], H[k]) and np.array_equal(pool[k], Q[k]) for k in (1, 2)), seed
+        assert one.cells is None
+        assert_matches_reference(one, seed, (0, 0), (1, 2))
+        keyed_only = np.random.Generator(np.random.Philox(key=np.array([seed, SALT], dtype=np.uint64)))
+        assert np.array_equal(keyed_only.standard_normal(8), generator(seed, SALT).standard_normal(8))
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1, np.uint64(1 << 63)])
+def test_cells_match_a_fresh_philox_at_their_counter(seed):
+    """Every cell of a batch, and a cell drawn alone, is a fresh Philox whose
+    counter holds (0, 0, trial, column), channels and combiners alike; the
+    reused generator's state setter places the counter, with an empty
+    buffer, as the constructor does."""
+    users = (1, 2, 4)
+    batch = ChannelRealization.draw(users, 3, 5, seed=seed, cells=CELLS)
+    assert batch.cells == tuple(CELLS) and batch.H[1].shape == (len(CELLS), 3, 5)
+    for i, cell in enumerate(CELLS):
+        assert_matches_reference(batch, seed, cell, users, i)
+        alone = ChannelRealization.draw(users, 3, 5, seed=seed, cells=cell)
+        assert alone.H[1].shape == (3, 5)
+        assert_matches_reference(alone, seed, cell, users)
+    # cell (0, 0) named or left out is one draw
+    assert np.array_equal(ChannelRealization.draw(users, 3, 5, seed=seed, cells=(0, 0)).H[4],
+                          ChannelRealization.draw(users, 3, 5, seed=seed).H[4])
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, 99999999999999999999999, 1.0, [0, 5, 1 << 64], [-3, 0]])
 def test_seeds_outside_the_key_range_are_refused(seed):
-    with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+    """A seed is one integer key word; a sequence of seeds is refused too."""
+    with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\), got "):
         ChannelRealization.draw((1, 2), 2, 3, seed=seed)
+    with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        ChannelRealization.draw((1, 2), 2, 3, seed=seed, cells=[(0, 0), (1, 0)])
+
+
+def spy_cells(monkeypatch):
+    """Record the (seed, salt, cell) of every draw that ``_complex_normals`` makes."""
+    drawn, draw = [], verifier._complex_normals
+
+    def spy(seed, cells, shape, salt=0):
+        drawn.extend((int(seed), salt, tuple(cell)) for cell in ([cells or (0, 0)] if np.ndim(cells) < 2 else cells))
+        return draw(seed, cells, shape, salt)
+
+    monkeypatch.setattr(verifier, "_complex_normals", spy)
+    return drawn
+
+
+def test_a_sweep_draws_every_cell_once(monkeypatch):
+    """A 2-trial sweep of 7 920 one-group columns, enough for trial 1 of
+    column 0 to meet trial 0 of column 7 919 under a seed offset of 7 919
+    per trial: every channel and combiner draw is a distinct (key, counter)
+    pair, one per (trial, column) cell."""
+    columns, trials = 7920, 2
+    table = ScheduleTable((1,), 0, 2, 1, (ScheduleColumn.of([(1,)]),) * columns, delta=columns)
+    table.validate()
+    drawn = spy_cells(monkeypatch)
+    rates = column_rates(table, np.array([1.0]), trials, (1 << 64) - 1)
+    assert rates.shape == (1, trials, columns) and (rates > 0).all()
+    assert len(drawn) == len(set(drawn)) == 2 * trials * columns
+    for salt in (0, SALT):
+        assert sorted(cell for _, s, cell in drawn if s == salt) == [(t, c) for t in range(trials) for c in range(columns)]
+    assert {seed for seed, _, _ in drawn} == {(1 << 64) - 1}
+
+
+def test_oracle_runs_at_neighbouring_seeds_share_no_draw(monkeypatch):
+    """``verify --numeric`` at s and s + 1 draws disjoint (key, counter)
+    pairs, where trial i + 1 of s and trial i of s + 1 used to coincide;
+    within a run, trial i draws cell (i, 0)."""
+    table = ScheduleTable((1, 2, 3), 1, 4, 2, (
+        ScheduleColumn.of([(1, 2), (1, 3)]), ScheduleColumn.of([(1, 2), (2, 3)]), ScheduleColumn.of([(1, 3), (2, 3)]),
+    ), delta=2)
+    runs = []
+    for seed in (41, 42):
+        with pytest.MonkeyPatch.context() as patch:
+            drawn = spy_cells(patch)
+            assert verify_table_numeric(table, trials=5, seed=seed).ok
+        runs.append(set(drawn))
+        assert len(drawn) == len(runs[-1]) == 2 * 5
+        assert sorted(cell for _, salt, cell in drawn if salt == 0) == [(t, 0) for t in range(5)]
+    assert not runs[0] & runs[1]
