@@ -35,7 +35,7 @@ from .errors import CcschedError, ParameterError, VerificationError
 from .model import ScheduleTable, table_from_json, table_to_json
 from .rates import snr_sweep, sweep_to_csv
 from .symmetric import DEFAULT_DELTA_MAX, feasible_beta_set, schedule_symmetric
-from .verifier import decodability_check, verify_table_numeric
+from .verifier import _key_word, decodability_check, verify_table_numeric
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -162,13 +162,16 @@ def cmd_schedule(args) -> int:
 
 
 def check_draw_flags(args) -> None:
-    """Channel draws need at least one trial and seeds numpy accepts; a
+    """Channel draws need at least one trial and a seed that is a Philox key
+    word, in [0, 2**64), checked by the draws' own rule before the table is
+    read, so a table that fails the symbolic check is refused too; a
     leakage tolerance, where the command takes one, must be finite and
     positive, or the leakage check would pass everything (inf, nan)."""
     if args.trials < 1:
         raise ParameterError(f"--trials must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        raise ParameterError(f"--seed must be non-negative, got {args.seed}")
+    if not _key_word(args.seed):
+        rule = "non-negative" if args.seed < 0 else "an integer in [0, 2**64)"
+        raise ParameterError(f"--seed must be {rule}, got {args.seed}")
     if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
         raise ParameterError(f"--tol must be a finite positive number, got {args.tol}")
 
@@ -207,7 +210,6 @@ def cmd_verify(args) -> int:
             )
             doc["numeric"] = {
                 "trials": args.trials,
-                "combiner_policy": "haar",
                 "max_leakage": numeric.max_leakage,
                 "max_leakage_at": numeric.max_leakage_at,
                 "min_sigma": numeric.min_sigma,

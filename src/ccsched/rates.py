@@ -1,10 +1,11 @@
 """Finite-SNR evaluation of a schedule under nullspace zero-forcing.
 
 Per column, every scheduled stream gets an equal share of the transmit
-power; each user applies its combiner followed by the zero-forcing inverse
-of its own effective matrix.  The column rate is the bottleneck stream's
-log2(1 + SINR), the per-column time is 1/(Theta * R(i)), and the symmetric
-rate divides the user count by the total delivery time.
+power; each user combines its first receive antennas, one per stream it
+decodes (``verifier``'s module docstring), and applies the zero-forcing
+inverse of its own effective matrix.  The column rate is the bottleneck
+stream's log2(1 + SINR), the per-column time is 1/(Theta * R(i)), and the
+symmetric rate divides the user count by the total delivery time.
 
 Absolute values are in normalized rate units (log2(1+SINR) per channel use
 with the file normalization folded into Theta); only orderings and

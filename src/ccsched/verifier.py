@@ -12,6 +12,13 @@ one unit-norm beamformer per stream instance inside that nullspace, and
 verifies rank-nullity, interference leakage, and per-user invertibility of
 the effective channel.  Every numeric array may carry a leading trial axis,
 so one call handles a batch of draws.
+Receive combiners select antennas: a user decoding b streams combines its
+first b receive antennas, so its combined channel is the leading b rows of
+its draw.  For i.i.d. Rayleigh channels this loses nothing: a Haar unitary
+U drawn independently of H leaves U^H H i.i.d. CN(0, 1) (unitary
+invariance; Tulino and Verdu, Random Matrix Theory and Wireless
+Communications, 2004), so every verdict and every margin and rate
+distribution is the one Haar combiners give.
 For one column on its own draw, ``build_beamformers``, ``effective_matrix``
 and ``verify_numeric`` state that oracle directly; they are the reference
 the table kernel below is checked against, and share nothing across columns.
@@ -29,9 +36,10 @@ and lays each batch out once.  Per trial block of TRIAL_BLOCK trials and
 layout, the run draws the channels and hands the kernel, ``_stream_gains``,
 to the caller's reduction: the oracle's margin scan (``_MarginScan.add``) or
 the sweep's SINR step (``rates._batch_sinrs``).
-The kernel takes one combined channel per (user, stream count), one stacked
-nullspace QR per (draw, outside-stream count) over the outside-user
-profiles present, and one direction library, and yields every stream set's
+The kernel takes one combined channel per (user, stream count), the draw's
+leading rows, one stacked nullspace QR per (draw, outside-stream count)
+over the outside-user profiles present, and one direction library, and
+yields every stream set's
 own and cross gains from beams in C order, the one layout of a column's
 own stack (``BeamformerSolution.stacked``), as a BLAS product rounds by
 layout.  The margin scan's conditioning margin is screened: a batched
@@ -80,10 +88,9 @@ TRIAL_BLOCK = 32
 # at 4 % more.  The conditioning screen inverts about this many at a time.
 BATCH_COLUMN_TRIALS = 256
 # the most complex entries a numeric run's trial block may hold in its channel
-# draws and combiner pools (users x G x (L + G) per draw) and its kernel
-# calls' L x L nullspace Q factors, about 0.8 GB at 16 bytes an entry: a
-# table whose antenna counts need more is refused before the first draw
-# (_numeric_run).  The tables of the tests and the benchmark hold under 10**6.
+# draws (users x G x L per draw) and its kernel calls' L x L nullspace Q
+# factors, about 0.8 GB at 16 bytes an entry: a table whose antenna counts
+# need more is refused before the first draw (_numeric_run).  The tables of the tests and the benchmark hold under 10**6.
 MAX_KERNEL_ENTRIES = 5 * 10**7
 # the conditioning screen (_MarginScan._sigma_min): the relative margin by
 # which a cell's lower bound must clear the threshold to skip its SVD, and the
@@ -174,32 +181,40 @@ def decodability_check(table: ScheduleTable) -> SymbolicReport:
     return SymbolicReport(not found, tuple(found), tuple((~bad).tolist()), L - int(lhs.max(initial=0)))
 
 
-# the second word of the Haar combiner pools' Philox key ("comb"); the channels' is 0
-_COMBINER_SALT = 0x636F6D62
+def _key_word(value) -> bool:
+    """Whether ``value`` is an integer in [0, 2**64), a word of Philox's key
+    or counter: a draw's seed, or either half of its (trial, column) cell."""
+    return isinstance(value, (int, np.integer)) and 0 <= int(value) < 1 << 64
 
 
-def _complex_normals(seed: int, cells, shape: tuple, salt: int = 0) -> np.ndarray:
+def _complex_normals(seed: int, cells, shape: tuple) -> np.ndarray:
     """Per leading index of ``shape``, a real then an imaginary block of
-    standard normals from ``Generator(Philox(key=[seed, salt], counter=[0, 0,
+    standard normals from ``Generator(Philox(key=[seed, 0], counter=[0, 0,
     trial, column]))`` at one (trial, column) cell (None: (0, 0)), or one
     draw per cell of a sequence, stacked on a leading axis.
 
     One reused Philox is set per cell, through its ``state`` setter, to that
     generator's start: key, counter, empty buffer.  A draw advances only the
-    counter's two low words, so no two cells overlap.  A seed outside the key
-    word's range [0, 2**64) raises ParameterError.  The parts of a whole stack
-    are combined in one operation, which is exact."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 1 << 64):
+    counter's two low words, so no two cells overlap.  A seed, or a cell
+    that is not a pair, with a word outside the range [0, 2**64) raises
+    ParameterError.  The parts of a whole stack are combined in one
+    operation, which is exact."""
+    if not _key_word(seed):
         raise ParameterError(f"a channel draw's seed must be an integer in [0, 2**64), got {seed}")
-    one = np.ndim(cells) < 2  # None or a single (trial, column) pair
+    dims = np.shape((0, 0) if cells is None else cells)  # (2,) for one cell, (n, 2) for n
+    one = len(dims) == 1  # None or a single (trial, column) pair
     cells = [(0, 0) if cells is None else cells] if one else cells
-    bitgen = np.random.Philox(key=np.array([seed, salt], dtype=np.uint64))
+    if len(dims) not in (1, 2) or dims[-1] != 2:
+        raise ParameterError(f"a channel draw's cells must be (trial, column) pairs, got {cells}")
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     generator = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh Philox's: zero counter, empty buffer
     counter = state["state"]["counter"]
     z = np.empty((len(cells), shape[0], 2) + shape[1:])
-    for cell, out in zip(cells, z):
-        counter[2:] = cell
+    for (trial, column), out in zip(cells, z):
+        if not (_key_word(trial) and _key_word(column)):
+            raise ParameterError(f"a channel draw's cell must be a pair of integers in [0, 2**64), got {(trial, column)}")
+        counter[2:] = trial, column
         bitgen.state = state
         generator.standard_normal(out=out)
     h = 1j * z[:, :, 1]
@@ -218,8 +233,8 @@ class ChannelRealization:
     ``cells`` is one (trial, column) cell of the seed's draws, None for cell
     (0, 0), or a sequence of cells: a batch, every array with a leading trial
     axis, each draw bit for bit its cell's alone (``_complex_normals``).  The
-    channels take the key [seed, 0] and the Haar combiner pool [seed,
-    0x636F6D62], users in sorted order."""
+    channels take the key [seed, 0], users in sorted order.  A cell must be
+    a pair of integers in [0, 2**64), or ParameterError is raised."""
 
     users: tuple[int, ...]
     G: int
@@ -237,14 +252,14 @@ class ChannelRealization:
         return ChannelRealization(users, G, L, seed, cells, dict(zip(users, np.moveaxis(h, -3, 0))))
 
     def haar_combiner_pool(self) -> dict[int, np.ndarray]:
-        """One GxG random unitary per user (QR of a Gaussian draw); combiners
-        for any stream count are its leading columns."""
-        z = _complex_normals(self.seed, self.cells, (len(self.users), self.G, self.G), salt=_COMBINER_SALT)
-        q, rmat = np.linalg.qr(z)
-        # fix the phases so the factorization is unique
-        d = np.diagonal(rmat, axis1=-2, axis2=-1)
-        q = q * (d / np.abs(d))[..., None, :]
-        return dict(zip(self.users, np.moveaxis(q, -3, 0)))
+        """Every user's receive combiners: the GxG identity, broadcast over
+        the batch (read-only), whose leading b columns select the first b
+        receive antennas (the module docstring says why that loses nothing).
+        Nothing is drawn.  The name is historical: it stays only because the
+        benchmark's tracer, ``bench/tracer.py``, binds it, until the
+        benchmark reads a trace the library owns (ROADMAP.md)."""
+        batch = () if np.ndim(self.cells) < 2 else (len(self.cells),)
+        return dict.fromkeys(self.users, np.broadcast_to(np.eye(self.G, dtype=complex), batch + (self.G, self.G)))
 
 
 def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
@@ -338,7 +353,8 @@ def _check_nullity(group: Group, theta: int, nullity: int, widest: int, expected
 def build_beamformers(column: ScheduleColumn, channels: ChannelRealization) -> BeamformerSolution:
     """Nullspace beamformers for one column under random channels.
 
-    Combiners are fixed first: random orthonormal columns.  For every
+    Combiners are fixed first: each user's first beta_k receive antennas
+    (``ChannelRealization.haar_combiner_pool``).  For every
     scheduled group the interference channel of all outside users is
     stacked and the group's stream instances take the first theta
     orthonormal nullspace directions.  The column is built from its own
@@ -603,22 +619,21 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     """The numeric kernel of a batch of stream sets and a trial block, whose
     channels stack the layout's draws: every set with its entries' gains
     (``_set_gains``), from one combined channel per (user, stream count),
-    one nullspace QR per (draw, outside-stream count), mapped over the
-    ``pool`` when it pays (``_stack_nullspaces``), and one direction
-    library.  LAPACK and BLAS see each matrix on its own and in the layout
+    the draw's leading rows (antenna selection), one nullspace QR per (draw,
+    outside-stream count), mapped over the ``pool`` when it pays
+    (``_stack_nullspaces``), and one direction library.  LAPACK and BLAS see each matrix on its own and in the layout
     of its one-column product, so every gain is the one-column one, bit for
     bit.  Before any gain, raises NullityDeficientError at the first run of
     groups in scan order (column, then group) whose nullspace is not the
     rank-nullity value in every trial or cannot host its instances."""
-    combiners = channels.haar_combiner_pool()
     if not layout.sets:
         return
     L, D = channels.L, layout.draws
     T = len(channels.H[plan.users[0]]) // D
     # (D, T, row, L): the entries' combined channels, which hold every profile's
-    rows = np.concatenate([_hermitian(combiners[k][..., :b]) @ channels.H[k] for k, b, _ in layout.combined], axis=1)
+    rows = np.concatenate([channels.H[k][..., :b, :] for k, b, _ in layout.combined], axis=1)
     rows = rows.reshape(D, T, -1, L)
-    del channels, combiners  # frees the draw, when the caller keeps no reference to it
+    del channels  # frees the draw, when the caller keeps no reference to it
     combined = {(k, b): rows[:, :, i : i + b] for k, b, i in layout.combined}
     library, ranks = _stack_nullspaces(rows, layout.stacks, pool)
     if any((rank != index.shape[1]).any() or m > L - index.shape[1] for rank, (_, _, index, m) in zip(ranks, layout.stacks)):
@@ -639,9 +654,9 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
     ``shared``, else cell (trial, column).  Per trial block and layout,
     calls ``reduce(plan, block, layout, kernel)`` with the block's range of
     trials and the kernel's generator of stream sets and gains.  Before
-    any draw, raises ParameterError if a trial block's channel draws,
-    combiner pools and nullspace Q factors would hold more than
-    MAX_KERNEL_ENTRIES complex entries."""
+    any draw, raises ParameterError if a trial block's channel draws and
+    nullspace Q factors would hold more than MAX_KERNEL_ENTRIES complex
+    entries."""
     users, width = tuple(sorted(table.users)), _batch_columns(trials)
     plan = _plan_table(table.columns, users, width)
     if shared:
@@ -653,9 +668,9 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
         draw = np.arange(len(plan.columns)) % width  # one draw per column of a batch
         layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
     G, L = table.G, table.L
-    for layout in layouts:  # a trial block's draws, combiner pools and L x L Q factors
+    for layout in layouts:  # a trial block's draws and L x L Q factors
         matrices = sum(len(index) for _, _, index, _ in layout.stacks)
-        entries = min(trials, TRIAL_BLOCK) * (layout.draws * len(users) * G * (L + G) + matrices * L * L)
+        entries = min(trials, TRIAL_BLOCK) * (layout.draws * len(users) * G * L + matrices * L * L)
         if entries > MAX_KERNEL_ENTRIES:
             raise ParameterError(f"L = {L}, G = {G}: a trial block would hold {entries} complex entries, "
                                  f"more than {MAX_KERNEL_ENTRIES}, in its channel draws and nullspace Q factors")
@@ -668,7 +683,7 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
             block = range(first, min(first + TRIAL_BLOCK, trials))
             for layout in layouts:
                 cells = [(t, 0) for t in block] if shared else [(t, c) for c in layout.columns.tolist() for t in block]
-                # no name here for the draw: the kernel, its only holder, frees it once combined
+                # no name here for the draw: the kernel, its only holder, frees it once sliced
                 kernel = _stream_gains(plan, layout, ChannelRealization.draw(users, G, L, seed=seed, cells=cells), pool)
                 reduce(plan, block, layout, kernel)
             if not plan.sets:  # no column carries a stream

@@ -82,17 +82,48 @@ def reference_margins(column, channels, solution):
 
 def test_draws_match_the_per_user_reference():
     """One draw per user from a shared generator, as the unbatched kernel drew
-    them: the channels keyed [seed, 0], the combiners [seed, 0x636F6D62]."""
+    them: the channels keyed [seed, 0]."""
     channels = ChannelRealization.draw((3, 1, 2), G=2, L=4, seed=9)
-    pool = channels.haar_combiner_pool()
     rng = np.random.Generator(np.random.Philox(key=[9, 0]))
-    pool_rng = np.random.Generator(np.random.Philox(key=[9, 0x636F6D62]))
     for k in (1, 2, 3):
         h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
         assert np.array_equal(channels.H[k], h)
-        z = pool_rng.standard_normal((2, 2)) + 1j * pool_rng.standard_normal((2, 2))
-        q, r = np.linalg.qr(z)
-        assert np.array_equal(pool[k], q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["oracle", "sweep"])
+def test_kernel_combines_the_leading_rows_of_one_draw(monkeypatch, shared):
+    """Receive combiners select antennas: every (user, stream count b)
+    combined channel the kernel hands its reduction is the leading b rows of
+    that user's draw, bit for bit, and a run makes one channel draw, one
+    ``_complex_normals`` call, per (trial block, layout) and nothing more."""
+    table = table_from_json((DATA / "example1_dof12.json").read_text())
+    trials = TRIAL_BLOCK + 3
+    draws, combined, normals = [], [], []
+    draw, set_gains, complex_normals = ChannelRealization.draw, verifier._set_gains, verifier._complex_normals
+
+    def keep_draw(*args, **kwargs):
+        draws.append(draw(*args, **kwargs))
+        return draws[-1]
+
+    def keep_combined(plan, streams, beams, rows, at):
+        combined.append((len(draws) - 1, rows))
+        return set_gains(plan, streams, beams, rows, at)
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(keep_draw))
+    monkeypatch.setattr(verifier, "_set_gains", keep_combined)
+    monkeypatch.setattr(verifier, "_complex_normals", lambda *args: normals.append(args[1]) or complex_normals(*args))
+    if shared:
+        assert verify_table_numeric(table, trials=trials, seed=6).ok
+    else:
+        column_rates(table, np.array([1.0]), trials, 6)
+    layouts = 1 if shared else math.ceil(len(table.columns) / _batch_columns(trials))
+    assert shared or layouts > 1  # the sweep takes two batches of columns
+    assert len(normals) == len(draws) == 2 * layouts  # two trial blocks
+    assert {i for i, _ in combined} == set(range(len(draws)))
+    for i, rows in combined:
+        for (k, b), channel in rows.items():
+            leading = draws[i].H[k][..., :b, :]
+            assert channel.tobytes() == np.ascontiguousarray(leading).reshape(channel.shape).tobytes()
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
@@ -398,8 +429,8 @@ SWEEP_GOLDENS = [
 
 
 def test_rate_sweep_csv_golden(tmp_path, capsys):
-    """The Example 1 sweeps are byte for byte what the CLI wrote when each
-    draw was first addressed by its (trial, column) cell."""
+    """The Example 1 sweeps are byte for byte what the CLI wrote when
+    receive combiners first selected antennas."""
     for table, flags, golden in SWEEP_GOLDENS:
         out = tmp_path / golden
         code = main(["rate-sweep", "--table", str(DATA / table), *flags, "-o", str(out)])
@@ -421,8 +452,8 @@ def test_rate_sweep_csv_golden(tmp_path, capsys):
      "example1_dof14_verify_trials8_seed4294967292.json"),
 ])
 def test_verify_numeric_output_golden(capsys, table, flags, golden):
-    """`verify --numeric` prints byte for byte what the CLI printed when each
-    draw was first addressed by its (trial, column) cell."""
+    """`verify --numeric` prints byte for byte what the CLI printed when
+    receive combiners first selected antennas."""
     code = main(["verify", "--table", str(DATA / table), "--numeric", *flags])
     assert code == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()
@@ -732,10 +763,23 @@ def test_screen_on_random_stacks_of_mixed_conditioning(b):
             assert kept.sum() < kept.size / 2
 
 
+def repeat_user_1_row_0(monkeypatch):
+    """Draw every channel with user 1's receive antenna 1 a copy of its
+    antenna 0, in the same cells."""
+    draw = ChannelRealization.draw
+
+    def repeated_row(*args, **kwargs):
+        channels = draw(*args, **kwargs)
+        channels.H[1][..., 1, :] = channels.H[1][..., 0, :]
+        return channels
+
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(repeated_row))
+
+
 def test_singular_effective_matrix_falls_back_to_the_full_scan(monkeypatch):
-    """Two equal combiner columns make user 1's effective matrix exactly
+    """Two equal channel rows make user 1's effective matrix exactly
     singular in the columns where it decodes two streams.  It is inside every
-    group there, so no nullspace sees those combiners.  The batched inverse
+    group there, so no nullspace sees its second row.  The batched inverse
     raises, every cell of the stack takes the SVD, and the report fails at
     user 1 as the full scan's does."""
     table = ScheduleTable((1, 2, 3), 1, 4, 2, (
@@ -743,14 +787,7 @@ def test_singular_effective_matrix_falls_back_to_the_full_scan(monkeypatch):
         ScheduleColumn.of([(1, 2), (2, 3)]),  # user 2 decodes two regular streams
         ScheduleColumn.of([(1, 3)]),
     ) * 2)
-    pool = ChannelRealization.haar_combiner_pool
-
-    def repeated_column(self):
-        combiners = pool(self)
-        combiners[1][..., 1] = combiners[1][..., 0]
-        return combiners
-
-    monkeypatch.setattr(ChannelRealization, "haar_combiner_pool", repeated_column)
+    repeat_user_1_row_0(monkeypatch)
     raised, inv = [], np.linalg.inv
 
     def spy(a):
@@ -923,21 +960,14 @@ def test_sweep_names_the_first_error_in_scan_order(monkeypatch, capsys):
 
 
 def test_sweep_singular_effective_matrix_names_the_user(monkeypatch, tmp_path, capsys):
-    """Two equal combiner columns make user 1's effective matrix exactly
+    """Two equal channel rows make user 1's effective matrix exactly
     singular where it decodes two streams (inside every group there, so no
-    nullspace sees them): the sweep fails at user 1, as one column at a time does."""
+    nullspace sees the second): the sweep fails at user 1, as one column at a time does."""
     table = ScheduleTable((1, 2, 3), 1, 4, 2, (
         ScheduleColumn.of([(2, 3)]),
         ScheduleColumn.of([(1, 2), (1, 3)]),
     ) * 2, delta=2)
-    pool = ChannelRealization.haar_combiner_pool
-
-    def repeated_column(self):
-        combiners = pool(self)
-        combiners[1][..., 1] = combiners[1][..., 0]
-        return combiners
-
-    monkeypatch.setattr(ChannelRealization, "haar_combiner_pool", repeated_column)
+    repeat_user_1_row_0(monkeypatch)
     table.validate()
     with pytest.raises(VerificationError) as want:
         reference_rates(table, np.array([1.0]), 3, 4)
@@ -967,7 +997,7 @@ def test_sweep_singular_effective_matrix_names_the_user(monkeypatch, tmp_path, c
 
 def test_sweep_checks_a_whole_batch_of_nullspaces_first(monkeypatch):
     """Column 1's draws give user 1 a singular effective matrix (a repeated
-    combiner), and column 3's draws silence user 1, which group (2, 3) of
+    channel row), and column 3's draws silence user 1, which group (2, 3) of
     that column sees.  In 2-column batches the first batch fails at the
     singular matrix; in the batches of the column-trial budget, all six
     columns at three trials, the nullspaces of the whole batch are checked
@@ -977,24 +1007,18 @@ def test_sweep_checks_a_whole_batch_of_nullspaces_first(monkeypatch):
     ), delta=4)
     table.validate()
     trials, seed = 3, 4
-    draw, pool = ChannelRealization.draw, ChannelRealization.haar_combiner_pool
+    draw = ChannelRealization.draw
 
-    def silent(*args, **kwargs):
+    def degenerate(*args, **kwargs):
         channels = draw(*args, **kwargs)
         for i, (_, column) in enumerate(kwargs["cells"]):
+            if column == 1:
+                channels.H[1][i, 1] = channels.H[1][i, 0]
             if column == 3:
                 channels.H[1][i] = 0.0
         return channels
 
-    def repeated_column(self):
-        combiners = pool(self)
-        for i, (_, column) in enumerate(self.cells):
-            if column == 1:
-                combiners[1][i, :, 1] = combiners[1][i, :, 0]
-        return combiners
-
-    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
-    monkeypatch.setattr(ChannelRealization, "haar_combiner_pool", repeated_column)
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(degenerate))
     channels = ChannelRealization.draw(table.users, table.G, table.L, seed=seed, cells=trial_cells(range(trials), 3))
     with pytest.raises(NullityDeficientError) as want:
         build_beamformers(table.columns[3], channels)

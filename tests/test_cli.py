@@ -607,17 +607,23 @@ def test_reproduce_determinism(tmp_path, capsys):
     (["--seed", "99999999999999999999999"], "seed must be an integer in [0, 2**64)"),
 ])
 def test_channel_draw_flags_exit_2(tmp_path, capsys, command, flags, reason):
-    """Each refusal names the value that was passed."""
+    """Each refusal names the value that was passed, and comes before the
+    symbolic check: a table that fails it (here, with one transmit antenna)
+    exits 2 as well, not 4."""
     table = tmp_path / "t.json"
     run_cli(capsys, "schedule", "--mode", "sym", "--omega", "4", "--t", "1",
             "--L", "11", "--G", "8", "--beta", "1", "-o", str(table))
-    argv = [command, "--table", str(table)] + (["--numeric"] if command == "verify" else [])
-    code, out, err = run_cli(capsys, *argv, *flags)
-    assert code == 2
-    assert out == ""
-    doc = json.loads(err)
-    assert doc["error"]["type"] == "ParameterError"
-    assert reason in doc["error"]["reason"] and doc["error"]["reason"].endswith(f"got {flags[1]}")
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(dict(json.loads(table.read_text()), L=1)))
+    assert not decodability_check(table_from_json(failing.read_text())).ok
+    for path in (table, failing):
+        argv = [command, "--table", str(path)] + (["--numeric"] if command == "verify" else [])
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"]["type"] == "ParameterError"
+        assert reason in doc["error"]["reason"] and doc["error"]["reason"].endswith(f"got {flags[1]}")
 
 
 @pytest.mark.parametrize("command", ["verify", "rate-sweep"])

@@ -1,7 +1,8 @@
 """The channel draws against numpy's own Philox: every (trial, column) cell
 of a seed's draws, alone or stacked, is bit for bit a fresh
-``Generator(Philox(key=[seed, salt], counter=[0, 0, trial, column]))``, a
-seed outside [0, 2**64) is refused, and no numeric run draws a cell twice."""
+``Generator(Philox(key=[seed, 0], counter=[0, 0, trial, column]))``, a
+seed or a cell outside [0, 2**64) is refused, and no numeric run draws a
+cell twice."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from ccsched.model import ScheduleColumn, ScheduleTable
 from ccsched.rates import column_rates
 from ccsched.verifier import ChannelRealization, verify_table_numeric
 
-SALT = 0x636F6D62
 # both ends of the key word's range, both sides of 2**32 and 2**63, and
 # numpy integers
 STRADDLING = [
@@ -23,33 +23,25 @@ STRADDLING = [
 CELLS = [(0, 0), (1, 0), (0, 1), (7, 3), ((1 << 32) + 1, 1 << 32), ((1 << 64) - 1, (1 << 64) - 1), (3, 0)]
 
 
-def generator(seed, salt, cell=(0, 0)):
-    """A fresh generator keyed [seed, salt] at the cell's counter.  Key and
+def generator(seed, cell=(0, 0)):
+    """A fresh generator keyed [seed, 0] at the cell's counter.  Key and
     counter go in as uint64 words: numpy turns a list holding a word of
     2**63 or more into floats first, which rounds it."""
-    key = np.array([seed, salt], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=np.array([0, 0, *cell], dtype=np.uint64)))
 
 
 def reference_draw(seed, users, G, L, cell=(0, 0)):
-    """Channels and Haar combiners of one cell, each user from a fresh
-    generator in turn, as the per-user kernel drew them."""
-    rng, pool_rng = generator(seed, 0, cell), generator(seed, SALT, cell)
-    H, pool = {}, {}
-    for k in users:
-        H[k] = (rng.standard_normal((G, L)) + 1j * rng.standard_normal((G, L))) / np.sqrt(2)
-        z = pool_rng.standard_normal((G, G)) + 1j * pool_rng.standard_normal((G, G))
-        q, r = np.linalg.qr(z)
-        pool[k] = q * (np.diag(r) / np.abs(np.diag(r)))
-    return H, pool
+    """Channels of one cell, each user from one fresh generator in turn, as
+    the per-user kernel drew them."""
+    rng = generator(seed, cell)
+    return {k: (rng.standard_normal((G, L)) + 1j * rng.standard_normal((G, L))) / np.sqrt(2) for k in users}
 
 
 def assert_matches_reference(channels, seed, cell, users, index=()):
-    pool = channels.haar_combiner_pool()
-    H, Q = reference_draw(seed, users, channels.G, channels.L, cell)
+    H = reference_draw(seed, users, channels.G, channels.L, cell)
     for k in users:
         assert np.array_equal(channels.H[k][index], H[k]), (seed, cell, k)
-        assert np.array_equal(pool[k][index], Q[k]), (seed, cell, k)
 
 
 def test_draws_straddling_two_to_the_32_match_a_fresh_philox():
@@ -59,14 +51,14 @@ def test_draws_straddling_two_to_the_32_match_a_fresh_philox():
         one = ChannelRealization.draw((2, 1), 2, 3, seed=seed)
         assert one.cells is None
         assert_matches_reference(one, seed, (0, 0), (1, 2))
-        keyed_only = np.random.Generator(np.random.Philox(key=np.array([seed, SALT], dtype=np.uint64)))
-        assert np.array_equal(keyed_only.standard_normal(8), generator(seed, SALT).standard_normal(8))
+        keyed_only = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        assert np.array_equal(keyed_only.standard_normal(8), generator(seed).standard_normal(8))
 
 
 @pytest.mark.parametrize("seed", [0, (1 << 64) - 1, np.uint64(1 << 63)])
 def test_cells_match_a_fresh_philox_at_their_counter(seed):
     """Every cell of a batch, and a cell drawn alone, is a fresh Philox whose
-    counter holds (0, 0, trial, column), channels and combiners alike; the
+    counter holds (0, 0, trial, column); the
     reused generator's state setter places the counter, with an empty
     buffer, as the constructor does."""
     users = (1, 2, 4)
@@ -91,13 +83,29 @@ def test_seeds_outside_the_key_range_are_refused(seed):
         ChannelRealization.draw((1, 2), 2, 3, seed=seed, cells=[(0, 0), (1, 0)])
 
 
+@pytest.mark.parametrize("cell", [(-1, 0), (1 << 64, 0), (0.5, 0), (0, -1), (0, 1 << 64), (0, 0.5)])
+def test_cells_outside_the_counter_range_are_refused(cell):
+    """Each half of a cell is one integer counter word, alone or in a batch:
+    a negative or too large one used to end in an OverflowError, a float
+    was truncated to another cell."""
+    for cells in (cell, [(0, 0), cell]):
+        with pytest.raises(ParameterError, match=r"cell must be a pair of integers in \[0, 2\*\*64\), got "):
+            ChannelRealization.draw((1, 2), 2, 3, seed=1, cells=cells)
+
+
+@pytest.mark.parametrize("cells", [5, (1, 2, 3), [(0, 0, 0)], [[(0, 0)]]])
+def test_cells_that_are_not_pairs_are_refused(cells):
+    with pytest.raises(ParameterError, match=r"cells must be \(trial, column\) pairs, got "):
+        ChannelRealization.draw((1, 2), 2, 3, seed=1, cells=cells)
+
+
 def spy_cells(monkeypatch):
-    """Record the (seed, salt, cell) of every draw that ``_complex_normals`` makes."""
+    """Record the (seed, cell) of every draw that ``_complex_normals`` makes."""
     drawn, draw = [], verifier._complex_normals
 
-    def spy(seed, cells, shape, salt=0):
-        drawn.extend((int(seed), salt, tuple(cell)) for cell in ([cells or (0, 0)] if np.ndim(cells) < 2 else cells))
-        return draw(seed, cells, shape, salt)
+    def spy(seed, cells, shape):
+        drawn.extend((int(seed), tuple(cell)) for cell in ([cells or (0, 0)] if np.ndim(cells) < 2 else cells))
+        return draw(seed, cells, shape)
 
     monkeypatch.setattr(verifier, "_complex_normals", spy)
     return drawn
@@ -106,18 +114,17 @@ def spy_cells(monkeypatch):
 def test_a_sweep_draws_every_cell_once(monkeypatch):
     """A 2-trial sweep of 7 920 one-group columns, enough for trial 1 of
     column 0 to meet trial 0 of column 7 919 under a seed offset of 7 919
-    per trial: every channel and combiner draw is a distinct (key, counter)
-    pair, one per (trial, column) cell."""
+    per trial: every channel draw is a distinct (key, counter) pair, one per
+    (trial, column) cell."""
     columns, trials = 7920, 2
     table = ScheduleTable((1,), 0, 2, 1, (ScheduleColumn.of([(1,)]),) * columns, delta=columns)
     table.validate()
     drawn = spy_cells(monkeypatch)
     rates = column_rates(table, np.array([1.0]), trials, (1 << 64) - 1)
     assert rates.shape == (1, trials, columns) and (rates > 0).all()
-    assert len(drawn) == len(set(drawn)) == 2 * trials * columns
-    for salt in (0, SALT):
-        assert sorted(cell for _, s, cell in drawn if s == salt) == [(t, c) for t in range(trials) for c in range(columns)]
-    assert {seed for seed, _, _ in drawn} == {(1 << 64) - 1}
+    assert len(drawn) == len(set(drawn)) == trials * columns
+    assert sorted(cell for _, cell in drawn) == [(t, c) for t in range(trials) for c in range(columns)]
+    assert {seed for seed, _ in drawn} == {(1 << 64) - 1}
 
 
 def test_oracle_runs_at_neighbouring_seeds_share_no_draw(monkeypatch):
@@ -133,6 +140,6 @@ def test_oracle_runs_at_neighbouring_seeds_share_no_draw(monkeypatch):
             drawn = spy_cells(patch)
             assert verify_table_numeric(table, trials=5, seed=seed).ok
         runs.append(set(drawn))
-        assert len(drawn) == len(runs[-1]) == 2 * 5
-        assert sorted(cell for _, salt, cell in drawn if salt == 0) == [(t, 0) for t in range(5)]
+        assert len(drawn) == len(runs[-1]) == 5
+        assert sorted(cell for _, cell in drawn) == [(t, 0) for t in range(5)]
     assert not runs[0] & runs[1]
