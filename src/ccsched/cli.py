@@ -205,9 +205,7 @@ def cmd_verify(args) -> int:
         if not ok:
             doc["numeric"] = {"skipped": "symbolic check failed"}
         else:
-            numeric = verify_table_numeric(
-                table, trials=args.trials, seed=args.seed, tol=args.tol, symbolic=report
-            )
+            numeric = verify_table_numeric(table, trials=args.trials, seed=args.seed, tol=args.tol)
             doc["numeric"] = {
                 "trials": args.trials,
                 "max_leakage": numeric.max_leakage,

@@ -205,6 +205,8 @@ def table_from_json(text: str) -> ScheduleTable:
     if len(users) != doc["omega"]:
         raise MalformedTableError("omega does not match the user list")
     t = doc["t"]
+    if t < 0:
+        raise MalformedTableError(f"table field 't' must be non-negative, got {t}")
     # each distinct raw group is made once; every element is a plain int (checked
     # above), so no bool reaches a key, where True == 1 would find the group of a 1
     canonical: dict[tuple, Group] = {}

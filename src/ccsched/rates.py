@@ -13,12 +13,13 @@ high-SNR slopes are meaningful quantities here.
 
 ``snr_sweep`` evaluates a whole table in one numeric run of the oracle's
 kernel, one draw per (trial, column) cell; ``verifier``'s module docstring
-describes the run, its batches and draws (``verifier._numeric_run``).  This
-module's reduction, the SINR step, inverts each (user, stream count) stack
-of effective matrices and takes its noise and leakage gains; the SINRs,
-rates and per-trial symmetric rates follow in array passes.  Every rate is
-bit for bit the one the per-column reference gives on the column's own
-draws: ``verifier.build_beamformers``, then ``stream_coefficients``,
+describes the run, its batches and draws (``verifier._numeric_run``), and
+the inputs the run refuses before any draw.  This module's reduction, the
+SINR step, inverts each (user, stream count) stack of effective matrices
+and takes its noise and leakage gains; the SINRs, rates and per-trial
+symmetric rates follow in array passes.  Every rate is bit for bit the one
+the per-column reference gives on the column's own draws:
+``verifier.build_beamformers``, then ``stream_coefficients``,
 ``sinrs_from_coefficients`` and ``column_rate``.  That path stays public,
 and the tests compare against it.
 """
@@ -38,7 +39,6 @@ from .verifier import (
     _KernelLayout,
     _numeric_run,
     _TablePlan,
-    decodability_check,
     effective_matrix,
 )
 
@@ -176,12 +176,13 @@ def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: in
     """Rate of every (power, trial, column), (P, trials, C): log2(1 + SINR) of
     the column's bottleneck stream on its own draw of each trial, with
     ``powers`` the total transmit powers over a unit noise power.  An empty
-    column raises ParameterError before any draw; a degenerate draw, the
+    column raises ParameterError, and the run refuses its other inputs
+    (``verifier._numeric_run``), before any draw; a degenerate draw, the
     first error in scan order: trial block, batch, the nullspaces (column,
     then group), then the effective matrices (column, then user)."""
     if not all(column.groups for column in table.columns):
         raise ParameterError("column has no scheduled streams")
-    rates = np.empty((len(powers), trials, len(table.columns)))
+    rates = np.empty((len(powers), max(trials, 0), len(table.columns)))  # the run refuses trials < 1
 
     def store(plan, block, layout, kernel):
         sinrs = _batch_sinrs(plan, layout, kernel, len(block), powers)
@@ -203,13 +204,8 @@ def snr_sweep(table: ScheduleTable, snr_grid_db, trials: int = 200, seed: int = 
     averaged over trials first; the symmetric rate then follows from the
     time-accounting identity applied to those means.  ``std_rsym`` is the
     spread of the per-trial symmetric rates, not a standard error of the
-    symmetric rate.  ``trials`` must be at least 1.
+    symmetric rate.  The inputs are refused as ``column_rates`` refuses them.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
-    report = decodability_check(table)
-    if not report.ok:
-        raise VerificationError(f"table fails the symbolic check: {report.witnesses[0]}")
     snr_grid_db = [float(s) for s in snr_grid_db]
     n_users = len(table.users)
     theta = table.subpacketization

@@ -4,6 +4,8 @@ Symbolic side: the two antenna conditions, checked on every column of a table at
   tx: for every scheduled group, the streams of users outside it plus the
       group's own multiplicity fit inside the transmit antenna count;
   rx: no user decodes more streams than it has receive antennas.
+Both read the loads of one array pass over the table's group slots
+(``_group_slots``), which the numeric plan shares.
 
 Numeric side: a Monte-Carlo oracle that draws random channels, stacks the
 combined interference channel of every scheduled group, computes its
@@ -24,18 +26,19 @@ and ``verify_numeric`` state that oracle directly; they are the reference
 the table kernel below is checked against, and share nothing across columns.
 
 A numeric run of a table, the oracle's (``verify_table_numeric``) or the
-rate sweep's (``rates.column_rates``), has one driver, ``_numeric_run``.  It
-plans the table once (``_plan_table``) in batches of ``_batch_columns``
-columns, a fixed number of column-trials, so a run of few trials takes few
-large batches.  Every draw is keyed by the run's seed alone and addressed
-by a (trial, column) cell in Philox's counter (``_complex_normals``), so no
-two cells of a run share a draw.  The oracle shares the draw of cell
-(trial, 0) among all columns and lays all stream sets out once
-(``_kernel_layout``); the sweep draws cell (trial, column) for every column
-and lays each batch out once.  Per trial block of TRIAL_BLOCK trials and
-layout, the run draws the channels and hands the kernel, ``_stream_gains``,
-to the caller's reduction: the oracle's margin scan (``_MarginScan.add``) or
-the sweep's SINR step (``rates._batch_sinrs``).
+rate sweep's (``rates.column_rates``), has one driver, ``_numeric_run``,
+which alone checks the run's inputs.  It plans the table once
+(``_plan_table``) in batches of ``_batch_columns`` columns, a fixed number
+of column-trials, so a run of few trials takes few large batches.  Every
+draw is keyed by the run's seed alone and addressed by a (trial, column)
+cell in Philox's counter (``_complex_normals``), so no two cells of a run
+share a draw.  The oracle shares the draw of cell (trial, 0) among all
+columns and lays all stream sets out once (``_kernel_layout``); the sweep
+draws cell (trial, column) for every column and lays each batch out once.
+Per trial block of TRIAL_BLOCK trials and layout, the run draws the
+channels and hands the kernel, ``_stream_gains``, to the caller's
+reduction: the oracle's margin scan (``_MarginScan.add``) or the sweep's
+SINR step (``rates._batch_sinrs``).
 The kernel takes one combined channel per (user, stream count), the draw's
 leading rows, one stacked nullspace QR per (draw, outside-stream count)
 over the outside-user profiles present, and one direction library, and
@@ -136,47 +139,59 @@ class SymbolicReport(NamedTuple):
     min_slack: int
 
 
-def decodability_check(table: ScheduleTable) -> SymbolicReport:
-    """Symbolic decodability verdict for every column of a table, in array passes.
-
-    Each distinct group gets an id in sorted order and a row of user indices,
-    padded with a user U that decodes nothing.  One bincount gives the
-    per-(column, user) stream counts beta and np.unique the (column, group)
-    multiplicities; a group's tx left-hand side is its multiplicity plus the
-    column's streams minus its members' streams.  Witnesses come per column:
-    tx by sorted group, then rx by user.
-    """
-    L, G = table.L, table.G
-    served, n = sorted(set(table.users)), len(table.columns)
-    slots = [g for col in table.columns for g in col.groups]
+def _group_slots(columns, users) -> tuple:
+    """The one array pass over a table's group slots, read by the symbolic
+    check and the numeric plan: (distinct, member, col, gid, beta, heads,
+    theta, outside).  The sorted distinct groups and their (D, U) membership
+    of the sorted ``users``; every slot's column and group id, by column and
+    then group, from one sort of keys; the (n, U) stream counts beta; and per
+    run of equal keys, a group's instances in a column, its first slot, its
+    theta and its profile, the (runs, U) beta of the users outside the group.
+    A member outside ``users`` raises MalformedTableError, naming the first."""
+    slots = [g for c in columns for g in c.groups]
     distinct = sorted(set(slots))
-    U, D, width = len(served), len(distinct), max(map(len, distinct), default=0)
-    user_index = {k: i for i, k in enumerate(served)}
+    n, U, D, index = len(columns), len(users), max(len(distinct), 1), {k: i for i, k in enumerate(users)}
     try:
-        rows = [[user_index[k] for k in g] + [U] * (width - len(g)) for g in distinct]
+        flat = [index[k] for g in distinct for k in g]
     except KeyError:
-        k = next(k for g in slots for k in g if k not in user_index)
-        raise MalformedTableError(f"user {k} not in served set {served}") from None
-    members = np.array(rows, dtype=np.intp).reshape(D, width)
+        k = next(k for g in slots for k in g if k not in index)
+        raise MalformedTableError(f"user {k} not in served set {list(users)}") from None
+    member = np.zeros((len(distinct), U), dtype=bool)
+    member[np.repeat(np.arange(len(distinct)), [len(g) for g in distinct]), flat] = True
     gid = np.fromiter(map({g: i for i, g in enumerate(distinct)}.__getitem__, slots), np.intp, len(slots))
-    col = np.repeat(np.arange(n), [len(c.groups) for c in table.columns])
-    beta = np.bincount((col[:, None] * (U + 1) + members[gid]).ravel(), minlength=n * (U + 1))
-    beta = beta.reshape(n, U + 1) * (np.arange(U + 1) < U)  # the padding user decodes nothing
-    key, mult = np.unique(col * max(D, 1) + gid, return_counts=True)
-    pcol, pgid = np.divmod(key, max(D, 1))
-    lhs = mult + beta.sum(axis=1)[pcol] - beta[pcol[:, None], members[pgid]].sum(axis=1)
+    key = np.sort(np.repeat(np.arange(n), [len(c.groups) for c in columns]) * D + gid)
+    col, gid = np.divmod(key, D)
+    s, u = np.nonzero(member[gid])
+    beta = np.bincount(col[s] * U + u, minlength=n * U).reshape(n, U)
+    head = np.ones(len(key), dtype=bool)
+    head[1:] = key[1:] != key[:-1]  # the first slot of a run of equal keys
+    heads = np.flatnonzero(head)
+    theta = np.diff(heads, append=len(key))
+    return distinct, member, col, gid, beta, heads, theta, beta[col[heads]] * ~member[gid[heads]]
+
+
+def decodability_check(table: ScheduleTable) -> SymbolicReport:
+    """Symbolic decodability verdict for every column of a table, from the
+    slot pass (``_group_slots``): a run of equal groups fails tx when its
+    theta plus the streams outside it exceed L, and a user fails rx when
+    its beta exceeds G.  Witnesses come per column: tx by sorted group, then
+    rx by user."""
+    L, G = table.L, table.G
+    served = sorted(set(table.users))
+    distinct, _, col, gid, beta, heads, theta, outside = _group_slots(table.columns, served)
+    lhs = theta + outside.sum(axis=1)
     tx = np.flatnonzero(lhs > L)
-    rx_col, rx_user = np.nonzero(beta[:, :U] > G)
+    rx_col, rx_user = np.nonzero(beta > G)
     found = [
         Witness(c + 1, "tx", distinct[g], v, L)
-        for c, g, v in zip(pcol[tx].tolist(), pgid[tx].tolist(), lhs[tx].tolist())
+        for c, g, v in zip(col[heads[tx]].tolist(), gid[heads[tx]].tolist(), lhs[tx].tolist())
     ] + [
         Witness(c + 1, "rx", (served[k],), v, G)
         for c, k, v in zip(rx_col.tolist(), rx_user.tolist(), beta[rx_col, rx_user].tolist())
     ]
     found.sort(key=lambda w: (w.column, w.condition == "rx"))  # stable: keeps each kind's order
-    bad = np.zeros(n, dtype=bool)
-    bad[pcol[tx]] = bad[rx_col] = True
+    bad = np.zeros(len(table.columns), dtype=bool)
+    bad[col[heads[tx]]] = bad[rx_col] = True
     # min_slack is the least of L and every L - lhs
     return SymbolicReport(not found, tuple(found), tuple((~bad).tolist()), L - int(lhs.max(initial=0)))
 
@@ -187,25 +202,17 @@ def _key_word(value) -> bool:
     return isinstance(value, (int, np.integer)) and 0 <= int(value) < 1 << 64
 
 
-def _complex_normals(seed: int, cells, shape: tuple) -> np.ndarray:
+def _complex_normals(seed: int, cells: tuple, shape: tuple) -> np.ndarray:
     """Per leading index of ``shape``, a real then an imaginary block of
     standard normals from ``Generator(Philox(key=[seed, 0], counter=[0, 0,
-    trial, column]))`` at one (trial, column) cell (None: (0, 0)), or one
-    draw per cell of a sequence, stacked on a leading axis.
+    trial, column]))``, one draw per (trial, column) pair of ``cells``,
+    stacked on a leading axis.
 
     One reused Philox is set per cell, through its ``state`` setter, to that
     generator's start: key, counter, empty buffer.  A draw advances only the
-    counter's two low words, so no two cells overlap.  A seed, or a cell
-    that is not a pair, with a word outside the range [0, 2**64) raises
-    ParameterError.  The parts of a whole stack are combined in one
-    operation, which is exact."""
-    if not _key_word(seed):
-        raise ParameterError(f"a channel draw's seed must be an integer in [0, 2**64), got {seed}")
-    dims = np.shape((0, 0) if cells is None else cells)  # (2,) for one cell, (n, 2) for n
-    one = len(dims) == 1  # None or a single (trial, column) pair
-    cells = [(0, 0) if cells is None else cells] if one else cells
-    if len(dims) not in (1, 2) or dims[-1] != 2:
-        raise ParameterError(f"a channel draw's cells must be (trial, column) pairs, got {cells}")
+    counter's two low words, so no two cells overlap.  A cell with a word
+    outside the range [0, 2**64) raises ParameterError.  The parts of a
+    whole stack are combined in one operation, which is exact."""
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     generator = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh Philox's: zero counter, empty buffer
@@ -219,7 +226,7 @@ def _complex_normals(seed: int, cells, shape: tuple) -> np.ndarray:
         generator.standard_normal(out=out)
     h = 1j * z[:, :, 1]
     h += z[:, :, 0]  # re + 1j * im in place: the real parts add a zero, the imaginary ones to a zero
-    return h[0] if one else h
+    return h
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -245,11 +252,22 @@ class ChannelRealization:
 
     @staticmethod
     def draw(users, G: int, L: int, seed: int = 0, cells=None) -> "ChannelRealization":
-        """I.i.d. unit-variance complex Gaussian entries, users in sorted order."""
-        users, cells = tuple(sorted(users)), cells if np.ndim(cells) < 2 else tuple(map(tuple, cells))
-        h = _complex_normals(seed, cells, (len(users), G, L))
+        """I.i.d. unit-variance complex Gaussian entries, users in sorted order.
+        The cells' form is read once, by unpacking alone: a sequence of
+        (trial, column) pairs, else one pair (None: (0, 0))."""
+        if not _key_word(seed):
+            raise ParameterError(f"a channel draw's seed must be an integer in [0, 2**64), got {seed}")
+        for one, given in ((False, cells), (True, [(0, 0) if cells is None else cells])):
+            with contextlib.suppress(TypeError, ValueError):  # not a sequence of pairs
+                if pairs := tuple((trial, column) for trial, column in given):
+                    break
+        else:
+            raise ParameterError(f"a channel draw's cells must be (trial, column) pairs, got {cells}")
+        users = tuple(sorted(users))
+        h = _complex_normals(seed, pairs, (len(users), G, L))
         h /= np.sqrt(2)
-        return ChannelRealization(users, G, L, seed, cells, dict(zip(users, np.moveaxis(h, -3, 0))))
+        h = h[0] if one else h
+        return ChannelRealization(users, G, L, seed, cells if one else pairs, dict(zip(users, np.moveaxis(h, -3, 0))))
 
     def haar_combiner_pool(self) -> dict[int, np.ndarray]:
         """Every user's receive combiners: the GxG identity, broadcast over
@@ -439,6 +457,7 @@ class _TablePlan(NamedTuple):
     directions: tuple[tuple, ...]
     take: np.ndarray
     outside: np.ndarray
+    beta_max: int  # the most streams a user decodes in one column
     sets: tuple[_StreamSet, ...]
 
 
@@ -449,30 +468,13 @@ def _batch_columns(trials: int) -> int:
 
 def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
     """Stream order, outside-user profiles and per-(user, stream count) index
-    arrays of every column, in array passes over the table's group slots;
-    batches of ``width`` columns are split into stream sets by stream total."""
+    arrays of every column, from the slot pass (``_group_slots``); batches
+    of ``width`` columns are split into stream sets by stream total."""
     cols = tuple(tuple(sorted(c.groups)) for c in columns)
-    U, n = len(users), np.array([len(c) for c in cols], dtype=np.intp)
-    slots = [g for c in cols for g in c]
-    distinct = sorted(set(slots))
-    index = {k: i for i, k in enumerate(users)}
-    member = np.zeros((len(distinct), U), dtype=bool)
-    for d, g in enumerate(distinct):
-        member[d, [index[k] for k in g]] = True
-    gid = np.fromiter(map({g: i for i, g in enumerate(distinct)}.__getitem__, slots), np.intp, len(slots))
-    col = np.repeat(np.arange(len(cols)), n)
-    decodes = member[gid]  # (slot, user)
-    s, u = np.nonzero(decodes)
-    beta = np.bincount(col[s] * U + u, minlength=len(cols) * U).reshape(len(cols), U)
-    # a run of equal groups in a column holds the group's theta instances
-    head = np.ones(len(slots), dtype=bool)
-    head[1:] = (gid[1:] != gid[:-1]) | (col[1:] != col[:-1])
-    heads = np.flatnonzero(head)
-    run = np.cumsum(head) - 1
-    theta = np.diff(np.append(heads, len(slots)))
-    # a group's profile: the stream counts of the users outside it; an id per
-    # distinct profile from one lexicographic sort (np.unique(axis=0) is slower)
-    outside = beta[col[heads]] * ~member[gid[heads]]
+    _, member, col, gid, beta, heads, theta, outside = _group_slots(columns, users)
+    n = np.array([len(c) for c in cols], dtype=np.intp)
+    run = np.repeat(np.arange(len(heads)), theta)  # every slot's run
+    # an id per distinct profile from one lexicographic sort (np.unique(axis=0) is slower)
     by = np.lexsort(outside.T[::-1])
     new = np.ones(len(by), dtype=bool)
     new[1:] = (outside[by[1:]] != outside[by[:-1]]).any(axis=1)
@@ -483,7 +485,7 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
     np.maximum.at(take, pid, theta)
     starts = np.cumsum(n) - n
     runs = np.stack([col[heads], heads - starts[col[heads]], pid, theta], axis=1)
-    profile, instance = pid[run], np.arange(len(slots)) - heads[run]
+    profile, instance = pid[run], np.arange(len(gid)) - heads[run]
     step, sets = int(beta.max(initial=0)) + 1, []
     for c0 in range(0, len(cols), width):
         block = np.arange(c0, min(c0 + width, len(cols)))
@@ -496,7 +498,7 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
             grouped = np.argsort(pair_key, kind="stable")
             pair_key, pair_user, pair_row = pair_key[grouped].tolist(), pair_user[grouped], pair_row[grouped]
             # per pair: own streams first, then cross ones, each in stream order
-            order = np.argsort(~decodes[stream[pair_row], pair_user[:, None]], axis=1, kind="stable")
+            order = np.argsort(~member[gid[stream[pair_row]], pair_user[:, None]], axis=1, kind="stable")
             bounds = [i for i, k in enumerate(pair_key) if i == 0 or k != pair_key[i - 1]]
             r, entries = np.arange(len(rows_all))[:, None], []
             for lo, hi in zip(bounds, bounds[1:] + [len(pair_key)]):
@@ -505,7 +507,7 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
                 entries.append((user, b, at, r[: hi - lo], order[lo:hi, :b], order[lo:hi, b:]))
             if entries:
                 sets.append(_StreamSet(rows_all, profile[stream], instance[stream], tuple(entries)))
-    return _TablePlan(users, cols, runs, tuple(keys), take, outside[by[new]].sum(axis=1), tuple(sets))
+    return _TablePlan(users, cols, runs, tuple(keys), take, outside[by[new]].sum(axis=1), step - 1, tuple(sets))
 
 
 def _stream_beams(library: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -603,11 +605,10 @@ def _stack_nullspaces(rows: np.ndarray, stacks, pool) -> tuple[np.ndarray, list]
         d, _, index, m = stacks[i]
         # one QR of the (P, T, r, L) stack of the profiles' outside combined channels
         basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1))
-        # (trials, profile, direction, L), each direction contiguous; a basis
-        # narrower than m directions fails the nullity check before any is used
-        k = min(m, basis.shape[-1])
+        # (trials, profile, direction, L), each direction contiguous; the
+        # run's symbolic check leaves at least m = theta <= L - r directions
         part = library[:, starts[i] : starts[i + 1]].reshape(T, len(index), m, L)
-        part[:, :, :k] = basis[..., :k].swapaxes(-1, -2).swapaxes(0, 1)
+        part[:] = basis[..., :m].swapaxes(-1, -2).swapaxes(0, 1)
         return rank
 
     matrices = T * sum(len(index) for _, _, index, _ in stacks)
@@ -621,11 +622,12 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     (``_set_gains``), from one combined channel per (user, stream count),
     the draw's leading rows (antenna selection), one nullspace QR per (draw,
     outside-stream count), mapped over the ``pool`` when it pays
-    (``_stack_nullspaces``), and one direction library.  LAPACK and BLAS see each matrix on its own and in the layout
-    of its one-column product, so every gain is the one-column one, bit for
-    bit.  Before any gain, raises NullityDeficientError at the first run of
-    groups in scan order (column, then group) whose nullspace is not the
-    rank-nullity value in every trial or cannot host its instances."""
+    (``_stack_nullspaces``), and one direction library.  LAPACK and BLAS
+    see each matrix on its own and in the layout of its one-column product,
+    so every gain is the one-column one, bit for bit.  Before any gain,
+    raises NullityDeficientError at the first run of groups in scan order
+    (column, then group) whose nullspace is not the rank-nullity value in
+    every trial, a degenerate draw (the run's symbolic check leaves room)."""
     if not layout.sets:
         return
     L, D = channels.L, layout.draws
@@ -636,7 +638,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     del channels  # frees the draw, when the caller keeps no reference to it
     combined = {(k, b): rows[:, :, i : i + b] for k, b, i in layout.combined}
     library, ranks = _stack_nullspaces(rows, layout.stacks, pool)
-    if any((rank != index.shape[1]).any() or m > L - index.shape[1] for rank, (_, _, index, m) in zip(ranks, layout.stacks)):
+    if any((rank != index.shape[1]).any() for rank, (_, _, index, _) in zip(ranks, layout.stacks)):
         # raise at the first run of groups, in scan order, that a failing
         # (draw, profile) pair shapes, with the pair's smallest and largest nullity
         nullity = {(d, p): (L - int(r.max()), L - int(r.min()))
@@ -653,12 +655,19 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
     docstring describes: cell (trial, 0) shared by every column if
     ``shared``, else cell (trial, column).  Per trial block and layout,
     calls ``reduce(plan, block, layout, kernel)`` with the block's range of
-    trials and the kernel's generator of stream sets and gains.  Before
-    any draw, raises ParameterError if a trial block's channel draws and
-    nullspace Q factors would hold more than MAX_KERNEL_ENTRIES complex
-    entries."""
+    trials and the kernel's generator of stream sets and gains.  Before any
+    draw it checks the run's inputs: ParameterError below one trial;
+    VerificationError, with decodability_check's first witness, if a group
+    of the plan has theta plus outside streams above L or a beta above G; and
+    ParameterError if a trial block's channel draws and nullspace Q factors
+    would hold more than MAX_KERNEL_ENTRIES complex entries."""
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
     users, width = tuple(sorted(table.users)), _batch_columns(trials)
     plan = _plan_table(table.columns, users, width)
+    G, L = table.G, table.L
+    if (plan.take + plan.outside > L).any() or plan.beta_max > G:
+        raise VerificationError(f"table fails the symbolic check: {decodability_check(table).witnesses[0]}")
     if shared:
         layouts = [_kernel_layout(plan, plan.sets, np.zeros(len(plan.columns), dtype=np.intp))]
     else:
@@ -667,7 +676,6 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
             batches.setdefault(int(streams.columns[0]) // width, []).append(streams)
         draw = np.arange(len(plan.columns)) % width  # one draw per column of a batch
         layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
-    G, L = table.G, table.L
     for layout in layouts:  # a trial block's draws and L x L Q factors
         matrices = sum(len(index) for _, _, index, _ in layout.stacks)
         entries = min(trials, TRIAL_BLOCK) * (layout.draws * len(users) * G * L + matrices * L * L)
@@ -898,7 +906,6 @@ def verify_table_numeric(
     seed: int = 0,
     tol: float = 1e-9,
     sigma_tol: float = 1e-6,
-    symbolic: SymbolicReport | None = None,
 ) -> NumericReport:
     """Aggregate numeric verification over one random channel draw per trial,
     shared by every column (the module docstring's numeric run).
@@ -906,16 +913,10 @@ def verify_table_numeric(
     Every (column, trial) must pass; the report carries the worst leakage
     and conditioning seen anywhere and where they occur, the first in
     (trial block, column, trial, user, stream) order on ties.  Failures read
-    (trial, column, kind, user, ...), in scan order.  ``trials`` must be at
-    least 1 and ``tol`` and ``sigma_tol`` finite and positive.  A table
-    failing the symbolic check is refused; pass ``symbolic``, the table's
-    own ``decodability_check`` report, to skip running that check again."""
+    (trial, column, kind, user, ...), in scan order.  ``tol`` and
+    ``sigma_tol`` must be finite and positive; the run refuses fewer than
+    one trial and a table failing the symbolic check (``_numeric_run``)."""
     scan = _MarginScan(tol, sigma_tol)
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
-    report = symbolic if symbolic is not None else decodability_check(table)
-    if not report.ok:
-        raise VerificationError(f"symbolic check fails: {report.witnesses[0]}")
 
     def fold(plan, block, layout, kernel):
         for streams, gains in kernel:

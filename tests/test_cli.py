@@ -130,9 +130,11 @@ def test_verify_fails_on_bad_table(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("users", ["a", "b", 3, 4, 5]), ("t", "1"), ("columns", [[1, 2]]), ("omega", True)],
+    [("users", ["a", "b", 3, 4, 5]), ("t", "1"), ("columns", [[1, 2]]), ("omega", True), ("t", -1)],
 )
 def test_verify_rejects_badly_typed_table(tmp_path, capsys, field, value):
+    """Each reason names the field; a negative t used to be reported as a
+    group that must have exactly t + 1 = 0 users."""
     doc = {"omega": 5, "t": 1, "L": 10, "G": 3, "users": [1, 2, 3, 4, 5],
            "delta": 1, "delta_tilde": 1, "m": 0, "columns": [[[1, 2]]]}
     doc[field] = value
@@ -140,7 +142,8 @@ def test_verify_rejects_badly_typed_table(tmp_path, capsys, field, value):
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verify", "--table", str(bad))
     assert code == 2
-    assert json.loads(err)["error"]["type"] == "MalformedTableError"
+    error = json.loads(err)["error"]
+    assert error["type"] == "MalformedTableError" and f"'{field}'" in error["reason"]
 
 
 def test_verify_numeric_locates_worst_margins(tmp_path, capsys):

@@ -1,14 +1,17 @@
 import dataclasses
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ccsched.errors import ParameterError
-from ccsched.model import ScheduleColumn
+from ccsched.errors import ParameterError, VerificationError
+from ccsched.model import ScheduleColumn, table_from_json
 from ccsched.symmetric import schedule_symmetric
 from ccsched.asymmetric import schedule_asymmetric
 from ccsched.rates import (
     column_rate,
+    column_rates,
     high_snr_slope,
     sinrs_from_coefficients,
     snr_sweep,
@@ -16,7 +19,7 @@ from ccsched.rates import (
     sweep_to_csv,
     symmetric_rate_from_columns,
 )
-from ccsched.verifier import ChannelRealization, build_beamformers
+from ccsched.verifier import ChannelRealization, build_beamformers, verify_table_numeric
 
 
 @pytest.fixture(scope="module")
@@ -142,14 +145,43 @@ def test_sweep_csv_format(ex1_tables):
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_snr_sweep_needs_a_trial(ex1_tables, recwarn, trials):
-    # no trial would average empty arrays into NaN rates
-    with pytest.raises(ParameterError, match="trials"):
-        snr_sweep(ex1_tables[0], [0, 10], trials=trials)
+    # no trial would average empty arrays into NaN rates; the per-column
+    # rates are refused alike (at 0 trials their batch width divided by zero)
+    runs = (
+        lambda: snr_sweep(ex1_tables[0], [0, 10], trials=trials),
+        lambda: column_rates(ex1_tables[0], np.array([1.0]), trials, 0),
+    )
+    for run in runs:
+        with pytest.raises(ParameterError, match=f"trials must be at least 1, got {trials}"):
+            run()
     assert not recwarn.list
 
 
 def _no_draw(*args, **kwargs):
     raise AssertionError("a channel was drawn")
+
+
+@pytest.mark.parametrize("field,value,witness", [
+    ("G", 2, "column 1: rx at (1,) gives 3 > 2"),
+    ("L", 8, "column 1: tx at (1, 2) gives 9 > 8"),
+], ids=["G", "L"])
+def test_numeric_runs_refuse_a_failing_table_alike(monkeypatch, field, value, witness):
+    """Example 1 at DoF 14 with one antenna fewer on either side fails the
+    antenna-load rule: the oracle, the sweep and its per-column rates all
+    refuse it before any draw, with the same reason naming the first
+    witness.  The per-column rates used to end in an IndexError at G = 2."""
+    text = (Path(__file__).parent / "data" / "example1_dof14.json").read_text()
+    table = dataclasses.replace(table_from_json(text), **{field: value})
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(_no_draw))
+    runs = (
+        lambda: verify_table_numeric(table, trials=2),
+        lambda: snr_sweep(table, [0, 10], trials=2),
+        lambda: column_rates(table, np.array([1.0]), 2, 0),
+    )
+    for run in runs:
+        with pytest.raises(VerificationError) as refused:
+            run()
+        assert str(refused.value) == f"table fails the symbolic check: {witness}"
 
 
 def test_empty_column_is_refused_before_any_draw(ex1_tables, monkeypatch):
