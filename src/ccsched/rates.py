@@ -175,11 +175,14 @@ def _batch_sinrs(plan: _TablePlan, layout: _KernelLayout, kernel, T: int, powers
 def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """Rate of every (power, trial, column), (P, trials, C): log2(1 + SINR) of
     the column's bottleneck stream on its own draw of each trial, with
-    ``powers`` the total transmit powers over a unit noise power.  An empty
-    column raises ParameterError, and the run refuses its other inputs
-    (``verifier._numeric_run``), before any draw; a degenerate draw, the
-    first error in scan order: trial block, batch, the nullspaces (column,
-    then group), then the effective matrices (column, then user)."""
+    ``powers`` the total transmit powers over a unit noise power.  A table
+    with no columns or an empty column raises ParameterError, and the run
+    refuses its other inputs (``verifier._numeric_run``), before any draw; a
+    degenerate draw, the first error in scan order: trial block, batch, the
+    nullspaces (column, then group), then the effective matrices (column,
+    then user)."""
+    if not table.columns:
+        raise ParameterError("table has no columns")
     if not all(column.groups for column in table.columns):
         raise ParameterError("column has no scheduled streams")
     rates = np.empty((len(powers), max(trials, 0), len(table.columns)))  # the run refuses trials < 1

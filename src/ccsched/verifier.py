@@ -9,11 +9,12 @@ Both read the loads of one array pass over the table's group slots
 
 Numeric side: a Monte-Carlo oracle that draws random channels, stacks the
 combined interference channel of every scheduled group, computes its
-nullspace by complete QR with a screened rank (``nullspace_basis``), places
-one unit-norm beamformer per stream instance inside that nullspace, and
-verifies rank-nullity, interference leakage, and per-user invertibility of
-the effective channel.  Every numeric array may carry a leading trial axis,
-so one call handles a batch of draws.
+nullspace by complete QR with a rank certified by bounds on R's leading
+block (``nullspace_basis``), places one unit-norm beamformer per stream
+instance inside that nullspace, and verifies rank-nullity, interference
+leakage, and per-user invertibility of the effective channel.  Every
+numeric array may carry a leading trial axis, so one call handles a batch
+of draws.
 Receive combiners select antennas: a user decoding b streams combines its
 first b receive antennas, so its combined channel is the leading b rows of
 its draw.  For i.i.d. Rayleigh channels this loses nothing: a Haar unitary
@@ -42,13 +43,13 @@ SINR step (``rates._batch_sinrs``).
 The kernel takes one combined channel per (user, stream count), the draw's
 leading rows, one stacked nullspace QR per (draw, outside-stream count)
 over the outside-user profiles present, and one direction library, and
-yields every stream set's
-own and cross gains from beams in C order, the one layout of a column's
-own stack (``BeamformerSolution.stacked``), as a BLAS product rounds by
-layout.  The margin scan's conditioning margin is screened: a batched
-inverse bounds every effective matrix's smallest singular value from both
-sides, and LAPACK's SVD runs only on the matrices that can be the minimum
-or can fail, so the report is exactly the one a full SVD gives.
+yields every stream set's own and cross gains from beams in C order, the
+one layout of a column's own stack (``BeamformerSolution.stacked``), as a
+BLAS product rounds by layout.  The margin scan's conditioning margin is
+screened: a batched inverse bounds every effective matrix's smallest
+singular value from both sides, and LAPACK's SVD runs only on the matrices
+that can be the minimum or can fail, so the report is exactly the one a
+full SVD gives.
 
 The kernel's nullspace QRs run on every usable core.  A run opens one
 ``concurrent.futures.ThreadPoolExecutor``, imported only then, of one
@@ -102,17 +103,17 @@ SCREEN_SLACK = 1e-2
 SCREEN_CEILING = 1e6
 # the fewest matrices a kernel call's nullspace QRs must hold to be mapped
 # over the pool (_stack_nullspaces): every stack of a mapped call goes to the
-# pool, and a run's first mapped call starts its threads.  On 2 cores, a
-# matrix takes about 7-11 us, the threads' start about 0.1 ms, and a stack's
-# handoff up to about 0.2 ms.  Timed call by call on the two workloads'
-# tables, pooled against serial (medians of 15 rounds, two sets), floors
-# from 0 to 256 gave the same totals within 1.1 ms over the 35 calls of the
-# 200-trial Example 1 sweeps (80 to 1792 matrices): 252 and 203 ms against
-# 365 and 234 ms serial, and 273 and 207 ms at 512.  Over the 27 of the
-# 4-trial Fig. 3 oracle (16 to 840), floors from 128 to 512 took 26.7 and
-# 20.2 ms against 29.6 and 21.8 ms serial, and floors of 0 and 64 more.  So
-# the floor stays at 256: a lower one gains nothing measurable, and would
-# start the threads, and their memory, in most oracle runs instead of one in 27
+# pool, and a run's first mapped call starts its threads.  A matrix's QR and
+# rank screen take about 4-6 us on one thread, the threads' start about 0.1 ms
+# on 2 cores, and a stack's handoff up to about 0.2 ms.  Timed call by call on
+# the two workloads' tables, pooled against serial (medians of 15 rounds, two
+# sets), floors from 0 to 256 gave the same totals within 1.1 ms over the 35
+# calls of the 200-trial Example 1 sweeps (80 to 1792 matrices): 252 and 203
+# ms against 365 and 234 ms serial, and 273 and 207 ms at 512.  Over the 27 of
+# the 4-trial Fig. 3 oracle (16 to 840), floors from 128 to 512 took 26.7 and
+# 20.2 ms against 29.6 and 21.8 ms serial, and floors of 0 and 64 more.  So the
+# floor stays at 256: a lower one gains nothing measurable, and would start
+# the threads, and their memory, in most oracle runs instead of one in 27
 THREAD_MATRICES = 256
 
 
@@ -293,43 +294,48 @@ def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
     For 0 < r < L the basis is the last L - r columns of Q in the complete QR
     A^H = QR (Golub and Van Loan, Matrix Computations, s. 5.2): they are
     orthogonal to A's row space, and span the nullspace when A has rank r.
-    QR does not reveal rank, so the rank is screened as
-    ``_MarginScan._sigma_min`` screens.  R's leading r x r block T has A's
-    singular values; with X^ a batched inverse of T, l^ = 1/|X^|_F bounds
-    the smallest from below and h^ = |T|_F the largest from above.  A matrix
-    with l^ > (1 + SCREEN_SLACK) RANK_RTOL h^ has rank r.  Every other matrix,
-    and every one when ``inv`` raises, takes the thresholded SVD's rank.  A
-    stack whose largest rank is below r, and an A with r = 0 or r >= L, take
-    the SVD's basis instead: its trailing right singular vectors.
+    QR does not reveal rank, so the rank is screened from R's leading r x r
+    block T, which has A's singular values s_1 >= ... >= s_r, and h = |T|_F
+    >= s_1.  First the determinant bound (Hong and Pan, Linear Algebra Appl.
+    1992): s_r times the other r - 1 values is |det T| = prod_i |t_ii|, and
+    by AM-GM their squares multiply to at most (h^2/(r-1))^(r-1), so s_r >=
+    h l with log l = sum_i log(|t_ii|/h) + (r-1)/2 log(r-1).  It takes no
+    LAPACK call but loosens exponentially in r (it clears random r x (r+1)
+    matrices up to r of about 32, none from 40), so the matrices it leaves in
+    doubt take the inverse bound s_r >= h l' = 1/|X|_F >= s_r/sqrt(r), X a
+    batched inverse of T.  A matrix with l or l' > (1 + SCREEN_SLACK)
+    RANK_RTOL has rank r; every other one (not finite, h = 0, or an exactly
+    singular T, for which ``inv`` raises) takes the thresholded SVD's rank.
+    A stack whose largest rank is below r, and an A with r = 0 or r >= L,
+    take the SVD's basis instead: its trailing right singular vectors.
 
     Why a screened matrix has the SVD's rank (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002; u = 2^-53, small constants dropped).
-    - Householder QR is backward stable: the computed T is the exact factor of
-      A^H + E with |E|_F <= L r u |A|_F (Thm 19.4), so by Weyl's inequality
-      each of its singular values is within L r u h^ of A's.
-    - T is triangular, so ``inv``'s LU pivots nowhere and leaves T exact, and
-      each column of X^ is a triangular solve, (T + dT_j) x^_j = e_j with
-      |dT_j|_F <= r u h^ (Thm 8.5).  So l^ is within a relative r u k of
-      1/|inv(T)|_F, where k = h^/l^ < 1/RANK_RTOL = 1e8 for a screened matrix.
-    - zgesdd is backward stable: its values are within r u |A|_2 of A's
-      (LAPACK Users' Guide, s. 4.9).
-    At the shapes here (L, r below about 100) each error is below 1e-3 of
-    A's smallest singular value, for which l^ > RANK_RTOL h^ vouches, so the
-    slack of 1 % absorbs them all: the SVD's smallest value clears RANK_RTOL
-    times its largest, and its rank is r.
+    of Numerical Algorithms, 2002; u = 2^-53, small constants dropped): the
+    computed T is the exact factor of A^H + E, |E|_F <= L r u |A|_F (Thm
+    19.4), so by Weyl's inequality each of its singular values is within
+    L r u h of A's; log l is within r^3 u of its value on T; ``inv`` pivots
+    nowhere on a triangular T, so each column of X solves (T + dT_j) x_j =
+    e_j with |dT_j|_F <= r u h (Thm 8.5), and l' is within a relative
+    r u h/s_r < r u 1e8 of its value on T; and zgesdd's values are within
+    r u |A|_2 of A's (LAPACK Users' Guide, s. 4.9).  For L and r below about
+    300 each error is below 1e-3 of A's smallest singular value, for which
+    l or l' > RANK_RTOL vouches, so the slack of 1 % absorbs them all: the
+    SVD's smallest value clears RANK_RTOL times its largest; its rank is r.
     """
     r, L = A.shape[-2:]
     if 0 < r < L:
         q, R = np.linalg.qr(_hermitian(A), mode="complete")
         T = R[..., :r, :]
         rank = np.full(A.shape[:-2], r)
-        try:
-            X = np.linalg.inv(T)
-        except np.linalg.LinAlgError:  # an exactly singular T: every matrix in doubt
-            X = np.full_like(T, np.nan)
+        floor = (1 + SCREEN_SLACK) * RANK_RTOL
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # in doubt also where the inverse is not finite: nan and 0 do not clear
-            doubt = ~(1 / np.sqrt(_frobenius_sq(X)) > (1 + SCREEN_SLACK) * RANK_RTOL * np.sqrt(_frobenius_sq(T)))
+            # the docstring's l and l': nan, 0 and -inf do not clear
+            h2 = _frobenius_sq(T)
+            log_l = np.log(np.abs(np.diagonal(T, axis1=-2, axis2=-1))).sum(-1) - r / 2 * np.log(h2)
+            doubt = np.asarray(~(log_l + (r - 1) / 2 * math.log(max(r - 1, 1)) > math.log(floor)))
+            if doubt.any():
+                with contextlib.suppress(np.linalg.LinAlgError):  # an exactly singular T
+                    doubt[doubt] = ~(1 / np.sqrt(h2[doubt] * _frobenius_sq(np.linalg.inv(T[doubt]))) > floor)
         if doubt.any():
             s = np.linalg.svd(A[doubt], compute_uv=False)
             rank[doubt] = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)

@@ -657,6 +657,65 @@ def full_svd_report(monkeypatch, *args, **kwargs):
         return verify_table_numeric(*args, **kwargs)
 
 
+def rank_screen_inputs():
+    """(label, A): seeded stacks of complex r x L matrices.  Sixteen each over
+    L <= 12 and every 1 <= r < L, plain random, graded (columns scaled over
+    1e-6 to 1e6), and near-deficient (the last row 1e-6 or 1e-9 away from the
+    first); then a few random r = L - 1 ones at L = 24, 40 and 64, and two at
+    r = 258, L = 260, past the determinant bound's reach."""
+    rng = np.random.default_rng(29)
+    for L in range(2, 13):
+        for r in range(1, L):
+            shape = (16, r, L)
+            A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            yield "random", A
+            yield "graded", A * 10.0 ** rng.uniform(-6, 6, (16, 1, L))
+            for eps in (1e-6, 1e-9) if r > 1 else ():
+                deficient = A.copy()
+                deficient[:, -1] = A[:, 0] + eps * (rng.standard_normal((16, L)) + 1j * rng.standard_normal((16, L)))
+                yield f"eps {eps:g}", deficient
+    for n, L in ((8, 24), (8, 40), (4, 64), (2, 260)):
+        shape = (n, L - 1 - (L > 64), L)
+        yield f"large {L}", rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_rank_screen_bounds_against_svd_reference(monkeypatch):
+    """Both lower bounds on the smallest singular value of R's leading block
+    T, the determinant bound h l and the inverse bound h l' = 1/|T^-1|_F,
+    never exceed T's SVD's smallest value; ``nullspace_basis`` sends to the
+    SVD exactly the matrices neither clears, and every other one has the
+    thresholded SVD's rank r.  The determinant bound clears every random
+    r = L - 1 matrix at L = 24 and none from L = 40 on, where the inverse
+    bound clears them all, so none of them takes the SVD."""
+    svd, sent, cleared_any, doubted_any = np.linalg.svd, [], False, False
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            sent.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    floor = (1 + verifier.SCREEN_SLACK) * verifier.RANK_RTOL
+    for label, A in rank_screen_inputs():
+        r = A.shape[-2]
+        T = np.linalg.qr(verifier._hermitian(A), mode="complete")[1][..., :r, :]
+        h, s_min = np.sqrt(verifier._frobenius_sq(T)), svd(T, compute_uv=False)[..., -1]
+        log_l = np.log(np.abs(np.diagonal(T, axis1=-2, axis2=-1)) / h[..., None]).sum(-1) + (r - 1) / 2 * math.log(max(r - 1, 1))
+        l_inv = 1 / (h * np.sqrt(verifier._frobenius_sq(np.linalg.inv(T))))
+        for l in (np.exp(log_l), l_inv):
+            assert (h * l <= s_min * (1 + 1e-12)).all(), (label, A.shape)
+        by_det = log_l > math.log(floor)
+        cleared = by_det | (l_inv > floor)
+        sent.clear()
+        nullspace_basis(A)
+        assert np.array_equal(np.concatenate(sent or [A[:0]]), A[~cleared]), (label, A.shape)
+        assert (svd_nullspace(A)[1][cleared] == r).all(), (label, A.shape)
+        if label.startswith("large"):
+            assert cleared.all() and by_det.all() == (A.shape[-1] < 40) and by_det.any() == (A.shape[-1] < 40)
+        cleared_any, doubted_any = cleared_any or cleared.any(), doubted_any or not cleared.all()
+    assert cleared_any and doubted_any
+
+
 def count_svd_cells(monkeypatch):
     """Count the matrices passed to the singular-value-only SVD calls."""
     cells, svd = [0], np.linalg.svd
@@ -696,12 +755,17 @@ def test_screen_skips_most_cells_of_a_large_table(monkeypatch):
     assert 0 < cells[0] < total / 10
 
 
-def test_sweep_takes_no_nullspace_svd(monkeypatch):
-    """A 200-trial Example 1 DoF-14 sweep: every outside-channel matrix
-    clears the rank screen, so no nullspace takes an SVD."""
-    table = table_from_json((DATA / "example1_dof14.json").read_text())
-    inside, calls, svd_calls = threading.local(), [0], [0]
-    basis, svd = verifier.nullspace_basis, np.linalg.svd
+@pytest.mark.parametrize("name,run", [
+    ("example1_dof14.json", lambda table: column_rates(table, np.array([1.0, 10.0**3.5]), 200, 42)),
+    ("fig3_omega8_t3_dof24.json", lambda table: verify_table_numeric(table, trials=4)),
+], ids=["sweep", "oracle"])
+def test_nullspace_screen_takes_no_inverse_or_svd(monkeypatch, name, run):
+    """The 200-trial Example 1 DoF-14 sweep and the 4-trial Fig. 3 witness
+    oracle: every outside-channel matrix clears the rank screen, so no
+    nullspace takes an inverse or an SVD."""
+    table = table_from_json((DATA / name).read_text())
+    inside, calls, linalg_calls = threading.local(), [0], {"inv": 0, "svd": 0}
+    basis = verifier.nullspace_basis
 
     def counting_basis(A):
         calls[0] += 1
@@ -711,14 +775,17 @@ def test_sweep_takes_no_nullspace_svd(monkeypatch):
         finally:
             inside.on = False
 
-    def counting_svd(a, *args, **kwargs):
-        svd_calls[0] += getattr(inside, "on", False)
-        return svd(a, *args, **kwargs)
+    def counting(routine, f):
+        def spy(*args, **kwargs):
+            linalg_calls[routine] += getattr(inside, "on", False)
+            return f(*args, **kwargs)
+        return spy
 
     monkeypatch.setattr(verifier, "nullspace_basis", counting_basis)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    column_rates(table, np.array([1.0, 10.0**3.5]), 200, 42)
-    assert calls[0] > 0 and svd_calls[0] == 0
+    for routine in linalg_calls:
+        monkeypatch.setattr(np.linalg, routine, counting(routine, getattr(np.linalg, routine)))
+    run(table)
+    assert calls[0] > 0 and linalg_calls == {"inv": 0, "svd": 0}
 
 
 def assert_screen_exact(got, E, sigma_tol):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccsched.errors import ParameterError, VerificationError
-from ccsched.model import ScheduleColumn, table_from_json
+from ccsched.model import ScheduleColumn, ScheduleTable, table_from_json
 from ccsched.symmetric import schedule_symmetric
 from ccsched.asymmetric import schedule_asymmetric
 from ccsched.rates import (
@@ -192,3 +192,13 @@ def test_empty_column_is_refused_before_any_draw(ex1_tables, monkeypatch):
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(_no_draw))
     with pytest.raises(ParameterError, match="column has no scheduled streams"):
         snr_sweep(table, [0, 10], trials=3000)
+
+
+def test_table_without_columns_is_refused_before_any_draw(monkeypatch):
+    """A table with no columns has no rate to average: the sweep and the
+    per-column rates refuse it at once."""
+    table = ScheduleTable((1, 2, 3), 1, 4, 2, ())
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(_no_draw))
+    for run in (lambda: snr_sweep(table, [0], trials=2), lambda: column_rates(table, np.array([1.0]), 2, 0)):
+        with pytest.raises(ParameterError, match="table has no columns"):
+            run()
