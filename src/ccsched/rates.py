@@ -109,13 +109,18 @@ class RatePoint(NamedTuple):
     seed: int
 
 
-def symmetric_rate_from_columns(rates, theta: int, n_users: int) -> float:
-    """K / total time, with per-column time 1/(Theta * R(i))."""
-    rates = list(rates)
-    if any(r <= 0 for r in rates):
-        return 0.0
-    t_total = sum(1.0 / (theta * r) for r in rates)
-    return n_users / t_total
+def symmetric_rate_from_columns(rates, theta: int, n_users: int):
+    """K / total time, with per-column time 1/(Theta * R(i)), over the last
+    axis (a float for 1-D rates), and 0.0 where a rate is not positive.  The
+    times sum left to right on every Python, where 3.12's float ``sum()``
+    compensates.  No rates raise ParameterError."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim == 0 or rates.shape[-1] == 0:
+        raise ParameterError("no column rates")
+    with np.errstate(divide="ignore"):  # a zero rate, whose symmetric rate is 0.0
+        total = np.cumsum(1.0 / (theta * rates), axis=-1)[..., -1]
+    rsym = np.where((rates <= 0).any(axis=-1), 0.0, n_users / total)
+    return float(rsym) if rsym.ndim == 0 else rsym
 
 
 def _singular(E: np.ndarray) -> list[int]:
@@ -205,7 +210,8 @@ def snr_sweep(table: ScheduleTable, snr_grid_db, trials: int = 200, seed: int = 
     coefficients are computed once per (trial, column), so each per-column
     mean rate is exactly non-decreasing in SNR.  Per-column rates are
     averaged over trials first; the symmetric rate then follows from the
-    time-accounting identity applied to those means.  ``std_rsym`` is the
+    time-accounting identity (``symmetric_rate_from_columns``) applied to
+    those means, and each trial's to its rates.  ``std_rsym`` is the
     spread of the per-trial symmetric rates, not a standard error of the
     symmetric rate.  The inputs are refused as ``column_rates`` refuses them.
     """
@@ -214,11 +220,7 @@ def snr_sweep(table: ScheduleTable, snr_grid_db, trials: int = 200, seed: int = 
     theta = table.subpacketization
     powers = np.array([10.0 ** (s / 10.0) for s in snr_grid_db])
     rates = column_rates(table, powers, trials, seed)
-    # symmetric_rate_from_columns of every trial: a sequential cumsum sums
-    # left to right, as sum() does
-    with np.errstate(divide="ignore"):
-        per_trial = n_users / np.cumsum(1.0 / (theta * rates), axis=-1)[..., -1]
-    per_trial = np.where((rates <= 0).any(axis=-1), 0.0, per_trial)
+    per_trial = symmetric_rate_from_columns(rates, theta, n_users)  # (grid point, trial)
 
     points = []
     for p_idx, snr in enumerate(snr_grid_db):

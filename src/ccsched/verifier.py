@@ -5,7 +5,7 @@ Symbolic side: the two antenna conditions, checked on every column of a table at
       group's own multiplicity fit inside the transmit antenna count;
   rx: no user decodes more streams than it has receive antennas.
 Both read the loads of one array pass over the table's group slots
-(``_group_slots``), which the numeric plan shares.
+(``_group_slots``), from which a numeric run also refuses and plans.
 
 Numeric side: a Monte-Carlo oracle that draws random channels, stacks the
 combined interference channel of every scheduled group, computes its
@@ -40,10 +40,10 @@ Per trial block of TRIAL_BLOCK trials and layout, the run draws the
 channels and hands the kernel, ``_stream_gains``, to the caller's
 reduction: the oracle's margin scan (``_MarginScan.add``) or the sweep's
 SINR step (``rates._batch_sinrs``).
-The kernel takes one combined channel per (user, stream count), the draw's
-leading rows, one stacked nullspace QR per (draw, outside-stream count)
-over the outside-user profiles present, and one direction library, and
-yields every stream set's own and cross gains from beams in C order, the
+The kernel stacks the draws once, reads every combined channel in it as a
+user's leading rows, takes one stacked nullspace QR per (draw, outside-stream
+count) over the outside-user profiles present and one direction library,
+and yields every stream set's own and cross gains from beams in C order, the
 one layout of a column's own stack (``BeamformerSolution.stacked``), as a
 BLAS product rounds by layout.  The margin scan's conditioning margin is
 screened: a batched inverse bounds every effective matrix's smallest
@@ -148,10 +148,13 @@ def _group_slots(columns, users) -> tuple:
     then group, from one sort of keys; the (n, U) stream counts beta; and per
     run of equal keys, a group's instances in a column, its first slot, its
     theta and its profile, the (runs, U) beta of the users outside the group.
-    A member outside ``users`` raises MalformedTableError, naming the first."""
+    A repeated user or a member outside ``users`` raises
+    MalformedTableError, naming the first."""
     slots = [g for c in columns for g in c.groups]
     distinct = sorted(set(slots))
     n, U, D, index = len(columns), len(users), max(len(distinct), 1), {k: i for i, k in enumerate(users)}
+    if len(index) < U:
+        raise MalformedTableError(f"user {next(k for k, j in zip(users, users[1:]) if k == j)} repeats in the user list")
     try:
         flat = [index[k] for g in distinct for k in g]
     except KeyError:
@@ -171,15 +174,13 @@ def _group_slots(columns, users) -> tuple:
     return distinct, member, col, gid, beta, heads, theta, beta[col[heads]] * ~member[gid[heads]]
 
 
-def decodability_check(table: ScheduleTable) -> SymbolicReport:
-    """Symbolic decodability verdict for every column of a table, from the
-    slot pass (``_group_slots``): a run of equal groups fails tx when its
-    theta plus the streams outside it exceed L, and a user fails rx when
-    its beta exceeds G.  Witnesses come per column: tx by sorted group, then
-    rx by user."""
-    L, G = table.L, table.G
-    served = sorted(set(table.users))
-    distinct, _, col, gid, beta, heads, theta, outside = _group_slots(table.columns, served)
+def _symbolic_report(slots, users, L: int, G: int) -> SymbolicReport:
+    """The witness step of the symbolic check, on a table's slot pass
+    (``_group_slots``) over the sorted ``users``: a run of equal groups
+    fails tx when its theta plus the streams outside it exceed L, and a user
+    fails rx when its beta exceeds G.  Witnesses come per column: tx by
+    sorted group, then rx by user."""
+    distinct, _, col, gid, beta, heads, theta, outside = slots
     lhs = theta + outside.sum(axis=1)
     tx = np.flatnonzero(lhs > L)
     rx_col, rx_user = np.nonzero(beta > G)
@@ -187,14 +188,21 @@ def decodability_check(table: ScheduleTable) -> SymbolicReport:
         Witness(c + 1, "tx", distinct[g], v, L)
         for c, g, v in zip(col[heads[tx]].tolist(), gid[heads[tx]].tolist(), lhs[tx].tolist())
     ] + [
-        Witness(c + 1, "rx", (served[k],), v, G)
+        Witness(c + 1, "rx", (users[k],), v, G)
         for c, k, v in zip(rx_col.tolist(), rx_user.tolist(), beta[rx_col, rx_user].tolist())
     ]
     found.sort(key=lambda w: (w.column, w.condition == "rx"))  # stable: keeps each kind's order
-    bad = np.zeros(len(table.columns), dtype=bool)
+    bad = np.zeros(len(beta), dtype=bool)
     bad[col[heads[tx]]] = bad[rx_col] = True
     # min_slack is the least of L and every L - lhs
     return SymbolicReport(not found, tuple(found), tuple((~bad).tolist()), L - int(lhs.max(initial=0)))
+
+
+def decodability_check(table: ScheduleTable) -> SymbolicReport:
+    """Symbolic decodability verdict for every column of a table: the
+    witness step (``_symbolic_report``) on its slot pass."""
+    served = tuple(sorted(table.users))
+    return _symbolic_report(_group_slots(table.columns, served), served, table.L, table.G)
 
 
 def _key_word(value) -> bool:
@@ -347,11 +355,10 @@ def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 class BeamformerSolution(NamedTuple):
-    """Receive combiners and transmit beamformers for one column: ``stacked``
-    is (..., L, n) in C order, one beamformer per stream in ``streams`` order,
-    and ``beams[g]`` is the (..., L, theta_g) block of group g."""
+    """Transmit beamformers for one column: ``stacked`` is (..., L, n) in C
+    order, one beamformer per stream in ``streams`` order, and ``beams[g]``
+    is the (..., L, theta_g) block of group g."""
 
-    combiners: dict[int, np.ndarray]
     beams: dict[Group, np.ndarray]
     nullities: dict[Group, int]
     beta: dict[int, int]
@@ -377,30 +384,27 @@ def _check_nullity(group: Group, theta: int, nullity: int, widest: int, expected
 def build_beamformers(column: ScheduleColumn, channels: ChannelRealization) -> BeamformerSolution:
     """Nullspace beamformers for one column under random channels.
 
-    Combiners are fixed first: each user's first beta_k receive antennas
-    (``ChannelRealization.haar_combiner_pool``).  For every
-    scheduled group the interference channel of all outside users is
-    stacked and the group's stream instances take the first theta
-    orthonormal nullspace directions.  The column is built from its own
-    draw alone; the table kernel (``_stream_gains``) gives the same beams
-    while sharing nullspaces across columns.
+    User k combines its first beta_k receive antennas, the leading beta_k
+    rows of its draw.  For every scheduled group the combined channels of
+    all outside users are stacked and the group's stream instances take the
+    first theta orthonormal nullspace directions.  The column is built from
+    its own draw alone; the table kernel (``_stream_gains``) gives the same
+    beams while sharing nullspaces across columns.
 
     Raises NullityDeficientError when a nullspace cannot host its group's
     instances, or when its dimension anywhere in the batch is not the
     rank-nullity value L minus the outside streams.
     """
-    pool = channels.haar_combiner_pool()
     users, L = channels.users, channels.L
     theta = column.theta()
     beta = column.beta(users)
-    combiners = {k: pool[k][..., : beta[k]] for k in users}
     empty = channels.H[users[0]][..., :0, :]  # no outside user: (..., 0, L)
     beams: dict[Group, np.ndarray] = {}
     nullities: dict[Group, int] = {}
     for g in sorted(theta):
         outside = [k for k in users if k not in g and beta[k] > 0]
-        # the outside users' combined channels combiner^H H, stacked
-        rows = [_hermitian(combiners[k]) @ channels.H[k] for k in outside]
+        # the outside users' combined channels, their draws' leading rows, stacked
+        rows = [channels.H[k][..., : beta[k], :] for k in outside]
         basis, rank = nullspace_basis(np.concatenate(rows or [empty], axis=-2))
         nullities[g] = L - sum(beta[k] for k in outside)
         _check_nullity(g, theta[g], L - int(np.max(rank)), L - int(np.min(rank)), nullities[g])
@@ -408,7 +412,7 @@ def build_beamformers(column: ScheduleColumn, channels: ChannelRealization) -> B
     streams = tuple((g, inst) for g in sorted(theta) for inst in range(theta[g]))
     batch = channels.H[users[0]].shape[:-2]
     stacked = np.concatenate([beams[g] for g in sorted(theta)] or [np.zeros(batch + (L, 0))], axis=-1)
-    return BeamformerSolution(combiners, beams, nullities, dict(beta), streams, np.ascontiguousarray(stacked))
+    return BeamformerSolution(beams, nullities, dict(beta), streams, np.ascontiguousarray(stacked))
 
 
 class NumericReport(NamedTuple):
@@ -429,9 +433,10 @@ def effective_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """User k's beta_k x beta_k effective matrix over its own streams, and its
     gains from every other stream, (..., beta_k, n_other); both are columns
-    of one combiner^H H @ W product, in ``solution.streams`` order."""
+    of one product of its combined channel, the leading beta_k rows of its
+    draw, with the stacked beams, in ``solution.streams`` order."""
     own = np.array([k in g for g, _ in solution.streams])
-    gains = _hermitian(solution.combiners[k]) @ channels.H[k] @ solution.stacked
+    gains = channels.H[k][..., : solution.beta[k], :] @ solution.stacked
     return gains[..., own], gains[..., ~own]
 
 
@@ -463,7 +468,6 @@ class _TablePlan(NamedTuple):
     directions: tuple[tuple, ...]
     take: np.ndarray
     outside: np.ndarray
-    beta_max: int  # the most streams a user decodes in one column
     sets: tuple[_StreamSet, ...]
 
 
@@ -472,13 +476,15 @@ def _batch_columns(trials: int) -> int:
     return BATCH_COLUMN_TRIALS // min(trials, TRIAL_BLOCK)
 
 
-def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
+def _plan_table(slots, users: tuple[int, ...], width: int) -> _TablePlan:
     """Stream order, outside-user profiles and per-(user, stream count) index
-    arrays of every column, from the slot pass (``_group_slots``); batches
-    of ``width`` columns are split into stream sets by stream total."""
-    cols = tuple(tuple(sorted(c.groups)) for c in columns)
-    _, member, col, gid, beta, heads, theta, outside = _group_slots(columns, users)
-    n = np.array([len(c) for c in cols], dtype=np.intp)
+    arrays of every column, from a table's slot pass (``_group_slots``);
+    batches of ``width`` columns are split into stream sets by stream total."""
+    distinct, member, col, gid, beta, heads, theta, outside = slots
+    n = np.bincount(col, minlength=len(beta))  # every column's stream total
+    starts = np.cumsum(n) - n
+    groups = [distinct[g] for g in gid.tolist()]  # by column, each column's in sorted order
+    cols = tuple(tuple(groups[s : s + k]) for s, k in zip(starts.tolist(), n.tolist()))
     run = np.repeat(np.arange(len(heads)), theta)  # every slot's run
     # an id per distinct profile from one lexicographic sort (np.unique(axis=0) is slower)
     by = np.lexsort(outside.T[::-1])
@@ -489,7 +495,6 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
     keys = [tuple((users[i], b) for i, b in enumerate(row) if b) for row in outside[by[new]].tolist()]
     take = np.zeros(len(keys), dtype=np.intp)
     np.maximum.at(take, pid, theta)
-    starts = np.cumsum(n) - n
     runs = np.stack([col[heads], heads - starts[col[heads]], pid, theta], axis=1)
     profile, instance = pid[run], np.arange(len(gid)) - heads[run]
     step, sets = int(beta.max(initial=0)) + 1, []
@@ -513,7 +518,7 @@ def _plan_table(columns, users: tuple[int, ...], width: int) -> _TablePlan:
                 entries.append((user, b, at, r[: hi - lo], order[lo:hi, :b], order[lo:hi, b:]))
             if entries:
                 sets.append(_StreamSet(rows_all, profile[stream], instance[stream], tuple(entries)))
-    return _TablePlan(users, cols, runs, tuple(keys), take, outside[by[new]].sum(axis=1), step - 1, tuple(sets))
+    return _TablePlan(users, cols, runs, tuple(keys), take, outside[by[new]].sum(axis=1), tuple(sets))
 
 
 def _stream_beams(library: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -525,16 +530,16 @@ def _stream_beams(library: np.ndarray, index: np.ndarray) -> np.ndarray:
     return library.ravel()[rows[:, :, None, :] * L + np.arange(L)[:, None]]
 
 
-def _set_gains(plan: _TablePlan, streams: _StreamSet, beams: np.ndarray, combined: dict, draws: np.ndarray):
+def _set_gains(streams: _StreamSet, beams: np.ndarray, h: np.ndarray, draws: np.ndarray):
     """Every entry of a stream set with its (R, trials, b, n) gains, one entry
-    at a time, from the set's (C, trials, L, n) beams.  ``combined[k, b]``
-    stacks user k's combined channels over the D draws, (D, trials, b, L),
-    and ``draws`` gives each of the set's columns its draw.  The beams are
-    freed with the generator, once its last entry is taken."""
+    at a time, from the set's (C, trials, L, n) beams and the first b rows of
+    user position u in the (D, trials, U, G, L) draws ``h``; ``draws`` gives
+    each of the set's columns its draw.  The beams are freed with the
+    generator, once its last entry is taken."""
     for entry in streams.entries:
         u, b, rows = entry[:3]
-        channel = combined[plan.users[u], b]  # one draw broadcasts over the columns
-        yield entry, (channel if len(channel) == 1 else channel[draws[rows]]) @ beams[rows]
+        channel = h[:, :, u, :b]  # one draw broadcasts over the columns
+        yield entry, (channel if len(h) == 1 else channel[draws[rows]]) @ beams[rows]
 
 
 class _KernelLayout(NamedTuple):
@@ -546,12 +551,9 @@ class _KernelLayout(NamedTuple):
     # per set: the set, the draw of each of its columns, and the (C, n)
     # direction-library index of every stream
     sets: tuple[tuple[_StreamSet, np.ndarray, np.ndarray], ...]
-    # the (user, stream count) of every entry and the first of the b rows
-    # that its combined channels take in the row library
-    combined: tuple[tuple[int, int, int], ...]
-    # per (draw, outside-stream count r): the draw, the profiles, the (P, r)
-    # row-library rows of each profile's outside users, and the directions
-    # kept of each profile; the library holds them in this order
+    # per (draw, outside-stream count r): the draw, the profiles, the (P, r, 2)
+    # (user position, antenna) rows of each profile's outside users, and the
+    # directions kept of each profile; the library holds them in this order
     stacks: tuple[tuple[int, np.ndarray, np.ndarray, int], ...]
 
 
@@ -561,24 +563,20 @@ def _kernel_layout(plan: _TablePlan, sets, draw: np.ndarray) -> _KernelLayout:
     batch in the rate sweep."""
     columns = np.array(sorted({c for streams in sets for c in streams.columns.tolist()}), dtype=np.intp)
     D = int(draw[columns].max(initial=0)) + 1
-    first, n_rows = {}, 0  # each entry's first row in the row library
-    for streams in sets:
-        for u, b, *_ in streams.entries:
-            if (plan.users[u], b) not in first:
-                first[plan.users[u], b], n_rows = n_rows, n_rows + b
     pairs: dict[tuple[int, int], list] = {}  # the sets' profiles by draw and outside-stream count
     for d, p in sorted({(d, p) for s in sets for d, row in zip(draw[s.columns].tolist(), s.profiles.tolist()) for p in row}):
         pairs.setdefault((d, int(plan.outside[p])), []).append(p)
     offset = np.zeros((D, len(plan.directions)), dtype=np.intp)  # where each pair's directions start
     stacks, seen = [], 0
     for (d, r), profiles in pairs.items():
-        rows = [[first[k, b] + i for k, b in plan.directions[p] for i in range(b)] for p in profiles]
+        # an outside user decoding b streams gives the rows of its first b antennas
+        rows = [[(plan.users.index(k), i) for k, b in plan.directions[p] for i in range(b)] for p in profiles]
         m = int(plan.take[profiles].max())
         offset[d, profiles] = seen + m * np.arange(len(profiles))
         seen += m * len(profiles)
-        stacks.append((d, np.array(profiles), np.array(rows, dtype=np.intp).reshape(len(profiles), r), m))
+        stacks.append((d, np.array(profiles), np.array(rows, dtype=np.intp).reshape(len(profiles), r, 2), m))
     sets = tuple((s, draw[s.columns], offset[draw[s.columns][:, None], s.profiles] + s.instances) for s in sets)
-    return _KernelLayout(draw, D, columns, sets, tuple((k, b, i) for (k, b), i in first.items()), tuple(stacks))
+    return _KernelLayout(draw, D, columns, sets, tuple(stacks))
 
 
 def _worker_count() -> int:
@@ -591,9 +589,9 @@ def _worker_count() -> int:
     return cores if cores > 1 else 0
 
 
-def _stack_nullspaces(rows: np.ndarray, stacks, pool) -> tuple[np.ndarray, list]:
+def _stack_nullspaces(h: np.ndarray, stacks, pool) -> tuple[np.ndarray, list]:
     """The (trials, direction, L) direction library of every (draw,
-    outside-stream count) stack, in stack order, and each stack's ranks.
+    outside-stream count) stack of draws ``h``, in stack order, and its ranks.
 
     A call of two or more stacks and at least THREAD_MATRICES matrices maps
     its stacks over the ``pool``, when there is one, while the calling
@@ -603,14 +601,14 @@ def _stack_nullspaces(rows: np.ndarray, stacks, pool) -> tuple[np.ndarray, list]
     basis and rank is the loop's, bit for bit.  ``map`` yields in stack
     order and raises the first error in stack order, the one the loop
     raises, after cancelling the stacks not yet started."""
-    T, L = rows.shape[1], rows.shape[-1]
+    T, L = h.shape[1], h.shape[-1]
     starts = np.cumsum([0] + [len(index) * m for _, _, index, m in stacks]).tolist()
-    library = np.empty((T, starts[-1], L), dtype=rows.dtype)
+    library = np.empty((T, starts[-1], L), dtype=h.dtype)
 
     def factor(i: int) -> np.ndarray:
         d, _, index, m = stacks[i]
         # one QR of the (P, T, r, L) stack of the profiles' outside combined channels
-        basis, rank = nullspace_basis(rows[d][:, index].swapaxes(0, 1))
+        basis, rank = nullspace_basis(h[d][:, index[..., 0], index[..., 1]].swapaxes(0, 1))
         # (trials, profile, direction, L), each direction contiguous; the
         # run's symbolic check leaves at least m = theta <= L - r directions
         part = library[:, starts[i] : starts[i + 1]].reshape(T, len(index), m, L)
@@ -625,8 +623,8 @@ def _stack_nullspaces(rows: np.ndarray, stacks, pool) -> tuple[np.ndarray, list]
 def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization, pool):
     """The numeric kernel of a batch of stream sets and a trial block, whose
     channels stack the layout's draws: every set with its entries' gains
-    (``_set_gains``), from one combined channel per (user, stream count),
-    the draw's leading rows (antenna selection), one nullspace QR per (draw,
+    (``_set_gains``), from the draws stacked once, whose leading rows are
+    the combined channels (antenna selection), one nullspace QR per (draw,
     outside-stream count), mapped over the ``pool`` when it pays
     (``_stack_nullspaces``), and one direction library.  LAPACK and BLAS
     see each matrix on its own and in the layout of its one-column product,
@@ -636,14 +634,12 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     every trial, a degenerate draw (the run's symbolic check leaves room)."""
     if not layout.sets:
         return
-    L, D = channels.L, layout.draws
-    T = len(channels.H[plan.users[0]]) // D
-    # (D, T, row, L): the entries' combined channels, which hold every profile's
-    rows = np.concatenate([channels.H[k][..., :b, :] for k, b, _ in layout.combined], axis=1)
-    rows = rows.reshape(D, T, -1, L)
+    L = channels.L
+    # (D, T, U, G, L): the draws, stacked once; combined channels are leading rows
+    h = np.stack([channels.H[k] for k in plan.users], axis=1)
+    h = h.reshape(layout.draws, -1, *h.shape[1:])
     del channels  # frees the draw, when the caller keeps no reference to it
-    combined = {(k, b): rows[:, :, i : i + b] for k, b, i in layout.combined}
-    library, ranks = _stack_nullspaces(rows, layout.stacks, pool)
+    library, ranks = _stack_nullspaces(h, layout.stacks, pool)
     if any((rank != index.shape[1]).any() for rank, (_, _, index, _) in zip(ranks, layout.stacks)):
         # raise at the first run of groups, in scan order, that a failing
         # (draw, profile) pair shapes, with the pair's smallest and largest nullity
@@ -653,7 +649,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
             _check_nullity(plan.columns[c][at], theta, *nullity[int(layout.draw[c]), p], L - int(plan.outside[p]))
     for streams, draws, index in layout.sets:
         # no reference to the beams here: the entries' generator frees them
-        yield streams, _set_gains(plan, streams, _stream_beams(library, index), combined, draws)
+        yield streams, _set_gains(streams, _stream_beams(library, index), h, draws)
 
 
 def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, reduce) -> None:
@@ -662,18 +658,19 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
     ``shared``, else cell (trial, column).  Per trial block and layout,
     calls ``reduce(plan, block, layout, kernel)`` with the block's range of
     trials and the kernel's generator of stream sets and gains.  Before any
-    draw it checks the run's inputs: ParameterError below one trial;
-    VerificationError, with decodability_check's first witness, if a group
-    of the plan has theta plus outside streams above L or a beta above G; and
+    draw it checks the run's inputs: ParameterError below one trial; on the
+    slot pass that the plan takes, MalformedTableError (``_group_slots``) and
+    the symbolic check's VerificationError, with its first witness; and
     ParameterError if a trial block's channel draws and nullspace Q factors
     would hold more than MAX_KERNEL_ENTRIES complex entries."""
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
     users, width = tuple(sorted(table.users)), _batch_columns(trials)
-    plan = _plan_table(table.columns, users, width)
+    slots = _group_slots(table.columns, users)
     G, L = table.G, table.L
-    if (plan.take + plan.outside > L).any() or plan.beta_max > G:
-        raise VerificationError(f"table fails the symbolic check: {decodability_check(table).witnesses[0]}")
+    if not (symbolic := _symbolic_report(slots, users, L, G)).ok:
+        raise VerificationError(f"table fails the symbolic check: {symbolic.witnesses[0]}")
+    plan = _plan_table(slots, users, width)
     if shared:
         layouts = [_kernel_layout(plan, plan.sets, np.zeros(len(plan.columns), dtype=np.intp))]
     else:
@@ -896,12 +893,12 @@ def verify_numeric(
     column and the solution's beams.  Failures read (trial, kind, user, ...).
     ``tol`` and ``sigma_tol`` must be finite and positive."""
     scan = _MarginScan(tol, sigma_tol, named=False)
-    plan = _plan_table((column,), channels.users, 1)
+    plan = _plan_table(_group_slots((column,), channels.users), channels.users, 1)
     beams = solution.stacked[None] if solution.stacked.ndim == 3 else solution.stacked[None, None]
-    combined = {(k, b): (_hermitian(solution.combiners[k]) @ channels.H[k])[None]  # one draw
-                for k, b in solution.beta.items() if b}
+    h = np.stack([channels.H[k] for k in channels.users], axis=-3)
+    h = h.reshape(1, -1, *h.shape[-3:])  # (1, trials, U, G, L): one draw
     for streams in plan.sets:
-        gains = _set_gains(plan, streams, beams, combined, np.zeros(1, dtype=np.intp))
+        gains = _set_gains(streams, beams, h, np.zeros(1, dtype=np.intp))
         scan.add(plan, streams, gains, range(beams.shape[1]))
     return scan.report()
 

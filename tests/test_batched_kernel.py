@@ -3,6 +3,7 @@ against the per-stream loops it replaced; its conditioning screen against the
 full SVD of every effective matrix; the table-level rate kernel against the
 per-column loop it replaced."""
 
+import builtins
 import itertools
 import json
 import math
@@ -68,7 +69,7 @@ def reference_margins(column, channels, solution):
     for k in channels.users:
         if beta[k] == 0:
             continue
-        combined = solution.combiners[k].conj().T @ channels.H[k]
+        combined = channels.H[k][: beta[k]]  # its first beta_k antennas
         own = []
         for g, inst in solution.streams:
             gain = combined @ solution.beams[g][:, inst]
@@ -105,9 +106,9 @@ def test_kernel_combines_the_leading_rows_of_one_draw(monkeypatch, shared):
         draws.append(draw(*args, **kwargs))
         return draws[-1]
 
-    def keep_combined(plan, streams, beams, rows, at):
-        combined.append((len(draws) - 1, rows))
-        return set_gains(plan, streams, beams, rows, at)
+    def keep_combined(streams, beams, h, at):
+        combined.append((len(draws) - 1, streams, h))
+        return set_gains(streams, beams, h, at)
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(keep_draw))
     monkeypatch.setattr(verifier, "_set_gains", keep_combined)
@@ -119,10 +120,11 @@ def test_kernel_combines_the_leading_rows_of_one_draw(monkeypatch, shared):
     layouts = 1 if shared else math.ceil(len(table.columns) / _batch_columns(trials))
     assert shared or layouts > 1  # the sweep takes two batches of columns
     assert len(normals) == len(draws) == 2 * layouts  # two trial blocks
-    assert {i for i, _ in combined} == set(range(len(draws)))
-    for i, rows in combined:
-        for (k, b), channel in rows.items():
-            leading = draws[i].H[k][..., :b, :]
+    assert {i for i, *_ in combined} == set(range(len(draws)))
+    for i, streams, h in combined:
+        for u, b, *_ in streams.entries:
+            channel = h[:, :, u, :b]
+            leading = draws[i].H[draws[i].users[u]][..., :b, :]
             assert channel.tobytes() == np.ascontiguousarray(leading).reshape(channel.shape).tobytes()
 
 
@@ -318,7 +320,8 @@ def test_table_scan_names_the_first_deficient_group(monkeypatch):
 
 
 def profiles_by_outside_streams(table):
-    plan = verifier._plan_table(table.columns, tuple(sorted(table.users)), 1)
+    users = tuple(sorted(table.users))
+    plan = verifier._plan_table(verifier._group_slots(table.columns, users), users, 1)
     by_streams = {}
     for profile in plan.directions:
         by_streams.setdefault(sum(b for _, b in profile), []).append(profile)
@@ -326,10 +329,9 @@ def profiles_by_outside_streams(table):
 
 
 def profile_rows(channels, profile):
-    """The (..., r, L) combined channels combiner^H H of a profile's outside
-    users, over their leading combiners."""
-    pool = channels.haar_combiner_pool()
-    rows = [pool[k][..., :b].conj().swapaxes(-1, -2) @ channels.H[k] for k, b in profile]
+    """The (..., r, L) combined channels of a profile's outside users: each
+    one's first b antennas, the leading b rows of its draw."""
+    rows = [channels.H[k][..., :b, :] for k, b in profile]
     return np.concatenate(rows or [channels.H[channels.users[0]][..., :0, :]], axis=-2)
 
 
@@ -916,6 +918,44 @@ def assert_sweep_matches_reference(table, trials, seed):
     assert snr_sweep(table, grid, trials=trials, seed=seed) == reference_sweep(table, grid, trials, seed)
 
 
+def test_sweep_time_accounting_does_not_depend_on_sum(monkeypatch):
+    """From Python 3.12 on, ``sum()`` of floats is compensated, so it no
+    longer adds left to right as a cumsum does.  The per-trial and the
+    mean-rate symmetric rates are one statement that calls no ``sum()``: with
+    ``sum()`` of floats compensated (``math.fsum``), the sweep still matches
+    its reference bit for bit."""
+    plain = builtins.sum
+
+    def compensated(values, start=0):
+        values = list(values)
+        return start + math.fsum(values) if any(isinstance(v, float) for v in values) else plain(values, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated)
+    for name in ("example1_dof14.json", "example1_dof12.json"):
+        assert_sweep_matches_reference(table_from_json((DATA / name).read_text()), 40, 3)
+
+
+def test_no_path_reads_the_combiner_pool(monkeypatch):
+    """Combined channels are read from the draw itself: with
+    ``ChannelRealization.haar_combiner_pool`` raising, the reference path,
+    the oracle and the sweep all still run."""
+
+    def no_pool(self):
+        raise AssertionError("the combiner pool was read")
+
+    monkeypatch.setattr(ChannelRealization, "haar_combiner_pool", no_pool)
+    table = table_from_json((DATA / "example1_dof14.json").read_text())
+    channels = ChannelRealization.draw(table.users, table.G, table.L, seed=2, cells=trial_cells(range(3)))
+    for column in table.columns:
+        solution = build_beamformers(column, channels)
+        for k in channels.users:
+            own, _ = effective_matrix(solution, channels, k)
+            assert own.shape == (3, solution.beta[k], solution.beta[k])
+        assert verify_numeric(column, channels, solution).ok
+    assert verify_table_numeric(table, trials=3, seed=2).ok
+    assert len(snr_sweep(table, [0.0, 30.0], trials=3, seed=2)) == 2
+
+
 @given(decodable_tables(max_G=4), st.sampled_from([1, TRIAL_BLOCK + 1, 70]), st.integers(0, 999))
 @settings(max_examples=25, deadline=None)
 def test_sweep_kernel_matches_column_reference_on_random_tables(table, trials, seed):
@@ -1219,8 +1259,8 @@ def test_worker_errors_are_raised_in_stack_order(monkeypatch, failing, raised):
     """Stacks of 1 to 4 matrices mapped over a pool of two threads: the
     first stack in stack order that raises is the one whose error comes
     out, whichever thread factored it and whenever it finished."""
-    rows = np.ones((1, 1, 4, 3), dtype=complex)
-    stacks = [(0, None, np.zeros((p, 1), dtype=np.intp), 1) for p in (1, 2, 3, 4)]
+    h = np.ones((1, 1, 1, 4, 3), dtype=complex)
+    stacks = [(0, None, np.zeros((p, 1, 2), dtype=np.intp), 1) for p in (1, 2, 3, 4)]
 
     failing = set(failing)
 
@@ -1233,11 +1273,11 @@ def test_worker_errors_are_raised_in_stack_order(monkeypatch, failing, raised):
     monkeypatch.setattr(verifier, "THREAD_MATRICES", 0)
     with ThreadPoolExecutor(2) as pool:
         with pytest.raises(np.linalg.LinAlgError, match=f"stack {raised}"):
-            verifier._stack_nullspaces(rows, stacks, pool)
+            verifier._stack_nullspaces(h, stacks, pool)
         # the pool is left ready for the next call, whose results come in stack order
         failing.clear()
-        library, ranks = verifier._stack_nullspaces(rows, stacks, pool)
-    serial_library, serial_ranks = verifier._stack_nullspaces(rows, stacks, None)
+        library, ranks = verifier._stack_nullspaces(h, stacks, pool)
+    serial_library, serial_ranks = verifier._stack_nullspaces(h, stacks, None)
     assert [rank.shape for rank in ranks] == [(1, 1), (2, 1), (3, 1), (4, 1)]
     assert library.shape == (1, 10, 3) and library.tobytes() == serial_library.tobytes()
     assert all(np.array_equal(a, b) for a, b in zip(ranks, serial_ranks))

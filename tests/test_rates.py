@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccsched.errors import ParameterError, VerificationError
+from ccsched.errors import MalformedTableError, ParameterError, VerificationError
 from ccsched.model import ScheduleColumn, ScheduleTable, table_from_json
 from ccsched.symmetric import schedule_symmetric
 from ccsched.asymmetric import schedule_asymmetric
@@ -19,7 +19,7 @@ from ccsched.rates import (
     sweep_to_csv,
     symmetric_rate_from_columns,
 )
-from ccsched.verifier import ChannelRealization, build_beamformers, verify_table_numeric
+from ccsched.verifier import ChannelRealization, build_beamformers, decodability_check, verify_table_numeric
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,19 @@ def test_zero_power_gives_zero_rate():
     sinrs = sinrs_from_coefficients(coeffs, 1, 0.0, 1.0)
     assert column_rate(sinrs) == 0.0
     assert symmetric_rate_from_columns([0.0, 1.0], theta=5, n_users=5) == 0.0
+
+
+def test_symmetric_rate_of_a_stack_and_of_no_rates():
+    """One statement for one table's column rates, a float, and for a stack
+    of them, an array over its leading axes; no rates are refused."""
+    rates = np.array([[1.5, 2.0, 4.0], [1.5, 0.0, 4.0], [3.0, 0.5, 0.25]])
+    stacked = symmetric_rate_from_columns(rates, 35, 5)
+    one = [symmetric_rate_from_columns(row, 35, 5) for row in rates]
+    assert all(type(r) is float for r in one) and one[1] == 0.0
+    assert stacked.shape == (3,) and stacked.tolist() == one
+    for empty in ([], np.zeros((2, 0))):
+        with pytest.raises(ParameterError, match="no column rates"):
+            symmetric_rate_from_columns(empty, 35, 5)
 
 
 def test_symmetric_rate_identity():
@@ -182,6 +195,31 @@ def test_numeric_runs_refuse_a_failing_table_alike(monkeypatch, field, value, wi
         with pytest.raises(VerificationError) as refused:
             run()
         assert str(refused.value) == f"table fails the symbolic check: {witness}"
+
+
+def test_repeated_user_is_refused_before_any_draw(monkeypatch):
+    """A user list that repeats a user passes ``validate()`` but would count
+    the user twice: the sweep read Theta as 42 instead of 35 and rates of
+    0.380 and 72.6 instead of 0.244 and 50.0 at 0 and 30 dB.  The slot pass
+    that every verdict and rate reads refuses it before any draw, with the
+    reason ``table_from_json`` gives for the same user list."""
+    text = (Path(__file__).parent / "data" / "example1_dof14.json").read_text()
+    table = table_from_json(text)
+    repeated = dataclasses.replace(table, users=table.users + (1,))
+    repeated.validate()
+    with pytest.raises(MalformedTableError) as parsed:
+        table_from_json(text.replace('"users": [', '"users": [\n    1,', 1))
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(_no_draw))
+    runs = (
+        lambda: decodability_check(repeated),
+        lambda: verify_table_numeric(repeated, trials=2),
+        lambda: snr_sweep(repeated, [0, 30], trials=2),
+        lambda: column_rates(repeated, np.array([1.0]), 2, 0),
+    )
+    for run in runs:
+        with pytest.raises(MalformedTableError) as refused:
+            run()
+        assert str(refused.value) == str(parsed.value) == "user 1 repeats in the user list"
 
 
 def test_empty_column_is_refused_before_any_draw(ex1_tables, monkeypatch):

@@ -16,7 +16,6 @@ from ccsched.verifier import BeamformerSolution, NumericReport, SymbolicReport, 
 TABLE = ScheduleTable((1, 2, 3), 1, 2, 2, (ScheduleColumn.of([(1, 2), (2, 3)]),))
 # shared by every instance, so that two instances built alike compare equal
 BEAM = np.array([[1.0 + 0.5j], [0.0 - 2.0j]])
-COMBINER = np.eye(2)
 
 # name -> (instance factory, a field and another value for it, the repr the
 # frozen dataclass gave)
@@ -34,11 +33,10 @@ RECORDS = {
     ),
     "BeamformerSolution": (
         lambda: BeamformerSolution(
-            {1: COMBINER}, {(1, 2): BEAM}, {(1, 2): 1}, {1: 1, 2: 1, 3: 0}, (((1, 2), 0),), BEAM
+            {(1, 2): BEAM}, {(1, 2): 1}, {1: 1, 2: 1, 3: 0}, (((1, 2), 0),), BEAM
         ),
         ("nullities", {(1, 2): 2}),
-        "BeamformerSolution(combiners={1: array([[1., 0.],\n       [0., 1.]])}, "
-        "beams={(1, 2): array([[1.+0.5j],\n       [0.-2.j ]])}, nullities={(1, 2): 1}, "
+        "BeamformerSolution(beams={(1, 2): array([[1.+0.5j],\n       [0.-2.j ]])}, nullities={(1, 2): 1}, "
         "beta={1: 1, 2: 1, 3: 0}, streams=(((1, 2), 0),), stacked=array([[1.+0.5j],\n       [0.-2.j ]]))",
     ),
     "NumericReport": (
