@@ -35,7 +35,7 @@ from .errors import CcschedError, ParameterError, VerificationError
 from .model import ScheduleTable, table_from_json, table_to_json
 from .rates import snr_sweep, sweep_to_csv
 from .symmetric import DEFAULT_DELTA_MAX, feasible_beta_set, schedule_symmetric
-from .verifier import _key_word, decodability_check, verify_table_numeric
+from .verifier import _key_word, _symbolic_pass, decodability_check, verify_table_numeric
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -194,7 +194,9 @@ def cmd_verify(args) -> int:
     table.validate()
     if args.numeric:
         check_rate_budget(1, args.trials, len(table.columns))
-    report = decodability_check(table)
+    # one slot pass, for the printed report and the numeric run alike
+    checked = _symbolic_pass(table)
+    report = checked[1]
     doc = {
         "symbolic": "PASS" if report.ok else "FAIL",
         "witnesses": [w._asdict() for w in report.witnesses],
@@ -205,7 +207,7 @@ def cmd_verify(args) -> int:
         if not ok:
             doc["numeric"] = {"skipped": "symbolic check failed"}
         else:
-            numeric = verify_table_numeric(table, trials=args.trials, seed=args.seed, tol=args.tol)
+            numeric = verify_table_numeric(table, trials=args.trials, seed=args.seed, tol=args.tol, checked=checked)
             doc["numeric"] = {
                 "trials": args.trials,
                 "max_leakage": numeric.max_leakage,

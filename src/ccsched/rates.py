@@ -196,6 +196,7 @@ def column_rates(table: ScheduleTable, powers: np.ndarray, trials: int, seed: in
         sinrs = _batch_sinrs(plan, layout, kernel, len(block), powers)
         # math.log2, as the rate of one column was taken
         rate = np.reshape([math.log2(1.0 + s) for s in sinrs.ravel().tolist()], sinrs.shape)
+        # the unit's own slice: units may run on several threads at once
         rates[:, block.start : block.stop, layout.columns] = rate.swapaxes(1, 2)
 
     _numeric_run(table, trials, seed, False, store)

@@ -36,10 +36,11 @@ cell in Philox's counter (``_complex_normals``), so no two cells of a run
 share a draw.  The oracle shares the draw of cell (trial, 0) among all
 columns and lays all stream sets out once (``_kernel_layout``); the sweep
 draws cell (trial, column) for every column and lays each batch out once.
-Per trial block of TRIAL_BLOCK trials and layout, the run draws the
-channels and hands the kernel, ``_stream_gains``, to the caller's
-reduction: the oracle's margin scan (``_MarginScan.add``) or the sweep's
-SINR step (``rates._batch_sinrs``).
+A unit of the run is one trial block of TRIAL_BLOCK trials and one layout.
+Per unit, the run draws the channels and hands the kernel, ``_stream_gains``,
+to the caller's reduction: the oracle's margin scan, one per unit and
+merged in scan order (``_MarginScan.merge``), or the sweep's SINR step
+(``rates._batch_sinrs``), whose rates go to the unit's own slice of the run's.
 The kernel stacks the draws once, reads every combined channel in it as a
 user's leading rows, takes one stacked nullspace QR per (draw, outside-stream
 count) over the outside-user profiles present and one direction library,
@@ -51,18 +52,18 @@ singular value from both sides, and LAPACK's SVD runs only on the matrices
 that can be the minimum or can fail, so the report is exactly the one a
 full SVD gives.
 
-The kernel's nullspace QRs run on every usable core.  A run opens one
-``concurrent.futures.ThreadPoolExecutor``, imported only then, of one
-thread per usable core (``_worker_count``), or none on one core.  A kernel
-call of two or more (draw, outside-stream count) stacks and at least
-THREAD_MATRICES matrices maps its whole stacks over the pool, which queues
-and balances them, while the calling thread waits; any other call loops
-over its stacks on the calling thread.  A stack is never split, and LAPACK
-factors each matrix on its own, so every basis and rank, the nullity
-check's scan order, and any error are the loop's, bit for bit.  The pool's
-threads start at the run's first mapped call, at most one per usable
-core, and every one is joined before the run returns or raises, whether
-the kernel or the caller's reduction raised.
+The units run on every usable core.  The (trial, column) cells make every
+unit independent of the others, so a run of two or more units on more than
+one usable core opens one ``concurrent.futures.ThreadPoolExecutor``,
+imported only then, of one thread per usable core (``_worker_count``) but no
+more than the units, nor than MAX_KERNEL_ENTRIES allows at once, and maps
+whole units over it while the calling thread waits; any other run, such as
+the oracle's at a few trials, loops over its units on the calling thread.
+Every unit computes its draw, bases, ranks and reduction as the loop does,
+and the calling thread takes the results in scan order (trial block, then
+layout), so every output and the first error in scan order are the
+loop's, bit for bit.  Every thread is joined before the run returns or
+raises, whether the kernel or the caller's reduction raised.
 """
 
 from __future__ import annotations
@@ -94,27 +95,15 @@ BATCH_COLUMN_TRIALS = 256
 # the most complex entries a numeric run's trial block may hold in its channel
 # draws (users x G x L per draw) and its kernel calls' L x L nullspace Q
 # factors, about 0.8 GB at 16 bytes an entry: a table whose antenna counts
-# need more is refused before the first draw (_numeric_run).  The tables of the tests and the benchmark hold under 10**6.
+# need more is refused before the first draw (_numeric_run), and the units
+# the pool runs at once hold no more together.  The tables of the tests and
+# the benchmark hold under 10**6.
 MAX_KERNEL_ENTRIES = 5 * 10**7
 # the conditioning screen (_MarginScan._sigma_min): the relative margin by
 # which a cell's lower bound must clear the threshold to skip its SVD, and the
 # largest estimated condition number at which that bound is trusted
 SCREEN_SLACK = 1e-2
 SCREEN_CEILING = 1e6
-# the fewest matrices a kernel call's nullspace QRs must hold to be mapped
-# over the pool (_stack_nullspaces): every stack of a mapped call goes to the
-# pool, and a run's first mapped call starts its threads.  A matrix's QR and
-# rank screen take about 4-6 us on one thread, the threads' start about 0.1 ms
-# on 2 cores, and a stack's handoff up to about 0.2 ms.  Timed call by call on
-# the two workloads' tables, pooled against serial (medians of 15 rounds, two
-# sets), floors from 0 to 256 gave the same totals within 1.1 ms over the 35
-# calls of the 200-trial Example 1 sweeps (80 to 1792 matrices): 252 and 203
-# ms against 365 and 234 ms serial, and 273 and 207 ms at 512.  Over the 27 of
-# the 4-trial Fig. 3 oracle (16 to 840), floors from 128 to 512 took 26.7 and
-# 20.2 ms against 29.6 and 21.8 ms serial, and floors of 0 and 64 more.  So the
-# floor stays at 256: a lower one gains nothing measurable, and would start
-# the threads, and their memory, in most oracle runs instead of one in 27
-THREAD_MATRICES = 256
 
 
 class Witness(NamedTuple):
@@ -198,11 +187,18 @@ def _symbolic_report(slots, users, L: int, G: int) -> SymbolicReport:
     return SymbolicReport(not found, tuple(found), tuple((~bad).tolist()), L - int(lhs.max(initial=0)))
 
 
+def _symbolic_pass(table: ScheduleTable) -> tuple:
+    """A table's slot pass (``_group_slots``) over its sorted users, and the
+    witness step's report on it (``_symbolic_report``)."""
+    served = tuple(sorted(table.users))
+    slots = _group_slots(table.columns, served)
+    return slots, _symbolic_report(slots, served, table.L, table.G)
+
+
 def decodability_check(table: ScheduleTable) -> SymbolicReport:
     """Symbolic decodability verdict for every column of a table: the
-    witness step (``_symbolic_report``) on its slot pass."""
-    served = tuple(sorted(table.users))
-    return _symbolic_report(_group_slots(table.columns, served), served, table.L, table.G)
+    witness step on its slot pass (``_symbolic_pass``)."""
+    return _symbolic_pass(table)[1]
 
 
 def _key_word(value) -> bool:
@@ -250,7 +246,8 @@ class ChannelRealization:
     (0, 0), or a sequence of cells: a batch, every array with a leading trial
     axis, each draw bit for bit its cell's alone (``_complex_normals``).  The
     channels take the key [seed, 0], users in sorted order.  A cell must be
-    a pair of integers in [0, 2**64), or ParameterError is raised."""
+    a pair of integers in [0, 2**64) and no user may repeat, or
+    ParameterError is raised."""
 
     users: tuple[int, ...]
     G: int
@@ -273,6 +270,9 @@ class ChannelRealization:
         else:
             raise ParameterError(f"a channel draw's cells must be (trial, column) pairs, got {cells}")
         users = tuple(sorted(users))
+        for k, j in zip(users, users[1:]):
+            if k == j:  # H would hold one draw for both
+                raise ParameterError(f"a channel draw's users must be distinct: user {k} repeats")
         h = _complex_normals(seed, pairs, (len(users), G, L))
         h /= np.sqrt(2)
         h = h[0] if one else h
@@ -580,8 +580,8 @@ def _kernel_layout(plan: _TablePlan, sets, draw: np.ndarray) -> _KernelLayout:
 
 
 def _worker_count() -> int:
-    """The threads of the kernel's pool: one per usable core, or none on
-    one core, where the calling thread factors every stack."""
+    """The threads of the run's pool: one per usable core, or none on one
+    core, where the calling thread runs every unit."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
@@ -589,49 +589,35 @@ def _worker_count() -> int:
     return cores if cores > 1 else 0
 
 
-def _stack_nullspaces(h: np.ndarray, stacks, pool) -> tuple[np.ndarray, list]:
+def _stack_nullspaces(h: np.ndarray, stacks) -> tuple[np.ndarray, list]:
     """The (trials, direction, L) direction library of every (draw,
-    outside-stream count) stack of draws ``h``, in stack order, and its ranks.
-
-    A call of two or more stacks and at least THREAD_MATRICES matrices maps
-    its stacks over the ``pool``, when there is one, while the calling
-    thread waits; any other call loops over them on the calling thread (a
-    single stack has nothing to share, and a handoff alone costs).  No
-    stack is split, and LAPACK factors each matrix on its own, so every
-    basis and rank is the loop's, bit for bit.  ``map`` yields in stack
-    order and raises the first error in stack order, the one the loop
-    raises, after cancelling the stacks not yet started."""
+    outside-stream count) stack of draws ``h``, in stack order, and its ranks."""
     T, L = h.shape[1], h.shape[-1]
     starts = np.cumsum([0] + [len(index) * m for _, _, index, m in stacks]).tolist()
     library = np.empty((T, starts[-1], L), dtype=h.dtype)
-
-    def factor(i: int) -> np.ndarray:
-        d, _, index, m = stacks[i]
+    ranks = []
+    for (d, _, index, m), lo, hi in zip(stacks, starts, starts[1:]):
         # one QR of the (P, T, r, L) stack of the profiles' outside combined channels
         basis, rank = nullspace_basis(h[d][:, index[..., 0], index[..., 1]].swapaxes(0, 1))
         # (trials, profile, direction, L), each direction contiguous; the
         # run's symbolic check leaves at least m = theta <= L - r directions
-        part = library[:, starts[i] : starts[i + 1]].reshape(T, len(index), m, L)
-        part[:] = basis[..., :m].swapaxes(-1, -2).swapaxes(0, 1)
-        return rank
-
-    matrices = T * sum(len(index) for _, _, index, _ in stacks)
-    split = pool is not None and len(stacks) > 1 and matrices >= THREAD_MATRICES
-    return library, list((pool.map if split else map)(factor, range(len(stacks))))
+        library[:, lo:hi].reshape(T, len(index), m, L)[:] = basis[..., :m].swapaxes(-1, -2).swapaxes(0, 1)
+        ranks.append(rank)
+    return library, ranks
 
 
-def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization, pool):
+def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelRealization):
     """The numeric kernel of a batch of stream sets and a trial block, whose
     channels stack the layout's draws: every set with its entries' gains
     (``_set_gains``), from the draws stacked once, whose leading rows are
     the combined channels (antenna selection), one nullspace QR per (draw,
-    outside-stream count), mapped over the ``pool`` when it pays
-    (``_stack_nullspaces``), and one direction library.  LAPACK and BLAS
-    see each matrix on its own and in the layout of its one-column product,
-    so every gain is the one-column one, bit for bit.  Before any gain,
-    raises NullityDeficientError at the first run of groups in scan order
-    (column, then group) whose nullspace is not the rank-nullity value in
-    every trial, a degenerate draw (the run's symbolic check leaves room)."""
+    outside-stream count) (``_stack_nullspaces``), and one direction
+    library.  LAPACK and BLAS see each matrix on its own and in the layout
+    of its one-column product, so every gain is the one-column one, bit for
+    bit.  Before any gain, raises NullityDeficientError at the first run of
+    groups in scan order (column, then group) whose nullspace is not the
+    rank-nullity value in every trial, a degenerate draw (the run's symbolic
+    check leaves room)."""
     if not layout.sets:
         return
     L = channels.L
@@ -639,7 +625,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
     h = np.stack([channels.H[k] for k in plan.users], axis=1)
     h = h.reshape(layout.draws, -1, *h.shape[1:])
     del channels  # frees the draw, when the caller keeps no reference to it
-    library, ranks = _stack_nullspaces(h, layout.stacks, pool)
+    library, ranks = _stack_nullspaces(h, layout.stacks)
     if any((rank != index.shape[1]).any() for rank, (_, _, index, _) in zip(ranks, layout.stacks)):
         # raise at the first run of groups, in scan order, that a failing
         # (draw, profile) pair shapes, with the pair's smallest and largest nullity
@@ -652,23 +638,26 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
         yield streams, _set_gains(streams, _stream_beams(library, index), h, draws)
 
 
-def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, reduce) -> None:
+def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, reduce, checked=None) -> list:
     """Run the kernel over ``trials`` draws of a table, as the module
     docstring describes: cell (trial, 0) shared by every column if
-    ``shared``, else cell (trial, column).  Per trial block and layout,
-    calls ``reduce(plan, block, layout, kernel)`` with the block's range of
-    trials and the kernel's generator of stream sets and gains.  Before any
-    draw it checks the run's inputs: ParameterError below one trial; on the
-    slot pass that the plan takes, MalformedTableError (``_group_slots``) and
-    the symbolic check's VerificationError, with its first witness; and
-    ParameterError if a trial block's channel draws and nullspace Q factors
-    would hold more than MAX_KERNEL_ENTRIES complex entries."""
+    ``shared``, else cell (trial, column).  Per unit, one trial block of one
+    layout, it draws the channels and returns ``reduce(plan, block, layout,
+    kernel)``, with the block's range of trials and the kernel's generator of
+    stream sets and gains; the run returns every unit's result in scan
+    order: trial block, then layout.  Before any draw it checks the run's
+    inputs: ParameterError below one trial; on the table's slot pass and
+    symbolic report (``_symbolic_pass``, or ``checked`` when the caller has
+    taken them), MalformedTableError (``_group_slots``) and the symbolic
+    check's VerificationError, with its first witness; and ParameterError if
+    a trial block's channel draws and nullspace Q factors would hold more
+    than MAX_KERNEL_ENTRIES complex entries."""
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
     users, width = tuple(sorted(table.users)), _batch_columns(trials)
-    slots = _group_slots(table.columns, users)
+    slots, symbolic = checked or _symbolic_pass(table)
     G, L = table.G, table.L
-    if not (symbolic := _symbolic_report(slots, users, L, G)).ok:
+    if not symbolic.ok:
         raise VerificationError(f"table fails the symbolic check: {symbolic.witnesses[0]}")
     plan = _plan_table(slots, users, width)
     if shared:
@@ -679,26 +668,32 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
             batches.setdefault(int(streams.columns[0]) // width, []).append(streams)
         draw = np.arange(len(plan.columns)) % width  # one draw per column of a batch
         layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
+    largest = 1
     for layout in layouts:  # a trial block's draws and L x L Q factors
         matrices = sum(len(index) for _, _, index, _ in layout.stacks)
         entries = min(trials, TRIAL_BLOCK) * (layout.draws * len(users) * G * L + matrices * L * L)
         if entries > MAX_KERNEL_ENTRIES:
             raise ParameterError(f"L = {L}, G = {G}: a trial block would hold {entries} complex entries, "
                                  f"more than {MAX_KERNEL_ENTRIES}, in its channel draws and nullspace Q factors")
+        largest = max(largest, entries)
+    # every trial block, or the first alone when no column carries a stream
+    units = [(range(first, min(first + TRIAL_BLOCK, trials)), layout)
+             for first in range(0, trials if plan.sets else 1, TRIAL_BLOCK) for layout in layouts]
+
+    def unit(block: range, layout: _KernelLayout):
+        cells = [(t, 0) for t in block] if shared else [(t, c) for c in layout.columns.tolist() for t in block]
+        # no name here for the draw: the kernel, its only holder, frees it once sliced
+        kernel = _stream_gains(plan, layout, ChannelRealization.draw(users, G, L, seed=seed, cells=cells))
+        return reduce(plan, block, layout, kernel)
+
+    threads = min(_worker_count(), len(units), MAX_KERNEL_ENTRIES // largest)
+    if threads < 2:
+        return [unit(*u) for u in units]
     from concurrent.futures import ThreadPoolExecutor  # here: no other command needs it
 
-    workers = _worker_count()
-    # a pool thread starts only when handed a stack; on one core there is no pool
-    with ThreadPoolExecutor(workers, "ccsched-kernel") if workers else contextlib.nullcontext() as pool:
-        for first in range(0, trials, TRIAL_BLOCK):
-            block = range(first, min(first + TRIAL_BLOCK, trials))
-            for layout in layouts:
-                cells = [(t, 0) for t in block] if shared else [(t, c) for c in layout.columns.tolist() for t in block]
-                # no name here for the draw: the kernel, its only holder, frees it once sliced
-                kernel = _stream_gains(plan, layout, ChannelRealization.draw(users, G, L, seed=seed, cells=cells), pool)
-                reduce(plan, block, layout, kernel)
-            if not plan.sets:  # no column carries a stream
-                break
+    with ThreadPoolExecutor(threads, "ccsched-kernel") as pool:
+        # map yields in unit order and raises the first error in that order
+        return list(pool.map(unit, *zip(*units)))
 
 
 def _frobenius_sq(a: np.ndarray) -> np.ndarray:
@@ -837,19 +832,35 @@ class _MarginScan:
         """Fold one set's margins into ``worst[kind]``: its first worst cell
         replaces the worst so far when worse, or equal and earlier in scan
         order.  Failing cells join the failures."""
-        pad, pick, better = self._WORST[kind]
+        pad, pick, _ = self._WORST[kind]
         i = int(pick(values))
         value = float(values.flat[i])
         if value == pad:  # padding only: the set has no such cell
             return
-        cell = self._cell(plan, streams, first, values.shape, i)
-        worst = self.worst[kind]
-        if worst is None or better(value, worst[0]) or (value == worst[0] and cell[0] < worst[1]):
-            self.worst[kind] = (value, *cell)
+        self._keep(kind, (value, *self._cell(plan, streams, first, values.shape, i)))
         for i in np.flatnonzero(failing).tolist():
             position, trial, column, label = self._cell(plan, streams, first, values.shape, i)
             at = (trial, column) if self.named else (trial,)
             self.failures.append((position, at + (kind,) + label + (float(values.flat[i]),)))
+
+    def _keep(self, kind, candidate) -> None:
+        """Make ``candidate``, a (value, scan position, ...) cell, the worst
+        of its kind when it is worse than the worst so far, or equal and
+        earlier in scan order."""
+        better, worst = self._WORST[kind][2], self.worst[kind]
+        if worst is None or better(candidate[0], worst[0]) or (candidate[0] == worst[0] and candidate[1] < worst[1]):
+            self.worst[kind] = candidate
+
+    def merge(self, other: "_MarginScan") -> None:
+        """Fold another scan's cells into this one: its worst cells by the
+        rule of ``_keep``, and its failures.  A scan keeps the worst cell by
+        value, then by scan position, and sorts its failures by position, so
+        the scans of disjoint units, merged in scan order, report as one scan
+        of them all."""
+        for kind, worst in other.worst.items():
+            if worst is not None:
+                self._keep(kind, worst)
+        self.failures += other.failures
 
     @staticmethod
     def _cell(plan, streams, first, shape, i) -> tuple:
@@ -909,6 +920,8 @@ def verify_table_numeric(
     seed: int = 0,
     tol: float = 1e-9,
     sigma_tol: float = 1e-6,
+    *,
+    checked: tuple | None = None,
 ) -> NumericReport:
     """Aggregate numeric verification over one random channel draw per trial,
     shared by every column (the module docstring's numeric run).
@@ -918,12 +931,19 @@ def verify_table_numeric(
     (trial block, column, trial, user, stream) order on ties.  Failures read
     (trial, column, kind, user, ...), in scan order.  ``tol`` and
     ``sigma_tol`` must be finite and positive; the run refuses fewer than
-    one trial and a table failing the symbolic check (``_numeric_run``)."""
+    one trial and a table failing the symbolic check (``_numeric_run``).
+    ``checked`` is this table's slot pass and symbolic report from
+    ``_symbolic_pass``, when the caller has taken them (``verify
+    --numeric`` does, for its printed report), so that the run does not
+    take them again."""
     scan = _MarginScan(tol, sigma_tol)
 
     def fold(plan, block, layout, kernel):
+        unit = _MarginScan(tol, sigma_tol)
         for streams, gains in kernel:
-            scan.add(plan, streams, gains, block)
+            unit.add(plan, streams, gains, block)
+        return unit
 
-    _numeric_run(table, trials, seed, True, fold)
+    for unit in _numeric_run(table, trials, seed, True, fold, checked):
+        scan.merge(unit)
     return scan.report()

@@ -9,7 +9,6 @@ import json
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ccsched import verifier
 from ccsched.asymmetric import schedule_asymmetric
 from ccsched.cli import main
-from ccsched.errors import NullityDeficientError, VerificationError
+from ccsched.errors import NullityDeficientError, ParameterError, VerificationError
 from ccsched.model import ScheduleColumn, ScheduleTable, table_from_json, table_to_json
 from ccsched.rates import (
     RatePoint,
@@ -96,18 +95,21 @@ def test_kernel_combines_the_leading_rows_of_one_draw(monkeypatch, shared):
     """Receive combiners select antennas: every (user, stream count b)
     combined channel the kernel hands its reduction is the leading b rows of
     that user's draw, bit for bit, and a run makes one channel draw, one
-    ``_complex_normals`` call, per (trial block, layout) and nothing more."""
+    ``_complex_normals`` call, per (trial block, layout) and nothing more.
+    Units may run on several threads at once, and a unit draws and forms
+    its gains on one thread, so each thread's last draw is its unit's."""
     table = table_from_json((DATA / "example1_dof12.json").read_text())
     trials = TRIAL_BLOCK + 3
-    draws, combined, normals = [], [], []
+    draws, combined, normals, current = [], [], [], threading.local()
     draw, set_gains, complex_normals = ChannelRealization.draw, verifier._set_gains, verifier._complex_normals
 
     def keep_draw(*args, **kwargs):
-        draws.append(draw(*args, **kwargs))
-        return draws[-1]
+        current.channels = draw(*args, **kwargs)
+        draws.append(current.channels)
+        return current.channels
 
     def keep_combined(streams, beams, h, at):
-        combined.append((len(draws) - 1, streams, h))
+        combined.append((current.channels, streams, h))
         return set_gains(streams, beams, h, at)
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(keep_draw))
@@ -120,11 +122,11 @@ def test_kernel_combines_the_leading_rows_of_one_draw(monkeypatch, shared):
     layouts = 1 if shared else math.ceil(len(table.columns) / _batch_columns(trials))
     assert shared or layouts > 1  # the sweep takes two batches of columns
     assert len(normals) == len(draws) == 2 * layouts  # two trial blocks
-    assert {i for i, *_ in combined} == set(range(len(draws)))
-    for i, streams, h in combined:
+    assert {id(channels) for channels, *_ in combined} == set(map(id, draws))
+    for channels, streams, h in combined:
         for u, b, *_ in streams.entries:
             channel = h[:, :, u, :b]
-            leading = draws[i].H[draws[i].users[u]][..., :b, :]
+            leading = channels.H[channels.users[u]][..., :b, :]
             assert channel.tobytes() == np.ascontiguousarray(leading).reshape(channel.shape).tobytes()
 
 
@@ -1141,7 +1143,7 @@ def test_sweep_checks_a_whole_batch_of_nullspaces_first(monkeypatch):
     assert str(two_columns.value) == "singular effective matrix at user 1"
 
 
-# -- the nullspace stage on worker threads ------------------------------------
+# -- whole units on worker threads ---------------------------------------------
 
 
 def thread_kind(name):
@@ -1150,12 +1152,12 @@ def thread_kind(name):
     return "ccsched-kernel" if name.startswith("ccsched-kernel") else name
 
 
-def use_workers(monkeypatch, workers, floor=0):
-    """Run the kernel with a pool of ``workers`` threads, none for a serial
-    run, splitting every call of at least ``floor`` matrices; returns the
-    kind (``thread_kind``) of the thread that factored each stack."""
+def use_workers(monkeypatch, workers):
+    """Run the kernel as if on ``workers`` usable cores (0: one core), so
+    that a run of two or more units maps them over a pool of that many
+    threads; returns the kind (``thread_kind``) of the thread that factored
+    each nullspace stack, the thread that ran its unit."""
     monkeypatch.setattr(verifier, "_worker_count", lambda: workers)
-    monkeypatch.setattr(verifier, "THREAD_MATRICES", floor)
     factored, basis = [], verifier.nullspace_basis
 
     def spy(A):
@@ -1175,14 +1177,14 @@ def example1_tables():
 @pytest.mark.parametrize("trials", [33, 200])
 def test_sweep_is_bit_for_bit_the_same_on_worker_threads(monkeypatch, trials):
     """Every rate of the three Example 1 sweeps is the same bits whether the
-    calling thread factors every stack or a pool thread does."""
+    calling thread runs every unit or two pool threads do."""
     powers = np.array([1.0, 10.0**3.5])
     for table in example1_tables():
         with pytest.MonkeyPatch.context() as patch:
             serial_threads = use_workers(patch, 0)
             serial = column_rates(table, powers, trials, 42)
         with pytest.MonkeyPatch.context() as patch:
-            threaded_threads = use_workers(patch, 1)
+            threaded_threads = use_workers(patch, 2)
             threaded = column_rates(table, powers, trials, 42)
         assert serial.tobytes() == threaded.tobytes()
         assert set(serial_threads) == {threading.main_thread().name}
@@ -1190,31 +1192,64 @@ def test_sweep_is_bit_for_bit_the_same_on_worker_threads(monkeypatch, trials):
 
 
 def test_oracle_is_bit_for_bit_the_same_on_worker_threads(monkeypatch):
+    """The Fig. 3 witness at 2 * TRIAL_BLOCK + 1 trials, three units: the
+    report is the same whether the calling thread runs every unit or two
+    pool threads do, and each unit's scan is merged into the run's."""
     table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
     reports = []
-    for workers in (0, 1):
+    for workers in (0, 2):
         with pytest.MonkeyPatch.context() as patch:
             factored = use_workers(patch, workers)
             # margins tight enough that both kinds of failure are listed
-            reports.append(verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=9, tol=1e-15, sigma_tol=0.05))
-        assert ("ccsched-kernel" in factored) == bool(workers)
-    assert repr(reports[0]) == repr(reports[1]) and reports[0].failures
+            reports.append(verify_table_numeric(table, trials=2 * TRIAL_BLOCK + 1, seed=9, tol=1e-15, sigma_tol=0.05))
+        assert set(factored) == {"ccsched-kernel" if workers else threading.main_thread().name}
+    same = repr(reports[0]) == repr(reports[1])  # a named bool: pytest would diff the long reprs for minutes
+    assert same and reports[0].failures
+    assert {trial for trial, *_ in reports[0].failures} >= {0, TRIAL_BLOCK, 2 * TRIAL_BLOCK}
+
+
+@pytest.mark.parametrize("trials", [TRIAL_BLOCK + 1, 40])
+def test_merged_unit_scans_give_the_one_scan_report(monkeypatch, trials):
+    """The oracle's per-unit scans, merged, against one scan that folds
+    every stream set of every unit in scan order on the calling thread: the
+    same report ``repr``, with failures of both kinds listed, whether the
+    units ran on the calling thread or on two pool threads."""
+    table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
+    tol, sigma_tol = 1e-15, 0.05
+    one = _MarginScan(tol, sigma_tol)
+
+    def fold(plan, block, layout, kernel):
+        for streams, gains in kernel:
+            one.add(plan, streams, gains, block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        use_workers(patch, 0)
+        verifier._numeric_run(table, trials, 9, True, fold)
+    want = one.report()
+    assert {kind for _, _, kind, *_ in want.failures} == {"leakage", "sigma_min"}
+    for workers in (0, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            use_workers(patch, workers)
+            got = verify_table_numeric(table, trials=trials, seed=9, tol=tol, sigma_tol=sigma_tol)
+        same = repr(got) == repr(want)  # a named bool: pytest would diff the long reprs for minutes
+        assert same
 
 
 def test_more_workers_than_cores_give_the_serial_bits(monkeypatch):
     """More pool threads than usable cores, switching threads as often as
-    the interpreter allows: a lost, doubled or misplaced stack would change
+    the interpreter allows: a lost, doubled or misplaced unit would change
     the rates.  The run gets a minute."""
     table = table_from_json((DATA / "example1_dof14.json").read_text())
     powers = np.array([1.0, 10.0**3.5])
+    trials = 5 * TRIAL_BLOCK  # at least five units
     with pytest.MonkeyPatch.context() as patch:
         use_workers(patch, 0)
-        serial = column_rates(table, powers, 40, 7)
+        serial = column_rates(table, powers, trials, 7)
     factored = use_workers(monkeypatch, verifier._worker_count() + 2)
     got, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run = threading.Thread(target=lambda: got.append(column_rates(table, powers, 40, 7)))
+        run = threading.Thread(target=lambda: got.append(column_rates(table, powers, trials, 7)))
         run.start()
         run.join(timeout=60)
     finally:
@@ -1227,10 +1262,10 @@ def test_more_workers_than_cores_give_the_serial_bits(monkeypatch):
 @pytest.mark.parametrize("pooled", [False, True])
 def test_worker_shares_name_the_first_deficient_group(monkeypatch, pooled):
     """The table and silent users of
-    ``test_stacked_nullspaces_name_the_first_deficient_group``, with every
-    stack factored on the calling thread or on a pool thread: several
-    stacks hold deficient profiles, and either way the error names the
-    first group in scan order, with its own profile's nullities."""
+    ``test_stacked_nullspaces_name_the_first_deficient_group``, over two
+    units run on the calling thread or on pool threads: both units hold
+    deficient profiles, and either way the error names the first group of
+    the first unit in scan order, with its own profile's nullities."""
     table = ScheduleTable((1, 2, 3, 4, 5), 0, 6, 2, (
         ScheduleColumn.of([(1,), (2,), (3,)]),
         ScheduleColumn.of([(4,), (5,), (5,)]),
@@ -1240,14 +1275,14 @@ def test_worker_shares_name_the_first_deficient_group(monkeypatch, pooled):
 
     def silent(*args, **kwargs):
         channels = draw(*args, **kwargs)
-        channels.H[3][0] = 0.0
+        channels.H[3][0] = 0.0  # the first trial of each unit
         channels.H[5][1] = 0.0
         return channels
 
     monkeypatch.setattr(ChannelRealization, "draw", staticmethod(silent))
-    factored = use_workers(monkeypatch, int(pooled))
+    factored = use_workers(monkeypatch, 2 * pooled)
     with pytest.raises(NullityDeficientError) as got:
-        verify_table_numeric(table, trials=4)
+        verify_table_numeric(table, trials=TRIAL_BLOCK + 2)
     assert str(got.value) == (
         "group (1,): computed nullity (min 4, max 5) != rank-nullity value 4 (non-generic channel draw)"
     )
@@ -1255,32 +1290,32 @@ def test_worker_shares_name_the_first_deficient_group(monkeypatch, pooled):
 
 
 @pytest.mark.parametrize("failing,raised", [({1, 3}, 1), ({0, 2}, 0), ({2}, 2)])
-def test_worker_errors_are_raised_in_stack_order(monkeypatch, failing, raised):
-    """Stacks of 1 to 4 matrices mapped over a pool of two threads: the
-    first stack in stack order that raises is the one whose error comes
-    out, whichever thread factored it and whenever it finished."""
-    h = np.ones((1, 1, 1, 4, 3), dtype=complex)
-    stacks = [(0, None, np.zeros((p, 1, 2), dtype=np.intp), 1) for p in (1, 2, 3, 4)]
+def test_unit_errors_are_raised_in_scan_order(monkeypatch, failing, raised):
+    """Four units of an oracle run on a pool of two threads, some of which
+    fail at their draw: the error that comes out is the first failing unit's
+    in scan order, though that unit fails only after every later failing
+    unit has, and no thread outlives the run."""
+    table = table_from_json((DATA / "example1_dof14.json").read_text())
+    before, failed, later_failed = threading.active_count(), [], threading.Event()
+    draw = ChannelRealization.draw
 
-    failing = set(failing)
+    def failing_draw(*args, cells, **kwargs):
+        unit = cells[0][0] // TRIAL_BLOCK  # the oracle's units are its trial blocks
+        if unit in failing:
+            if unit == raised and failing != {raised}:
+                assert later_failed.wait(timeout=30)
+            failed.append(unit)
+            if len(failed) == len(failing) - 1:
+                later_failed.set()
+            raise np.linalg.LinAlgError(f"unit {unit}")
+        return draw(*args, cells=cells, **kwargs)
 
-    def failing_basis(A):
-        if len(A) - 1 in failing:
-            raise np.linalg.LinAlgError(f"stack {len(A) - 1}")
-        return nullspace_basis(A)
-
-    monkeypatch.setattr(verifier, "nullspace_basis", failing_basis)
-    monkeypatch.setattr(verifier, "THREAD_MATRICES", 0)
-    with ThreadPoolExecutor(2) as pool:
-        with pytest.raises(np.linalg.LinAlgError, match=f"stack {raised}"):
-            verifier._stack_nullspaces(h, stacks, pool)
-        # the pool is left ready for the next call, whose results come in stack order
-        failing.clear()
-        library, ranks = verifier._stack_nullspaces(h, stacks, pool)
-    serial_library, serial_ranks = verifier._stack_nullspaces(h, stacks, None)
-    assert [rank.shape for rank in ranks] == [(1, 1), (2, 1), (3, 1), (4, 1)]
-    assert library.shape == (1, 10, 3) and library.tobytes() == serial_library.tobytes()
-    assert all(np.array_equal(a, b) for a, b in zip(ranks, serial_ranks))
+    monkeypatch.setattr(ChannelRealization, "draw", staticmethod(failing_draw))
+    use_workers(monkeypatch, 2)
+    with pytest.raises(np.linalg.LinAlgError, match=f"unit {raised}$"):
+        verify_table_numeric(table, trials=4 * TRIAL_BLOCK)
+    assert failed == sorted(failing, reverse=True)
+    assert threading.active_count() == before
 
 
 NUMERIC_COMMANDS = [
@@ -1294,11 +1329,12 @@ NUMERIC_COMMANDS = [
     ids=["rate-sweep", "verify", "failing-rate-sweep"],
 )
 def test_no_thread_outlives_a_command(monkeypatch, capsys, argv, code):
-    """A numeric command starts at most one pool thread per usable core,
-    and every one has ended when the command returns, also when it fails:
-    with user 3's channel zero in every draw, every stack holding user 3,
-    whichever thread factors it, has a nullity above the rank-nullity
-    value, and the sweep exits 4 at its first kernel call."""
+    """A numeric command of two or more units (two trial blocks) starts at
+    most one pool thread per usable core, and every one has ended when the
+    command returns, also when it fails: with user 3's channel zero in every
+    draw, every stack holding user 3, whichever thread runs its unit, has a
+    nullity above the rank-nullity value, and the sweep exits 4 with its
+    first unit's error."""
     before, started, alive = threading.active_count(), [], []
     start, basis = threading.Thread.start, verifier.nullspace_basis
 
@@ -1332,9 +1368,9 @@ def test_no_thread_outlives_a_command(monkeypatch, capsys, argv, code):
 
 
 def test_no_thread_outlives_a_failing_reduction(monkeypatch, capsys):
-    """The sweep's reduction raises after the kernel has split its call
-    over the pool, forced on whatever the cores: the command exits 4, and
-    every pool thread has ended."""
+    """The sweep's reduction raises in every unit, each run on the pool,
+    forced on whatever the cores, after its kernel has run: the command
+    exits 4, and every pool thread has ended."""
     before, started, start = threading.active_count(), [], threading.Thread.start
 
     def counting_start(thread):
@@ -1342,7 +1378,7 @@ def test_no_thread_outlives_a_failing_reduction(monkeypatch, capsys):
         start(thread)
 
     def failing_sinrs(plan, layout, kernel, *args):
-        for _ in kernel:  # the kernel factors its stacks on the pool
+        for _ in kernel:  # the kernel factors its stacks on the unit's thread
             pass
         raise VerificationError("reduction fails")
 
@@ -1369,3 +1405,39 @@ def test_one_usable_core_starts_no_thread(monkeypatch, capsys, argv):
     assert main(argv) == 0
     capsys.readouterr()
     assert started == []
+
+
+def test_one_unit_starts_no_thread(monkeypatch, capsys):
+    """``verify --numeric`` at a few trials is one unit, one trial block of
+    the oracle's one layout: it runs on the calling thread, whatever the
+    cores."""
+    started, start = [], threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    factored = use_workers(monkeypatch, 2)
+    assert main(NUMERIC_COMMANDS[1][:-4] + ["--trials", "4"]) == 0
+    capsys.readouterr()
+    assert started == [] and set(factored) == {threading.main_thread().name}
+
+
+def test_units_in_flight_hold_at_most_the_entry_bound(monkeypatch):
+    """The pool runs no more units at once than MAX_KERNEL_ENTRIES holds:
+    a bound that holds one unit's draws and Q factors but not two keeps a
+    two-unit oracle run on the calling thread, with the same report."""
+    table = table_from_json((DATA / "example1_dof14.json").read_text())
+    monkeypatch.setattr(verifier, "MAX_KERNEL_ENTRIES", 0)
+    with pytest.raises(ParameterError) as refused:
+        verify_table_numeric(table, trials=TRIAL_BLOCK + 1)
+    entries = int(str(refused.value).split(" would hold ")[1].split()[0])
+    reports = []
+    for bound, pooled in ((entries, False), (2 * entries - 1, False), (2 * entries, True)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verifier, "MAX_KERNEL_ENTRIES", bound)
+            factored = use_workers(patch, 2)
+            reports.append(repr(verify_table_numeric(table, trials=TRIAL_BLOCK + 1)))
+        assert set(factored) == {"ccsched-kernel" if pooled else threading.main_thread().name}
+    assert len(set(reports)) == 1

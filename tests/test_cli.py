@@ -782,24 +782,28 @@ def test_antenna_and_gain_flags_exit_2(tmp_path, capsys, command, shape, reason)
 
 
 def test_verify_numeric_runs_one_symbolic_check(tmp_path, capsys, monkeypatch):
-    import ccsched.cli
+    """One slot pass and one witness step serve both the printed symbolic
+    report and the numeric run's refusal and plan, at one unit (2 trials)
+    and at two (40 trials)."""
     import ccsched.verifier
 
     table = tmp_path / "t.json"
     run_cli(capsys, "schedule", "--mode", "sym", "--omega", "4", "--t", "1",
             "--L", "11", "--G", "8", "--beta", "2", "-o", str(table))
     calls = []
-    original = ccsched.verifier.decodability_check
+    for name in ("_group_slots", "_symbolic_report"):
+        original = getattr(ccsched.verifier, name)
 
-    def counting(table, *args):
-        calls.append(1)
-        return original(table, *args)
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
 
-    monkeypatch.setattr(ccsched.cli, "decodability_check", counting)
-    monkeypatch.setattr(ccsched.verifier, "decodability_check", counting)
-    code, _, _ = run_cli(capsys, "verify", "--table", str(table), "--numeric", "--trials", "2")
-    assert code == 0
-    assert len(calls) == 1
+        monkeypatch.setattr(ccsched.verifier, name, counting)
+    for trials in ("2", "40"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "verify", "--table", str(table), "--numeric", "--trials", trials)
+        assert code == 0
+        assert calls == ["_group_slots", "_symbolic_report"]
 
 
 def test_reproduce_all_matches_golden_digests(tmp_path, capsys):

@@ -99,6 +99,15 @@ def test_cells_that_are_not_pairs_are_refused(cells):
         ChannelRealization.draw((1, 2), 2, 3, seed=1, cells=cells)
 
 
+def test_a_repeated_user_is_refused():
+    """A repeated user would keep one channel in ``H`` for both of its
+    places, and a column built on the draw would count its streams twice."""
+    with pytest.raises(ParameterError, match="a channel draw's users must be distinct: user 1 repeats"):
+        ChannelRealization.draw((1, 1, 2, 3), G=2, L=4, seed=1)
+    with pytest.raises(ParameterError, match="user 2 repeats"):
+        ChannelRealization.draw((2, 3, 2), G=1, L=2, seed=1, cells=[(0, 0), (1, 0)])
+
+
 def spy_cells(monkeypatch):
     """Record the (seed, cell) of every draw that ``_complex_normals`` makes."""
     drawn, draw = [], verifier._complex_normals
