@@ -47,10 +47,15 @@ count) over the outside-user profiles present and one direction library,
 and yields every stream set's own and cross gains from beams in C order, the
 one layout of a column's own stack (``BeamformerSolution.stacked``), as a
 BLAS product rounds by layout.  The margin scan's conditioning margin is
-screened: a batched inverse bounds every effective matrix's smallest
-singular value from both sides, and LAPACK's SVD runs only on the matrices
-that can be the minimum or can fail, so the report is exactly the one a
-full SVD gives.
+screened (``_MarginScan._sigma_min``): every effective matrix's smallest
+singular value has a certified floor, the nullspace ranks' determinant
+floor (``_log_floor``) from one batched ``slogdet`` or, where that is in
+doubt, a batched inverse bound, and LAPACK's SVD runs only on the matrices
+whose floor does not clear real SVD values: those of each stack's few
+matrices of least floor, and the least one the scan has found.  The
+floor's LU is exact for a matrix within 8 u b^3 3^b |E|_F of E, so under a
+ceiling on |E|_F over the floor it loses at most a third of the slack by
+which it must clear, and the report is exactly the one a full SVD gives.
 
 The units run on every usable core.  The (trial, column) cells make every
 unit independent of the others, so a run of two or more units on more than
@@ -101,9 +106,11 @@ BATCH_COLUMN_TRIALS = 256
 MAX_KERNEL_ENTRIES = 5 * 10**7
 # the conditioning screen (_MarginScan._sigma_min): the relative margin by
 # which a cell's lower bound must clear the threshold to skip its SVD, and the
-# largest estimated condition number at which that bound is trusted
+# largest estimated ratio of |E|_F to that bound at which it is trusted
 SCREEN_SLACK = 1e-2
 SCREEN_CEILING = 1e6
+# the cells of least determinant floor whose SVD sets each stack's threshold
+SCREEN_PROBES = 4
 
 
 class Witness(NamedTuple):
@@ -289,6 +296,28 @@ class ChannelRealization:
         return dict.fromkeys(self.users, np.broadcast_to(np.eye(self.G, dtype=complex), batch + (self.G, self.G)))
 
 
+def _log_floor(log_det: np.ndarray, h2: np.ndarray, b: int) -> np.ndarray:
+    """log of the determinant floor f on the smallest singular value s_b of
+    b x b matrices M, from log|det M| and h^2 = |M|_F^2 (Hong and Pan,
+    Linear Algebra Appl. 1992): s_b times the other b - 1 values is |det M|,
+    and by AM-GM their squares multiply to at most (h^2/(b-1))^(b-1), so
+    s_b >= f = |det M| ((b-1)/h^2)^((b-1)/2), which is |M| at b = 1.  In
+    logarithms no power overflows and no product underflows; it loosens
+    exponentially in b.  A nan or -inf log clears no threshold.
+
+    Its rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002; u = 2^-53, small constants dropped).  Each caller sums log|det|
+    over the diagonal of a triangular factor that is exact for M + dM with
+    |dM|_F <= c u h: R of a QR (Thm 19.4) or U of an LU with partial
+    pivoting (Thm 9.3).  So the computed f^ is the floor of M + dM, taken
+    with h for |M + dM|_F, which moves it by at most (1 + c u)^(b-1), and
+    with the logarithms' roundings, under b^2 u |log f|; and s_b(M + dM) is
+    within c u h of s_b by Weyl's inequality.  Hence s_b >= f^ (1 - rho -
+    c u h/f^) with rho about b c u: a caller trusts f^ only under a ceiling
+    on h/f^, its soundness ceiling, that makes both terms small."""
+    return log_det - (b - 1) / 2 * (np.log(h2) - math.log(max(b - 1, 1)))
+
+
 def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
     """Orthonormal nullspace basis of an r x L matrix A, in C^L.
 
@@ -304,31 +333,30 @@ def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
     orthogonal to A's row space, and span the nullspace when A has rank r.
     QR does not reveal rank, so the rank is screened from R's leading r x r
     block T, which has A's singular values s_1 >= ... >= s_r, and h = |T|_F
-    >= s_1.  First the determinant bound (Hong and Pan, Linear Algebra Appl.
-    1992): s_r times the other r - 1 values is |det T| = prod_i |t_ii|, and
-    by AM-GM their squares multiply to at most (h^2/(r-1))^(r-1), so s_r >=
-    h l with log l = sum_i log(|t_ii|/h) + (r-1)/2 log(r-1).  It takes no
-    LAPACK call but loosens exponentially in r (it clears random r x (r+1)
-    matrices up to r of about 32, none from 40), so the matrices it leaves in
-    doubt take the inverse bound s_r >= h l' = 1/|X|_F >= s_r/sqrt(r), X a
-    batched inverse of T.  A matrix with l or l' > (1 + SCREEN_SLACK)
-    RANK_RTOL has rank r; every other one (not finite, h = 0, or an exactly
-    singular T, for which ``inv`` raises) takes the thresholded SVD's rank.
-    A stack whose largest rank is below r, and an A with r = 0 or r >= L,
-    take the SVD's basis instead: its trailing right singular vectors.
+    >= s_1.  First the determinant floor f (``_log_floor``), with |det T| =
+    prod_i |t_ii|: s_r >= h l with l = f/h.  It takes no
+    LAPACK call but clears random r x (r+1) matrices only up to r of about
+    32, none from 40, so the matrices it leaves in doubt take the inverse
+    bound s_r >= h l' = 1/|X|_F >= s_r/sqrt(r), X a batched inverse of T.
+    A matrix with l or l' > (1 + SCREEN_SLACK) RANK_RTOL has rank r; every
+    other one (not finite, h = 0, or an exactly singular T, for which
+    ``inv`` raises) takes the thresholded SVD's rank.  A stack whose largest
+    rank is below r, and an A with r = 0 or r >= L, take the SVD's basis
+    instead: its trailing right singular vectors.
 
     Why a screened matrix has the SVD's rank (Higham, Accuracy and Stability
     of Numerical Algorithms, 2002; u = 2^-53, small constants dropped): the
     computed T is the exact factor of A^H + E, |E|_F <= L r u |A|_F (Thm
     19.4), so by Weyl's inequality each of its singular values is within
-    L r u h of A's; log l is within r^3 u of its value on T; ``inv`` pivots
-    nowhere on a triangular T, so each column of X solves (T + dT_j) x_j =
-    e_j with |dT_j|_F <= r u h (Thm 8.5), and l' is within a relative
-    r u h/s_r < r u 1e8 of its value on T; and zgesdd's values are within
-    r u |A|_2 of A's (LAPACK Users' Guide, s. 4.9).  For L and r below about
-    300 each error is below 1e-3 of A's smallest singular value, for which
-    l or l' > RANK_RTOL vouches, so the slack of 1 % absorbs them all: the
-    SVD's smallest value clears RANK_RTOL times its largest; its rank is r.
+    L r u h of A's, and ``_log_floor`` gives s_r >= h l (1 - r^2 L u -
+    L r u/l) with 1/l < 1e8; ``inv`` pivots nowhere on a triangular T, so
+    each column of X solves (T + dT_j) x_j = e_j with |dT_j|_F <= r u h
+    (Thm 8.5), and l' is within a relative r u h/s_r < r u 1e8 of its value
+    on T; and zgesdd's values are within r u |A|_2 of A's (LAPACK Users'
+    Guide, s. 4.9).  For L and r below about 300 each error is below 1e-3 of
+    A's smallest singular value, for which l or l' > RANK_RTOL vouches, so
+    the slack of 1 % absorbs them all: the SVD's smallest value clears
+    RANK_RTOL times its largest; its rank is r.
     """
     r, L = A.shape[-2:]
     if 0 < r < L:
@@ -339,8 +367,8 @@ def nullspace_basis(A: np.ndarray) -> tuple[np.ndarray, int]:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # the docstring's l and l': nan, 0 and -inf do not clear
             h2 = _frobenius_sq(T)
-            log_l = np.log(np.abs(np.diagonal(T, axis1=-2, axis2=-1))).sum(-1) - r / 2 * np.log(h2)
-            doubt = np.asarray(~(log_l + (r - 1) / 2 * math.log(max(r - 1, 1)) > math.log(floor)))
+            log_l = _log_floor(np.log(np.abs(np.diagonal(T, axis1=-2, axis2=-1))).sum(-1), h2, r) - np.log(h2) / 2
+            doubt = np.asarray(~(log_l > math.log(floor)))
             if doubt.any():
                 with contextlib.suppress(np.linalg.LinAlgError):  # an exactly singular T
                     doubt[doubt] = ~(1 / np.sqrt(h2[doubt] * _frobenius_sq(np.linalg.inv(T[doubt]))) > floor)
@@ -754,74 +782,87 @@ class _MarginScan:
             del entry_gains
         self._fold("leakage", plan, streams, first, leak, leak > self.tol)
         del leak
-        # each stack is freed once screened
-        smallest = {b: self._sigma_min(effs.pop(b)) for b in list(effs)}
+        # each stack is freed once screened, against the least value found so far
+        found = self.worst["sigma_min"][0] if self.worst["sigma_min"] else np.inf
+        smallest = {}
+        for b in list(effs):
+            smallest[b] = self._sigma_min(effs.pop(b), found)
+            found = min(found, float(smallest[b].min()))
         for (u, b, rows, *_), slot in zip(streams.entries, slots):
             sigma[rows, :, u] = smallest[b][slot]
         self._fold("sigma_min", plan, streams, first, sigma, sigma <= self.sigma_tol)
 
-    def _sigma_min(self, E: np.ndarray) -> np.ndarray:
+    def _sigma_min(self, E: np.ndarray, found: float) -> np.ndarray:
         """Smallest singular value of every cell of a (N, T, b, b) stack:
         LAPACK's, as ``np.linalg.svd`` gives it, on each cell that can be the
-        stack's first minimum or can fail, and +inf on every other cell.
+        scan's first minimum or can fail, and +inf on every other cell, given
+        ``found``, the least value the scan has found (+inf: none).
 
-        The screen.  A batched inverse X^ of the stack gives each cell
-        l^ = 1/|X^|_F and k^ = |E|_F |X^|_F.  A cell is sound when k^ is finite
-        and at most min(SCREEN_CEILING, delta / (128 u b^3 (3^b + 1))), with
-        u = 2^-53 and delta = SCREEN_SLACK.  Let m be the sound cell of least
-        l^.  A sound cell s skips the SVD when
-        l^_s > (1 + delta) max(sqrt(b) l^_m, sigma_tol).  Every other cell keeps
-        it, and so does every cell when ``inv`` raises on an exactly singular one.
+        The screen.  With h = |E|_F, u = 2^-53, delta = SCREEN_SLACK and the
+        soundness ceiling C = min(SCREEN_CEILING, delta / (128 u b^3 (3^b +
+        1))), every cell takes the determinant floor f^ (``_log_floor``) from
+        one batched ``slogdet``.  The SCREEN_PROBES cells of least f^ take the
+        SVD, and U is the least of their values and ``found``: real values of
+        the scan, so no cell above U is the minimum or ties with it.  A cell
+        skips the SVD when f^ > t = (1 + delta) max(U, sigma_tol) and h/f^ <= C.
+        The others (an exactly singular or subnormal-pivot cell, whose floor is
+        not finite or not sound, among them) take a batched inverse X^: with
+        l^ = 1/|X^|_F and k^ = h |X^|_F, a cell skips when l^ > t and k^ <= C.
+        Every other cell keeps the SVD, and so does every one left when
+        ``inv`` raises on an exactly singular one.
 
-        Why a skipped cell changes nothing.  Exactly, with X = inv(E),
-        l = 1/|X|_F and k = |E|_F |X|_F, we have l <= sigma <= sqrt(b) l, since
-        sigma = 1/|X|_2 and |X|_2 <= |X|_F <= sqrt(b) |X|_2.  Two roundings
-        separate the computed values from these (Higham, Accuracy and
-        Stability of Numerical Algorithms, 2002).
-        - ``inv`` solves E X = I by LU with partial pivoting.  Each computed
-          column solves (E + dE_j) x^_j = e_j with |dE_j|_F <= 8 u b^3 3^b |E|_F:
-          Thm 9.4 with complex rounding (s. 3.6), |l_ij| <= sqrt(2) and the
-          growth factor (1 + sqrt(2))^(b-1) of complex pivoting.  Hence
-          |X^ - X|_F <= 8 u b^3 3^b k |X^|_F (ch. 14), and k <= 2 k^, so l^ is
-          within a relative eps1 = 16 u b^3 3^b k^ of l.
-        - zgesdd is backward stable: sigma^ = sigma_min(E + F) with
-          |F|_2 <= p_b u |E|_2 (LAPACK Users' Guide, s. 4.9), budgeted here at
-          p_b = 8 b^3.  By Weyl's inequality |sigma^ - sigma| <= p_b u |E|_F
-          <= p_b u k sigma, a relative eps2 = 16 u b^3 k^.
-        A sound cell has eps = eps1 + eps2 <= delta / 8, which also absorbs the
-        roundings of the norms.  For a skipped cell s,
-          sigma^_s >= (1 - eps)^2 l^_s > (1 + delta)(1 - eps)^2 sqrt(b) l^_m
-                   >= (1 + delta)(1 - eps)^3 / (1 + eps) sigma^_m > sigma^_m,
-        and likewise sigma^_s > (1 + delta)(1 - eps)^2 sigma_tol > sigma_tol.
-        The cell m keeps its SVD, so s is neither the stack's minimum nor tied
-        with it, and it does not fail.  Every kept cell gets the value the full
-        stack's SVD gives it, since LAPACK treats each matrix on its own.  The
-        minimum, its first location, and the failures are therefore unchanged.
+        Why a skipped cell changes nothing.  Exactly, sigma >= f and sigma >=
+        l = 1/|X|_F with X = inv(E), as sigma = 1/|X|_2 and |X|_2 <= |X|_F.
+        Roundings separate the computed values from these (Higham, Accuracy
+        and Stability of Numerical Algorithms, 2002).
+        - LU with partial pivoting, in ``slogdet`` and ``inv``, is exact for
+          E + dE with |dE|_F <= 8 u b^3 3^b h: Thm 9.3 with complex rounding
+          (s. 3.6), |l_ij| <= sqrt(2) and the growth factor (1 + sqrt(2))^(b-1)
+          of complex pivoting.  By ``_log_floor`` the floor loses a relative
+          8 u b^3 3^b (b + h/f^) <= (sqrt(b) + 1) delta/16, as C >= h/f^ >=
+          h/sigma >= sqrt(b); that is at most 5 delta/16 for b <= 16, and past
+          16 C < sqrt(b), so no floor is sound.  Each computed column of X^
+          solves (E + dE_j) x^_j = e_j (Thm 9.4), so |X^ - X|_F <= 8 u b^3 3^b
+          k |X^|_F (ch. 14), and k <= 2 k^: l^ is within a relative
+          16 u b^3 3^b k^ of l.
+        - zgesdd is backward stable: sigma^ = sigma_min(E + F) with |F|_2 <=
+          p_b u |E|_2 (LAPACK Users' Guide, s. 4.9), budgeted at p_b = 8 b^3,
+          so by Weyl's inequality |sigma^ - sigma| <= 8 u b^3 h, a relative
+          8 u b^3 h/f^ or 8 u b^3 k^ of the bounds.
+        A skipped cell's bound is sound, so these add to at most delta/2,
+        which also absorbs the roundings of the norms, and its bound exceeds t:
+          sigma^_s > (1 - delta/2)(1 + delta) max(U, sigma_tol) > max(U, sigma_tol).
+        So s is neither the minimum nor tied with it, and it does not fail.
+        Every kept cell gets the value the full stack's SVD gives it, since
+        LAPACK treats each matrix on its own.  The minimum, its first location,
+        and the failures are therefore unchanged.
         """
         b = E.shape[-1]
-        ceiling = min(SCREEN_CEILING, SCREEN_SLACK / (128 * 2.0**-53 * b**3 * (3**b + 1)))
+        log_ceiling = min(math.log(SCREEN_CEILING), math.log(SCREEN_SLACK / (128 * 2.0**-53 * b**3)) - math.log(3**b + 1))
         sigma = np.full(E.shape[:-2], np.inf)
-        keep = np.ones(sigma.shape, dtype=bool)
-        inv_sq = np.empty(sigma.shape)
-        # the inverse of about BATCH_COLUMN_TRIALS cells at a time, so that it
-        # adds no more than that to the stack's memory
-        step = max(1, BATCH_COLUMN_TRIALS // math.prod(E.shape[1:-2]))
+        cells, flat = E.reshape(-1, b, b), sigma.reshape(-1)
+        h2 = _frobenius_sq(cells)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # nan, -inf and +inf floors are not sound
+            log_floor = _log_floor(np.linalg.slogdet(cells)[1], h2, b)
+            sound = np.log(h2) / 2 - log_floor <= log_ceiling
+        probes = np.linalg.svd(cells[np.argsort(log_floor)[:SCREEN_PROBES]], compute_uv=False)[:, -1]  # -inf first, nan last
+        bound = (1 + SCREEN_SLACK) * max(min(found, float(probes.min())), self.sigma_tol)
+        keep = np.flatnonzero(~(sound & (log_floor > math.log(bound))))
+        inv_sq = np.empty(len(keep))
         try:
-            for lo in range(0, len(E), step):
-                X = np.linalg.inv(E[lo : lo + step])
+            # about BATCH_COLUMN_TRIALS cells at a time, which bounds the inverse's memory
+            for lo in range(0, len(keep), BATCH_COLUMN_TRIALS):
+                X = np.linalg.inv(cells[keep[lo : lo + BATCH_COLUMN_TRIALS]])
                 with np.errstate(over="ignore", invalid="ignore"):  # X may not be finite
-                    inv_sq[lo : lo + step] = _frobenius_sq(X)
+                    inv_sq[lo : lo + BATCH_COLUMN_TRIALS] = _frobenius_sq(X)
         except np.linalg.LinAlgError:
             pass
         else:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                lower = 1 / np.sqrt(inv_sq)
                 # false where the inverse is not finite
-                sound = _frobenius_sq(E) * inv_sq <= ceiling**2
-            if sound.any():
-                floor = max(math.sqrt(b) * float(lower[sound].min()), self.sigma_tol)
-                keep = ~sound | (lower <= (1 + SCREEN_SLACK) * floor)
-        sigma[keep] = np.linalg.svd(E[keep], compute_uv=False)[..., -1]
+                keep = keep[~((1 / np.sqrt(inv_sq) > bound) & (np.log(h2[keep] * inv_sq) / 2 <= log_ceiling))]
+        flat[keep] = np.linalg.svd(cells[keep], compute_uv=False)[..., -1]
         return sigma
 
     # per margin kind: the padding value, the pick of the first worst cell, and

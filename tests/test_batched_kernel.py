@@ -650,7 +650,7 @@ class FullSVDScan(_MarginScan):
     """The margin scan without the conditioning screen: LAPACK's SVD of every
     effective matrix, as the kernel computed it before the screen."""
 
-    def _sigma_min(self, E):
+    def _sigma_min(self, E, found):
         return np.linalg.svd(E, compute_uv=False)[..., -1]
 
 
@@ -748,15 +748,42 @@ def test_screened_scan_matches_full_svd_reference(table, trials, seed, sigma_tol
     assert verify_table_numeric(table, trials=trials, seed=seed, sigma_tol=sigma_tol) == want
 
 
+def count_screen_cells(monkeypatch):
+    """Count the effective matrices ``_MarginScan._sigma_min`` screens, and
+    of those the ones it passes to ``np.linalg.inv``."""
+    cells, inside = {"screened": 0, "inverted": 0}, threading.local()
+    screen, inv = _MarginScan._sigma_min, np.linalg.inv
+
+    def counting_screen(self, E, found):
+        cells["screened"] += math.prod(E.shape[:-2])
+        inside.on = True
+        try:
+            return screen(self, E, found)
+        finally:
+            inside.on = False
+
+    def counting_inv(a):
+        if getattr(inside, "on", False):
+            cells["inverted"] += math.prod(a.shape[:-2])
+        return inv(a)
+
+    monkeypatch.setattr(_MarginScan, "_sigma_min", counting_screen)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    return cells
+
+
 def test_screen_skips_most_cells_of_a_large_table(monkeypatch):
     """On the Fig. 3 witness few cells can be the minimum, so few reach the
-    SVD, and the report is still that of the full scan."""
+    SVD, and the report is still that of the full scan.  The determinant
+    floor clears all but a few of them, so under a tenth take the inverse."""
     table = table_from_json((DATA / "fig3_omega8_t3_dof24.json").read_text())
     cells = count_svd_cells(monkeypatch)
     want = full_svd_report(monkeypatch, table, trials=TRIAL_BLOCK + 1, seed=9)
     total, cells[0] = cells[0], 0
+    screened = count_screen_cells(monkeypatch)
     assert verify_table_numeric(table, trials=TRIAL_BLOCK + 1, seed=9) == want
     assert 0 < cells[0] < total / 10
+    assert screened["screened"] == total and 0 < screened["inverted"] < total / 10
 
 
 @pytest.mark.parametrize("name,run", [
@@ -803,35 +830,164 @@ def assert_screen_exact(got, E, sigma_tol):
     return kept
 
 
+def screen_floor(E):
+    """The screen's determinant floor of every cell of a stack, and the ratio
+    of |E|_F to it, which the soundness ceiling bounds."""
+    b, h2 = E.shape[-1], verifier._frobenius_sq(E)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        floor = np.exp(verifier._log_floor(np.linalg.slogdet(E)[1], h2, b))
+        return floor, np.sqrt(h2) / floor
+
+
+def soundness_ceiling(b):
+    return min(verifier.SCREEN_CEILING, verifier.SCREEN_SLACK / (128 * 2.0**-53 * b**3 * (3**b + 1)))
+
+
 def test_screen_keeps_the_cells_its_bounds_cannot_rule_out():
+    """U, the least SVD value of the SCREEN_PROBES cells of least floor, sets
+    the threshold t = 1.01 max(U, 1e-6); in the first three stacks every cell
+    is a probe."""
     scan = _MarginScan(1e-9, 1e-6)
-    # l = 1/|inv E|_F orders these two cells against their sigma_min: only the
-    # sqrt(b) factor of the threshold keeps the second, the minimum
+    # U = 0.09 from the second cell, the minimum.  The first cell's floor,
+    # 0.01/sqrt(0.02) = 0.0707, and its inverse bound 1/sqrt(200), the same,
+    # are under t; so are the second's, 9/|E|_F = 0.089999 and 0.089999
     E = np.array([np.diag([0.1, 0.1]), np.diag([0.09, 100.0])], dtype=complex)[:, None]
-    assert assert_screen_exact(scan._sigma_min(E), E, 1e-6).all()
-    # condition number 1e8, over the ceiling: kept though far above the minimum
+    assert assert_screen_exact(scan._sigma_min(E, np.inf), E, 1e-6).all()
+    # U = 1 from the identity, whose floor 1/sqrt(2) is under t.  The second
+    # cell's floor, 1e10/|E|_F = 10, clears t, but |E|_F over it is 1e8, over
+    # the ceiling of 1e6, and so is its estimated condition number: kept
+    # though far above the minimum.  The third's floor, 3000/sqrt(6100) = 38,
+    # clears t with |E|_F over it 2.03
     E = np.array([np.eye(2), np.diag([1e9, 10.0]), np.diag([50.0, 60.0])], dtype=complex)[:, None]
-    assert assert_screen_exact(scan._sigma_min(E), E, 1e-6)[:, 0].tolist() == [True, True, False]
-    # a subnormal pivot: the inverse is not finite, and inv does not raise;
-    # the sound cells of least bound, the first and the third, keep the SVD
+    assert assert_screen_exact(scan._sigma_min(E, np.inf), E, 1e-6)[:, 0].tolist() == [True, True, False]
+    # a subnormal pivot: U = 1e-310 from the second cell, so t = 1.01e-6.  Its
+    # floor is 1e-310, with |E|_F over it not finite, and its inverse is not
+    # finite (inv does not raise): kept.  The other floors, 6/sqrt(13) = 1.66
+    # twice and 72/sqrt(145) = 5.98, clear t with |E|_F over them at most 2.2
     E = np.array([np.diag([3.0, 2.0]), np.diag([1e-310, 1.0]), np.diag([2.0, 3.0]), np.diag([9.0, 8.0])],
                  dtype=complex)[:, None]
-    assert assert_screen_exact(scan._sigma_min(E), E, 1e-6)[:, 0].tolist() == [True, True, True, False]
+    assert assert_screen_exact(scan._sigma_min(E, np.inf), E, 1e-6)[:, 0].tolist() == [False, True, False, False]
+    # at b = 1 the floor is |e| with |E|_F over it 1, and it rounds above
+    # LAPACK's value for about half of these v.  The probes are the cells of
+    # values v to 4 v, U = v, and at sigma_tol = 1e-12 only the slack of t =
+    # 1.01 v keeps the minimum; the inverse bound, v, keeps it too
+    for v in 1e-3 * (1 + np.arange(16) / 16):
+        E = (v * np.arange(1, 6) * np.exp(0.7j)).reshape(5, 1, 1, 1)
+        kept = assert_screen_exact(_MarginScan(1e-9, 1e-12)._sigma_min(E, np.inf), E, 1e-12)
+        assert kept[:, 0].tolist() == [True, False, False, False, False]
 
 
-@pytest.mark.parametrize("b", [1, 2, 5, 8])
-def test_screen_on_random_stacks_of_mixed_conditioning(b):
-    """Cells scaled over six orders of magnitude, nine of them nearly
-    singular; at sigma_tol = 0.3 about half of them fail."""
-    rng = np.random.default_rng(b)
+def mixed_stack(b, rng):
+    """A (40, 3, b, b) stack of cells scaled over six orders of magnitude:
+    in the first nine the last row is the first plus 1e-9 times a row of the
+    next nine, whose columns are graded (scaled over 1e-2 to 1e2)."""
     E = rng.standard_normal((40, 3, b, b)) + 1j * rng.standard_normal((40, 3, b, b))
     E *= 10.0 ** rng.uniform(-3, 3, (40, 3, 1, 1))
+    E[9:18] *= 10.0 ** rng.uniform(-2, 2, (9, 3, 1, b))
     if b > 1:
-        E[:3, :, -1, :] = E[:3, :, 0, :] + 1e-9 * E[3:6, :, -1, :]
+        E[:9, :, -1, :] = E[:9, :, 0, :] + 1e-9 * E[9:18, :, -1, :]
+    return E
+
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_screen_on_random_stacks_of_mixed_conditioning(b):
+    """The determinant floor never exceeds LAPACK's smallest singular value,
+    beyond rounding, and equals it where the other values are equal; the
+    screen agrees with the full SVD.  At sigma_tol = 0.3 about half of the
+    cells fail."""
+    rng = np.random.default_rng(b)
+    E = mixed_stack(b, rng)
+    sigma = np.linalg.svd(E, compute_uv=False)[..., -1]
+    floor, _ = screen_floor(E)
+    assert (floor <= sigma * (1 + 1e-12) + 2.0**-40 * np.sqrt(verifier._frobenius_sq(E))).all()
+    # Hong and Pan's bound is tight for singular values (s, 1, ..., 1), s small
+    u, _ = np.linalg.qr(rng.standard_normal((8, b, b)) + 1j * rng.standard_normal((8, b, b)))
+    tight = u * np.r_[1e-4, np.ones(b - 1)] @ u.conj().swapaxes(-1, -2)
+    assert np.allclose(screen_floor(tight)[0], 1e-4, rtol=1e-6)
     for sigma_tol in (1e-6, 0.3):
-        kept = assert_screen_exact(_MarginScan(1e-9, sigma_tol)._sigma_min(E), E, sigma_tol)
+        kept = assert_screen_exact(_MarginScan(1e-9, sigma_tol)._sigma_min(E, np.inf), E, sigma_tol)
         if sigma_tol < 1e-3:
             assert kept.sum() < kept.size / 2
+
+
+@pytest.mark.parametrize("kind", ["singular", "subnormal pivot", "over the ceiling"])
+def test_screen_sends_unsound_floors_to_the_inverse(monkeypatch, kind):
+    """A cell whose floor is not finite or not sound takes the inverse bound:
+    an exactly singular cell (inv then raises, and every cell the floor does
+    not clear keeps the SVD), a subnormal pivot, and a cell whose floor clears
+    the threshold with |E|_F over it above the soundness ceiling."""
+    odd = {"singular": [[1.0, 2.0], [1.0, 2.0]], "subnormal pivot": np.diag([1e-310, 1.0]),
+           "over the ceiling": np.diag([1e9, 10.0])}[kind]
+    rng = np.random.default_rng(7)
+    E = rng.standard_normal((12, 2, 2, 2)) + 1j * rng.standard_normal((12, 2, 2, 2))
+    E[5, 1] = odd
+    floor, ratio = screen_floor(E[5, 1])
+    assert not (np.isfinite(floor) and ratio <= soundness_ceiling(2))
+    sent, raised, inv = [], [], np.linalg.inv
+
+    def spy(a):
+        sent.extend(a)
+        try:
+            return inv(a)
+        except np.linalg.LinAlgError:
+            raised.append(kind)
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    kept = assert_screen_exact(_MarginScan(1e-9, 1e-6)._sigma_min(E, np.inf), E, 1e-6)
+    assert any(np.array_equal(a, E[5, 1]) for a in sent)
+    assert bool(raised) == (kind == "singular") and kept[5, 1]
+    if raised:
+        floor, ratio = screen_floor(E)
+        bound = 1.01 * max(float(np.linalg.svd(E, compute_uv=False)[..., -1].min()), 1e-6)
+        assert np.array_equal(kept, ~((floor > bound) & (ratio <= soundness_ceiling(2))))
+
+
+@pytest.mark.parametrize("b", [2, 5])
+def test_screen_under_a_smaller_value_found_keeps_only_what_it_cannot_clear(b):
+    """A stack screened after the scan found a smaller value, in a stack of
+    nearly singular cells, keeps no cell whose sound floor or inverse bound
+    clears 1.01 times that value, fewer than on its own, and every cell it
+    skips lies above it."""
+    stack = mixed_stack(b, np.random.default_rng(20 + b))
+    scan = _MarginScan(1e-9, 1e-12)
+    found = float(scan._sigma_min(stack[:9], np.inf).min())
+    E = stack[9:]
+    sigma = np.linalg.svd(E, compute_uv=False)[..., -1]
+    got = scan._sigma_min(E, found)
+    kept = np.isfinite(got)
+    assert found < sigma.min() and np.array_equal(got[kept], sigma[kept]) and (sigma[~kept] > found).all()
+    floor, ratio = screen_floor(E)
+    lower = 1 / np.sqrt(verifier._frobenius_sq(np.linalg.inv(E)))
+    k, ceiling = np.sqrt(verifier._frobenius_sq(E)) / lower, soundness_ceiling(b)
+    clears = ((floor > 1.01 * found) & (ratio <= ceiling)) | ((lower > 1.01 * found) & (k <= ceiling))
+    assert clears.any() and not (kept & clears).any()
+    assert kept.sum() < np.isfinite(scan._sigma_min(E, np.inf)).sum()
+
+
+def test_table_scan_screens_later_stacks_against_the_value_found(monkeypatch):
+    """In a table scan, ``add`` passes each stack the least value found so
+    far, which is below some stack's own values, and the report is still
+    the full scan's."""
+    table = table_from_json((DATA / "example1_dof14.json").read_text())
+    want = full_svd_report(monkeypatch, table, trials=40, seed=3)
+    calls, screen = [], _MarginScan._sigma_min
+
+    def recording(self, E, found):
+        calls.append((found, float(np.linalg.svd(E, compute_uv=False)[..., -1].min())))
+        return screen(self, E, found)
+
+    monkeypatch.setattr(_MarginScan, "_sigma_min", recording)
+    assert verify_table_numeric(table, trials=40, seed=3) == want
+    assert any(found < least for found, least in calls)
+
+
+def test_screen_past_the_float_range_of_its_ceiling():
+    """At b = 647, 3^b is past the float range; the soundness ceiling, taken
+    in logarithms, is far below 1, so no bound is sound and the cell keeps
+    the SVD."""
+    E = np.random.default_rng(3).standard_normal((1, 1, 647, 647)) + 0j
+    assert assert_screen_exact(_MarginScan(1e-9, 1e-6)._sigma_min(E, np.inf), E, 1e-6).all()
 
 
 def repeat_user_1_row_0(monkeypatch):
