@@ -106,10 +106,7 @@ class ScheduleTable:
         return math.comb(self.omega, self.t) * self.subpacketization_factor
 
     def group_totals(self) -> Counter:
-        total: Counter = Counter()
-        for col in self.columns:
-            total.update(col.groups)
-        return total
+        return Counter(itertools.chain.from_iterable(col.groups for col in self.columns))
 
     def validate(self) -> None:
         """Check universe membership and conservation from the table's own groups alone."""
@@ -190,12 +187,15 @@ def table_from_json(text: str) -> ScheduleTable:
     if not (isinstance(doc["users"], list) and all(map(_is_int, doc["users"]))):
         raise MalformedTableError("table field 'users' must be a list of integers")
     raw_columns = doc["columns"]
+    # JSON decodes an array to a list and a number to an int, float or bool,
+    # so the shape holds exactly when the columns, their groups and the
+    # groups' elements have the types list, list and int
+    shaped = type(raw_columns) is list and {*map(type, raw_columns)} <= {list}
+    raw_groups = list(itertools.chain.from_iterable(raw_columns)) if shaped else []
     if not (
-        isinstance(raw_columns, list)
-        and all(isinstance(col, list) and all(isinstance(g, list) for g in col) for col in raw_columns)
-        # JSON numbers decode to int, float or bool, so each element passes
-        # _is_int exactly when its type is int
-        and {*map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(raw_columns)))} <= {int}
+        shaped
+        and {*map(type, raw_groups)} <= {list}
+        and {*map(type, itertools.chain.from_iterable(raw_groups))} <= {int}
     ):
         raise MalformedTableError("table field 'columns' must list columns of integer groups")
     users = tuple(sorted(doc["users"]))
@@ -209,23 +209,12 @@ def table_from_json(text: str) -> ScheduleTable:
         raise MalformedTableError(f"table field 't' must be non-negative, got {t}")
     # each distinct raw group is made once; every element is a plain int (checked
     # above), so no bool reaches a key, where True == 1 would find the group of a 1
-    canonical: dict[tuple, Group] = {}
-    served = set(users)
-    columns = []
-    for raw_col in raw_columns:
-        groups, fresh = [], []
-        for raw in raw_col:
-            key = tuple(raw)
-            g = canonical.get(key)
-            if g is None:
-                g = canonical[key] = make_group(key, size=t + 1)
-                fresh.append(g)
-            groups.append(g)
-        # a column's groups are all made before any is checked against the users
-        for g in fresh:
-            if not served.issuperset(g):
-                raise MalformedTableError(f"group {g} outside users {users}")
-        columns.append(ScheduleColumn(tuple(sorted(groups))))
+    size, served, keys = t + 1, set(users), list(map(tuple, raw_groups))
+    canonical = {key: tuple(sorted(key)) for key in set(keys)}
+    if not all(len(g) == size == len(set(g)) and g[0] >= 1 and served.issuperset(g) for g in canonical.values()):
+        _raise_first_bad_group(raw_columns, size, served, users)
+    groups = map(canonical.__getitem__, keys)
+    columns = [ScheduleColumn(tuple(sorted(itertools.islice(groups, len(raw_col))))) for raw_col in raw_columns]
     return ScheduleTable(
         users=users,
         t=t,
@@ -236,6 +225,16 @@ def table_from_json(text: str) -> ScheduleTable:
         delta_tilde=doc["delta_tilde"],
         m=doc["m"],
     )
+
+
+def _raise_first_bad_group(raw_columns, size: int, served: set, users: tuple) -> None:
+    """Raise the error of a table's first bad group, checking every group in
+    turn: a column's groups are all made (``make_group``) before any is
+    checked against the users."""
+    for raw_col in raw_columns:
+        for g in [make_group(raw, size=size) for raw in raw_col]:
+            if not served.issuperset(g):
+                raise MalformedTableError(f"group {g} outside users {users}")
 
 
 def _is_int(value) -> bool:

@@ -144,23 +144,20 @@ def _batch_sinrs(plan: _TablePlan, layout: _KernelLayout, kernel, T: int, powers
     singular effective matrix raises VerificationError at the batch's first
     (column, user) that has one."""
     C, U = len(layout.columns), len(plan.users)
-    b_max = max(entry[1] for streams, *_ in layout.sets for entry in streams.entries)
+    b_max = max(stack[0] for streams, *_ in layout.sets for stack in streams.stacks)
     noise = np.ones((C, T, U, b_max))
     leak = np.zeros_like(noise)
     cells = np.zeros((C, 1, U, b_max), dtype=bool)  # true where user u decodes a b-th stream
     singular = []  # (column, user position) of every singular effective matrix
     for streams, gains in kernel:
-        by_count: dict[int, list] = {}  # per stream count: (columns, user, own, cross) of each entry
-        for (u, b, rows, r, own, cross), entry_gains in gains:
-            # own and cross gains as (R, b, T, b) and (R, n - b, T, b): the
+        by_count: dict[int, list] = {}  # per stream count: the own and cross gains of each entry
+        for (_, b, *_), own, cross in gains:
+            by_count.setdefault(b, []).append((own, cross))
+        for b, at, users in streams.stacks:
+            # own and cross gains as (N, T, b, b) and (N, T, b, n - b): the
             # layout of a boolean-masked (T, b, n) product, transposed
-            by_count.setdefault(b, []).append(
-                (streams.columns[rows], u, entry_gains[r, :, :, own], entry_gains[r, :, :, cross])
-            )
-        for b, parts in by_count.items():
-            at = np.concatenate([part[0] for part in parts])
-            users = np.repeat([part[1] for part in parts], [len(part[0]) for part in parts])
-            effective, cross_gains = (np.concatenate([part[k] for part in parts]).transpose(0, 2, 3, 1) for k in (2, 3))
+            effective, cross_gains = (np.concatenate(part).transpose(0, 2, 3, 1) for part in zip(*by_count.pop(b)))
+            at = streams.columns[at]
             try:
                 inv = np.linalg.inv(effective)
             except np.linalg.LinAlgError:
@@ -172,7 +169,7 @@ def _batch_sinrs(plan: _TablePlan, layout: _KernelLayout, kernel, T: int, powers
             leak[at, :, users, :b] = np.sum(np.abs(inv @ cross_gains) ** 2, axis=-1)
     if singular:
         raise VerificationError(f"singular effective matrix at user {plan.users[min(singular)[1]]}")
-    streams_per_column = np.array([len(plan.columns[c]) for c in layout.columns.tolist()])
+    streams_per_column = np.diff(plan.bounds)[layout.columns]
     p = (powers[:, None] / streams_per_column)[:, :, None, None, None]
     return np.where(cells, p / (noise + p * leak), np.inf).min(axis=(-2, -1))
 

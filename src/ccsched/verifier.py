@@ -74,6 +74,7 @@ raises, whether the kernel or the caller's reduction raised.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import operator
 import os
@@ -476,26 +477,41 @@ class _StreamSet(NamedTuple):
     # profile's direction that its beam takes
     profiles: np.ndarray
     instances: np.ndarray
-    # per (user position u, stream count b > 0): the rows of the R columns
-    # that give the user b streams (a slice when all do), arange(R)[:, None],
-    # and the indices of its own (R, b) and cross (R, n - b) streams, each in
-    # stream order
-    entries: tuple[tuple[int, int, np.ndarray | slice, np.ndarray, np.ndarray, np.ndarray], ...]
+    # per (user position u, stream count b > 0), by b and then u: the rows of
+    # the R columns that give u b streams (a slice when all do),
+    # arange(R)[:, None], the (R, n) indices of their own streams and then
+    # their cross ones, each in stream order, and their rows of the set's
+    # stack of stream count b
+    entries: tuple[tuple[int, int, np.ndarray | slice, np.ndarray, np.ndarray, slice], ...]
+    # per stream count b, ascending: the stack of every (column, user) pair
+    # that gives the user b streams, by user and then column: b, and the
+    # (N,) rows of its columns and its user positions
+    stacks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
 class _TablePlan(NamedTuple):
     """Everything the numeric kernel needs of a table that no draw changes."""
 
     users: tuple[int, ...]
-    columns: tuple[tuple[Group, ...], ...]  # sorted groups: one entry per stream
+    # the sorted distinct groups, every stream's group id in them, by column
+    # and each column's in sorted order, and the (columns + 1,) bounds of
+    # each column's streams
+    distinct: list[Group]
+    gid: np.ndarray
+    bounds: np.ndarray
     # per run of equal groups in a column, in scan order: the column, the
     # run's first position in it, its profile and its theta
     runs: np.ndarray
-    # per outside-user profile: its (user, stream count) pairs, and as (P,)
-    # arrays the most instances any of its groups takes and its outside-stream count
-    directions: tuple[tuple, ...]
+    # per outside-user profile: its (U,) stream counts of the outside users,
+    # and as (P,) arrays the most instances any of its groups takes and its
+    # outside-stream count
+    profiles: np.ndarray
     take: np.ndarray
     outside: np.ndarray
+    # every profile's outside rows, (user position, antenna): an outside user
+    # decoding b streams gives its first b antennas; profile p's outside[p]
+    # rows follow those of the profiles before it
+    antennas: np.ndarray
     sets: tuple[_StreamSet, ...]
 
 
@@ -505,14 +521,14 @@ def _batch_columns(trials: int) -> int:
 
 
 def _plan_table(slots, users: tuple[int, ...], width: int) -> _TablePlan:
-    """Stream order, outside-user profiles and per-(user, stream count) index
+    """Stream order, outside-user profiles and per-(stream count, user) index
     arrays of every column, from a table's slot pass (``_group_slots``);
     batches of ``width`` columns are split into stream sets by stream total."""
     distinct, member, col, gid, beta, heads, theta, outside = slots
     n = np.bincount(col, minlength=len(beta))  # every column's stream total
-    starts = np.cumsum(n) - n
-    groups = [distinct[g] for g in gid.tolist()]  # by column, each column's in sorted order
-    cols = tuple(tuple(groups[s : s + k]) for s, k in zip(starts.tolist(), n.tolist()))
+    bounds = np.zeros(len(n) + 1, dtype=np.intp)
+    np.cumsum(n, out=bounds[1:])
+    starts = bounds[:-1]
     run = np.repeat(np.arange(len(heads)), theta)  # every slot's run
     # an id per distinct profile from one lexicographic sort (np.unique(axis=0) is slower)
     by = np.lexsort(outside.T[::-1])
@@ -520,33 +536,50 @@ def _plan_table(slots, users: tuple[int, ...], width: int) -> _TablePlan:
     new[1:] = (outside[by[1:]] != outside[by[:-1]]).any(axis=1)
     pid = np.empty(len(by), dtype=np.intp)
     pid[by] = np.cumsum(new) - 1
-    keys = [tuple((users[i], b) for i, b in enumerate(row) if b) for row in outside[by[new]].tolist()]
-    take = np.zeros(len(keys), dtype=np.intp)
+    profiles = outside[by[new]]
+    take = np.zeros(len(profiles), dtype=np.intp)
     np.maximum.at(take, pid, theta)
     runs = np.stack([col[heads], heads - starts[col[heads]], pid, theta], axis=1)
     profile, instance = pid[run], np.arange(len(gid)) - heads[run]
-    step, sets = int(beta.max(initial=0)) + 1, []
-    for c0 in range(0, len(cols), width):
-        block = np.arange(c0, min(c0 + width, len(cols)))
-        for total in sorted(set(n[block].tolist())):
-            rows_all = block[n[block] == total]
-            stream = starts[rows_all][:, None] + np.arange(total)
-            # (user, row) pairs with streams, by user and stream count, rows ascending
-            pair_user, pair_row = np.nonzero(beta[rows_all].T)
-            pair_key = pair_user * step + beta[rows_all][pair_row, pair_user]
-            grouped = np.argsort(pair_key, kind="stable")
-            pair_key, pair_user, pair_row = pair_key[grouped].tolist(), pair_user[grouped], pair_row[grouped]
-            # per pair: own streams first, then cross ones, each in stream order
-            order = np.argsort(~member[gid[stream[pair_row]], pair_user[:, None]], axis=1, kind="stable")
-            bounds = [i for i, k in enumerate(pair_key) if i == 0 or k != pair_key[i - 1]]
-            r, entries = np.arange(len(rows_all))[:, None], []
-            for lo, hi in zip(bounds, bounds[1:] + [len(pair_key)]):
-                user, b = divmod(pair_key[lo], step)
-                at = slice(None) if hi - lo == len(rows_all) else pair_row[lo:hi]
-                entries.append((user, b, at, r[: hi - lo], order[lo:hi, :b], order[lo:hi, b:]))
-            if entries:
-                sets.append(_StreamSet(rows_all, profile[stream], instance[stream], tuple(entries)))
-    return _TablePlan(users, cols, runs, tuple(keys), take, outside[by[new]].sum(axis=1), tuple(sets))
+    # (profile, user position, antenna) of every antenna below each outside user's stream count
+    antennas = np.stack(np.nonzero(np.arange(int(profiles.max(initial=0))) < profiles[:, :, None])[1:], axis=1)
+    # a set per (batch, stream total), in that order; the (column, user) pairs
+    # with streams by set, stream count, user and column, whose runs of equal
+    # (set, stream count) are the stacks and of equal (set, stream count,
+    # user) the entries
+    set_of = np.arange(len(n)) // width * (int(n.max(initial=0)) + 1) + n
+    pair_col, pair_user = np.nonzero(beta)
+    pair_b = beta[pair_col, pair_user]
+    ordered = np.lexsort((pair_col, pair_user, pair_b, set_of[pair_col]))
+    pair_col, pair_user, pair_b = pair_col[ordered], pair_user[ordered], pair_b[ordered]
+    change, cuts = np.ones(len(pair_col) + 1, dtype=bool), []
+    change[1:-1] = False
+    for key in (set_of[pair_col], pair_b, pair_user):
+        change[1:-1] |= key[1:] != key[:-1]
+        cuts.append(np.flatnonzero(change).tolist())
+    set_cuts, stack_cuts, entry_cuts = cuts
+    pair_users, pair_bs, sets, s, e = pair_user.tolist(), pair_b.tolist(), [], 0, 0
+    for lo, hi in itertools.pairwise(set_cuts):
+        rows_all = np.flatnonzero(set_of == set_of[pair_col[lo]])
+        stream = starts[rows_all][:, None] + np.arange(n[rows_all[0]])
+        at, u = np.searchsorted(rows_all, pair_col[lo:hi]), pair_user[lo:hi]  # the set's pairs, from lo
+        # per pair: its b own streams first, then its cross ones, each in
+        # stream order: stream j goes to place k - 1 when it is the k-th own one, else to b + j - k
+        own, j = member[gid[stream[at]], u[:, None]], np.arange(stream.shape[1])
+        k, order = np.cumsum(own, axis=1), np.empty(own.shape, dtype=np.intp)
+        order[np.arange(hi - lo)[:, None], np.where(own, k - 1, pair_b[lo:hi, None] + j - k)] = j
+        r, entries, stacks = np.arange(len(rows_all))[:, None], [], []
+        while stack_cuts[s] < hi:  # a stack per stream count
+            s0, s1 = stack_cuts[s], stack_cuts[s + 1]
+            while entry_cuts[e] < s1:  # an entry per user
+                e0, e1 = entry_cuts[e], entry_cuts[e + 1]
+                rows = slice(None) if e1 - e0 == len(rows_all) else at[e0 - lo : e1 - lo]
+                entries.append((pair_users[e0], pair_bs[e0], rows, r[: e1 - e0], order[e0 - lo : e1 - lo], slice(e0 - s0, e1 - s0)))
+                e += 1
+            stacks.append((pair_bs[s0], at[s0 - lo : s1 - lo], u[s0 - lo : s1 - lo]))
+            s += 1
+        sets.append(_StreamSet(rows_all, profile[stream], instance[stream], tuple(entries), tuple(stacks)))
+    return _TablePlan(users, distinct, gid, bounds, runs, profiles, take, profiles.sum(axis=1), antennas, tuple(sets))
 
 
 def _stream_beams(library: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -559,15 +592,18 @@ def _stream_beams(library: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _set_gains(streams: _StreamSet, beams: np.ndarray, h: np.ndarray, draws: np.ndarray):
-    """Every entry of a stream set with its (R, trials, b, n) gains, one entry
-    at a time, from the set's (C, trials, L, n) beams and the first b rows of
-    user position u in the (D, trials, U, G, L) draws ``h``; ``draws`` gives
-    each of the set's columns its draw.  The beams are freed with the
-    generator, once its last entry is taken."""
+    """Every entry of a stream set with its own and cross gains, (R, b,
+    trials, b) and (R, n - b, trials, b), one entry at a time: views of one
+    gather of its (R, trials, b, n) product of the first b rows of user
+    position u in the (D, trials, U, G, L) draws ``h`` with the set's (C,
+    trials, L, n) beams; ``draws`` gives each of the set's columns its draw.
+    The beams are freed with the generator, once its last entry is taken."""
     for entry in streams.entries:
-        u, b, rows = entry[:3]
+        u, b, rows, r, order, _ = entry
         channel = h[:, :, u, :b]  # one draw broadcasts over the columns
-        yield entry, (channel if len(h) == 1 else channel[draws[rows]]) @ beams[rows]
+        gains = ((channel if len(h) == 1 else channel[draws[rows]]) @ beams[rows])[r, :, :, order]
+        yield entry, gains[:, :b], gains[:, b:]
+        del gains  # freed with the caller's views, before the next entry's are formed
 
 
 class _KernelLayout(NamedTuple):
@@ -589,20 +625,23 @@ def _kernel_layout(plan: _TablePlan, sets, draw: np.ndarray) -> _KernelLayout:
     """The layout of ``sets`` in the kernel's libraries, with ``draw`` the
     draw of every column: one for all in the oracle, one per column of a
     batch in the rate sweep."""
-    columns = np.array(sorted({c for streams in sets for c in streams.columns.tolist()}), dtype=np.intp)
-    D = int(draw[columns].max(initial=0)) + 1
-    pairs: dict[tuple[int, int], list] = {}  # the sets' profiles by draw and outside-stream count
-    for d, p in sorted({(d, p) for s in sets for d, row in zip(draw[s.columns].tolist(), s.profiles.tolist()) for p in row}):
-        pairs.setdefault((d, int(plan.outside[p])), []).append(p)
-    offset = np.zeros((D, len(plan.directions)), dtype=np.intp)  # where each pair's directions start
+    none = [np.zeros(0, dtype=np.intp)]
+    columns = np.sort(np.concatenate([s.columns for s in sets] or none))
+    D, P = int(draw[columns].max(initial=0)) + 1, len(plan.outside)
+    # the sets' distinct (draw, profile) pairs, ascending, by draw and outside-stream count
+    pairs = np.sort(np.concatenate([(draw[s.columns][:, None] * P + s.profiles).ravel() for s in sets] or none))
+    by_stack: dict[tuple[int, int], list] = {}
+    for d, p in zip(*(x.tolist() for x in np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], P))):
+        by_stack.setdefault((d, int(plan.outside[p])), []).append(p)
+    first = np.cumsum(plan.outside) - plan.outside  # each profile's first row of plan.antennas
+    offset = np.zeros((D, P), dtype=np.intp)  # where each pair's directions start
     stacks, seen = [], 0
-    for (d, r), profiles in pairs.items():
-        # an outside user decoding b streams gives the rows of its first b antennas
-        rows = [[(plan.users.index(k), i) for k, b in plan.directions[p] for i in range(b)] for p in profiles]
+    for (d, r), profiles in by_stack.items():
+        profiles = np.array(profiles)
         m = int(plan.take[profiles].max())
         offset[d, profiles] = seen + m * np.arange(len(profiles))
         seen += m * len(profiles)
-        stacks.append((d, np.array(profiles), np.array(rows, dtype=np.intp).reshape(len(profiles), r, 2), m))
+        stacks.append((d, profiles, plan.antennas[first[profiles][:, None] + np.arange(r)], m))
     sets = tuple((s, draw[s.columns], offset[draw[s.columns][:, None], s.profiles] + s.instances) for s in sets)
     return _KernelLayout(draw, D, columns, sets, tuple(stacks))
 
@@ -660,7 +699,7 @@ def _stream_gains(plan: _TablePlan, layout: _KernelLayout, channels: ChannelReal
         nullity = {(d, p): (L - int(r.max()), L - int(r.min()))
                    for (d, profiles, _, _), rank in zip(layout.stacks, ranks) for p, r in zip(profiles.tolist(), rank)}
         for c, at, p, theta in plan.runs[np.isin(plan.runs[:, 0], layout.columns)].tolist():
-            _check_nullity(plan.columns[c][at], theta, *nullity[int(layout.draw[c]), p], L - int(plan.outside[p]))
+            _check_nullity(plan.distinct[plan.gid[plan.bounds[c] + at]], theta, *nullity[int(layout.draw[c]), p], L - int(plan.outside[p]))
     for streams, draws, index in layout.sets:
         # no reference to the beams here: the entries' generator frees them
         yield streams, _set_gains(streams, _stream_beams(library, index), h, draws)
@@ -689,12 +728,12 @@ def _numeric_run(table: ScheduleTable, trials: int, seed: int, shared: bool, red
         raise VerificationError(f"table fails the symbolic check: {symbolic.witnesses[0]}")
     plan = _plan_table(slots, users, width)
     if shared:
-        layouts = [_kernel_layout(plan, plan.sets, np.zeros(len(plan.columns), dtype=np.intp))]
+        layouts = [_kernel_layout(plan, plan.sets, np.zeros(len(plan.bounds) - 1, dtype=np.intp))]
     else:
         batches: dict[int, list] = {}  # the stream sets of every batch of columns
         for streams in plan.sets:
             batches.setdefault(int(streams.columns[0]) // width, []).append(streams)
-        draw = np.arange(len(plan.columns)) % width  # one draw per column of a batch
+        draw = np.arange(len(plan.bounds) - 1) % width  # one draw per column of a batch
         layouts = [_kernel_layout(plan, sets, draw) for sets in batches.values()]
     largest = 1
     for layout in layouts:  # a trial block's draws and L x L Q factors
@@ -730,11 +769,6 @@ def _frobenius_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", re, re)
 
 
-def _streams(groups: tuple[Group, ...]) -> list[tuple[Group, int]]:
-    """(group, instance) of every stream of a column with sorted groups."""
-    return [(g, i - groups.index(g)) for i, g in enumerate(groups)]
-
-
 class _MarginScan:
     """Worst leakage and conditioning over the cells of a scan, and every
     failing cell.
@@ -759,37 +793,28 @@ class _MarginScan:
 
     def add(self, plan: _TablePlan, streams: _StreamSet, gains, trials: range) -> None:
         """Fold the margins of one stream set over ``trials``, given each of
-        its entries with its (R, trials, b, n) gains (``_set_gains``)."""
+        its entries with its own and cross gains (``_set_gains``)."""
         (C, n), T, first = streams.profiles.shape, len(trials), trials.start
         leak = np.full((C, T, len(plan.users), n), -np.inf)
         sigma = np.full((C, T, len(plan.users)), np.inf)
-        # per stream count, one stack of every entry's effective matrices, in
-        # entry order: each entry's slot in its stack
-        size: dict[int, int] = {}
-        slots = []
-        for _, b, _, r, _, _ in streams.entries:
-            slots.append(slice(size.get(b, 0), size.get(b, 0) + len(r)))
-            size[b] = slots[-1].stop
-        effs = {b: np.empty((N, T, b, b), dtype=complex) for b, N in size.items()}
+        # per stream count, one stack of every entry's effective matrices
+        effs = {b: np.empty((len(at), T, b, b), dtype=complex) for b, at, _ in streams.stacks}
         # a plain loop, so that each entry's gains are freed before the next
         # entry's are formed (zip would hold them a step longer)
-        slot_of = iter(slots)
-        for (u, b, rows, r, own, cross), entry_gains in gains:
-            # cross gains as (R, n - b, T, b): each norm sums along the contiguous
-            # combiner axis, in the order the norm of one column's gains sums
-            leak[rows, :, u, : n - b] = np.linalg.norm(entry_gains[r, :, :, cross], axis=-1).swapaxes(1, 2)
-            effs[b][next(slot_of)] = entry_gains[r, :, :, own].transpose(0, 2, 3, 1)
-            del entry_gains
+        for (u, b, rows, *_, slot), own, cross in gains:
+            # each norm of the (R, n - b, T, b) cross gains sums along the
+            # contiguous combiner axis, in the order the norm of one column's
+            # gains sums: numpy's vector 2-norm, without its wrapper
+            leak[rows, :, u, : n - b] = np.sqrt(np.add.reduce((cross.conj() * cross).real, axis=-1)).swapaxes(1, 2)
+            effs[b][slot] = own.transpose(0, 2, 3, 1)
+            del own, cross
         self._fold("leakage", plan, streams, first, leak, leak > self.tol)
         del leak
         # each stack is freed once screened, against the least value found so far
         found = self.worst["sigma_min"][0] if self.worst["sigma_min"] else np.inf
-        smallest = {}
-        for b in list(effs):
-            smallest[b] = self._sigma_min(effs.pop(b), found)
-            found = min(found, float(smallest[b].min()))
-        for (u, b, rows, *_), slot in zip(streams.entries, slots):
-            sigma[rows, :, u] = smallest[b][slot]
+        for b, at, users in streams.stacks:
+            smallest = sigma[at, :, users] = self._sigma_min(effs.pop(b), found)
+            found = min(found, float(smallest.min()))
         self._fold("sigma_min", plan, streams, first, sigma, sigma <= self.sigma_tol)
 
     def _sigma_min(self, E: np.ndarray, found: float) -> np.ndarray:
@@ -839,31 +864,35 @@ class _MarginScan:
         """
         b = E.shape[-1]
         log_ceiling = min(math.log(SCREEN_CEILING), math.log(SCREEN_SLACK / (128 * 2.0**-53 * b**3)) - math.log(3**b + 1))
-        sigma = np.full(E.shape[:-2], np.inf)
-        cells, flat = E.reshape(-1, b, b), sigma.reshape(-1)
+        cells = E.reshape(-1, b, b)
+        sigma = np.full(len(cells), np.inf)
         h2 = _frobenius_sq(cells)
+        # nan, -inf and +inf floors are not sound, nor is the bound of an
+        # inverse that is not finite
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # nan, -inf and +inf floors are not sound
             log_floor = _log_floor(np.linalg.slogdet(cells)[1], h2, b)
             sound = np.log(h2) / 2 - log_floor <= log_ceiling
-        probes = np.linalg.svd(cells[np.argsort(log_floor)[:SCREEN_PROBES]], compute_uv=False)[:, -1]  # -inf first, nan last
-        bound = (1 + SCREEN_SLACK) * max(min(found, float(probes.min())), self.sigma_tol)
-        keep = np.flatnonzero(~(sound & (log_floor > math.log(bound))))
-        inv_sq = np.empty(len(keep))
-        try:
-            # about BATCH_COLUMN_TRIALS cells at a time, which bounds the inverse's memory
-            for lo in range(0, len(keep), BATCH_COLUMN_TRIALS):
-                X = np.linalg.inv(cells[keep[lo : lo + BATCH_COLUMN_TRIALS]])
-                with np.errstate(over="ignore", invalid="ignore"):  # X may not be finite
-                    inv_sq[lo : lo + BATCH_COLUMN_TRIALS] = _frobenius_sq(X)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                # false where the inverse is not finite
+            # the cells of least floor (-inf first, nan last) and their SVD
+            # values, which a kept probe reads
+            probe = np.argpartition(log_floor, SCREEN_PROBES)[:SCREEN_PROBES] if len(cells) > SCREEN_PROBES else slice(None)
+            probed = np.full(len(cells), np.nan)
+            probed[probe] = np.linalg.svd(cells[probe], compute_uv=False)[:, -1]
+            bound = (1 + SCREEN_SLACK) * max(min(found, float(probed[probe].min())), self.sigma_tol)
+            keep = np.flatnonzero(~(sound & (log_floor > math.log(bound))))
+            inv_sq = np.empty(len(keep))
+            try:
+                # about BATCH_COLUMN_TRIALS cells at a time, which bounds the inverse's memory
+                for lo in range(0, len(keep), BATCH_COLUMN_TRIALS):
+                    inv_sq[lo : lo + BATCH_COLUMN_TRIALS] = _frobenius_sq(np.linalg.inv(cells[keep[lo : lo + BATCH_COLUMN_TRIALS]]))
+            except np.linalg.LinAlgError:
+                pass
+            else:
                 keep = keep[~((1 / np.sqrt(inv_sq) > bound) & (np.log(h2[keep] * inv_sq) / 2 <= log_ceiling))]
-        flat[keep] = np.linalg.svd(cells[keep], compute_uv=False)[..., -1]
-        return sigma
+        sigma[keep] = probed[keep]
+        rest = keep[np.isnan(sigma[keep])]
+        if len(rest):
+            sigma[rest] = np.linalg.svd(cells[rest], compute_uv=False)[..., -1]
+        return sigma.reshape(E.shape[:-2])
 
     # per margin kind: the padding value, the pick of the first worst cell, and
     # whether a value is worse than another
@@ -873,12 +902,13 @@ class _MarginScan:
         """Fold one set's margins into ``worst[kind]``: its first worst cell
         replaces the worst so far when worse, or equal and earlier in scan
         order.  Failing cells join the failures."""
-        pad, pick, _ = self._WORST[kind]
+        pad, pick, worse = self._WORST[kind]
         i = int(pick(values))
         value = float(values.flat[i])
         if value == pad:  # padding only: the set has no such cell
             return
-        self._keep(kind, (value, *self._cell(plan, streams, first, values.shape, i)))
+        if self.worst[kind] is None or not worse(self.worst[kind][0], value):  # else it cannot replace it
+            self._keep(kind, (value, *self._cell(plan, streams, first, values.shape, i)))
         for i in np.flatnonzero(failing).tolist():
             position, trial, column, label = self._cell(plan, streams, first, values.shape, i)
             at = (trial, column) if self.named else (trial,)
@@ -909,8 +939,9 @@ class _MarginScan:
         r, t, u, *j = (int(x) for x in np.unravel_index(i, shape))
         column, k = int(streams.columns[r]), plan.users[u]
         label = (k,)
-        if j:  # the j-th stream that user k does not decode
-            label += [s for s in _streams(plan.columns[column]) if k not in s[0]][j[0]]
+        if j:  # the j-th stream that user k does not decode: (group, instance)
+            groups = [plan.distinct[g] for g in plan.gid[plan.bounds[column] : plan.bounds[column + 1]].tolist()]
+            label += [(g, s - groups.index(g)) for s, g in enumerate(groups) if k not in g][j[0]]
         return (first, column, t, u, *j), first + t, column + 1, label
 
     def report(self) -> NumericReport:

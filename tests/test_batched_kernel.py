@@ -325,8 +325,9 @@ def profiles_by_outside_streams(table):
     users = tuple(sorted(table.users))
     plan = verifier._plan_table(verifier._group_slots(table.columns, users), users, 1)
     by_streams = {}
-    for profile in plan.directions:
-        by_streams.setdefault(sum(b for _, b in profile), []).append(profile)
+    for row in plan.profiles.tolist():  # (user, stream count) of each outside user
+        profile = tuple((users[i], b) for i, b in enumerate(row) if b)
+        by_streams.setdefault(sum(row), []).append(profile)
     return by_streams
 
 

@@ -206,6 +206,24 @@ def test_json_rejects_a_repeated_group_holding_true(columns):
         table_from_json(doc)
 
 
+@pytest.mark.parametrize("columns", [
+    "[{}]",  # a column that is an object
+    "[1]",  # a column that is a number
+    "[[1]]",  # a group that is a number
+    '[[[1,"2"]]]',  # a group holding a string
+    "[[[1,2.0]]]",  # a group holding a float
+    "[[[1,2]],[[2.0,1]]]",  # a float in a group equal to an integer one
+    '{"0":[[1,2]]}',  # columns that are an object
+])
+def test_json_rejects_columns_that_are_not_lists_of_integer_groups(columns):
+    """Every column must be a list of groups and every group a list of
+    integers; anything else is refused by name before any group is made."""
+    doc = ('{"omega":3,"t":1,"L":4,"G":2,"users":[1,2,3],"delta":1,'
+           f'"delta_tilde":1,"m":0,"columns":{columns}}}')
+    with pytest.raises(MalformedTableError, match="integer groups"):
+        table_from_json(doc)
+
+
 def test_json_reports_the_first_bad_group_of_a_column():
     """A column's groups are all made before any is checked against the
     users, and a repeated group is made once: the errors stay those of
